@@ -62,32 +62,6 @@ def test_kernel_sta(benchmark, process, placed_l2t):
               TimingConfig("cpu_clk"))
 
 
-def test_kernel_sta_scalar(benchmark, process, placed_l2t, monkeypatch):
-    """Same STA via the scalar reference walk (the baseline the
-    sta-smoke CI step asserts >=4x against, see sta_smoke.py)."""
-    from repro.timing.scalar import SCALAR_ENV
-    monkeypatch.setenv(SCALAR_ENV, "1")
-    gb, _, routing = placed_l2t
-    benchmark(run_sta, gb.netlist, routing, process,
-              TimingConfig("cpu_clk"))
-
-
-def test_kernel_route_extract(benchmark, process, placed_l2t):
-    """Batched parasitic extraction (one flat net gather + vectorized
-    trunk/Elmore math) over ~1.1k nets."""
-    gb, _, _ = placed_l2t
-    benchmark(route_block, gb.netlist, process.metal_stack)
-
-
-def test_kernel_route_extract_scalar(benchmark, process, placed_l2t,
-                                     monkeypatch):
-    """Same extraction via the legacy per-net loop."""
-    from repro.timing.scalar import SCALAR_ENV
-    monkeypatch.setenv(SCALAR_ENV, "1")
-    gb, _, _ = placed_l2t
-    benchmark(route_block, gb.netlist, process.metal_stack)
-
-
 def test_kernel_power(benchmark, process, placed_l2t):
     """Power rollup over the routed block."""
     gb, _, routing = placed_l2t
@@ -163,19 +137,6 @@ def test_kernel_incremental_sta(benchmark, process):
         return inc.swap_masters(moves)
     applied = benchmark(run)
     assert applied >= 500
-
-
-def test_kernel_place_scalar(benchmark, process, monkeypatch):
-    """Same placement via the legacy scalar kernels (the baseline the
-    place-smoke CI step asserts >=5x against, see place_smoke.py)."""
-    from repro.place.scalar import SCALAR_ENV
-    monkeypatch.setenv(SCALAR_ENV, "1")
-
-    def run():
-        gb = generate_block(block_type_by_name("l2t"), process.library,
-                            seed=1)
-        place_block_2d(gb.netlist, PlacementConfig(seed=1))
-    benchmark.pedantic(run, rounds=3, iterations=1)
 
 
 def test_kernel_place_fold3d(benchmark, process):

@@ -32,7 +32,7 @@ def __getattr__(name):
                 "explore_design_space", "DesignCache"):
         from . import core
         return getattr(core, name)
-    if name in ("EXPERIMENTS", "run_experiment", "ExperimentOptions",
+    if name in ("REGISTRY", "run_experiment", "ExperimentOptions",
                 "UnknownExperimentError"):
         from . import analysis
         return getattr(analysis, name)
@@ -43,6 +43,6 @@ __all__ = [
     "make_process", "ProcessNode", "__version__",
     "FlowConfig", "FoldSpec", "run_block_flow", "ChipConfig",
     "build_chip", "build_signed_off_chip", "explore_design_space",
-    "DesignCache", "EXPERIMENTS", "run_experiment", "ExperimentOptions",
+    "DesignCache", "REGISTRY", "run_experiment", "ExperimentOptions",
     "UnknownExperimentError",
 ]

@@ -41,9 +41,9 @@ import time
 
 
 def _cmd_experiments(_args) -> int:
-    from .analysis.experiments import EXPERIMENTS
-    for eid, (_, desc) in EXPERIMENTS.items():
-        print(f"{eid:8s} {desc}")
+    from .analysis.experiments import REGISTRY
+    for eid, exp in REGISTRY.items():
+        print(f"{eid:8s} {exp.description}")
     return 0
 
 

@@ -9,9 +9,8 @@ from .cost import (CostModel, DieCost, cost_2d, cost_3d, cost_comparison,
 from .coupling import CouplingResult, coupling_power, coupling_study
 from .irdrop import (IrDropResult, PdnConfig, analyze_chip_ir_drop,
                      solve_ir_drop)
-from .experiments import (EXPERIMENTS, REGISTRY, Experiment,
-                          ExperimentOptions, ExperimentResult,
-                          LegacyRunnerError, ShapeCheck,
+from .experiments import (REGISTRY, Experiment, ExperimentOptions,
+                          ExperimentResult, ShapeCheck,
                           UnknownExperimentError, run_experiment)
 from .layout_svg import render_block_svg, render_chip_svg
 from .report import MetricRow, design_metric_rows, format_table, relative
@@ -25,8 +24,8 @@ from .stability import (StabilityResult, compare_stability,
 __all__ = [
     "CriteriaAblation", "MacroHoleAblation", "TsvPitchPoint",
     "ablate_folding_criteria", "ablate_macro_holes", "sweep_tsv_pitch",
-    "EXPERIMENTS", "REGISTRY", "Experiment", "ExperimentOptions",
-    "ExperimentResult", "LegacyRunnerError", "ShapeCheck",
+    "REGISTRY", "Experiment", "ExperimentOptions",
+    "ExperimentResult", "ShapeCheck",
     "UnknownExperimentError", "run_experiment",
     "CornerReport", "analyze_corners", "signoff_summary",
     "CostModel", "DieCost", "cost_2d", "cost_3d", "cost_comparison",

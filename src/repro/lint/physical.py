@@ -2,7 +2,7 @@
 
 These rules run once an outline exists -- after 2D placement or the 3D
 fold.  They reuse the *same* geometry predicates the placers use
-(:func:`~repro.place.grid.spans_overlap`,
+(:data:`~repro.place.grid.GEOM_TOL_UM`,
 :func:`~repro.place.grid.first_containing`,
 :func:`~repro.place.legalize.overlapping_pairs`), so the checker and
 the tools it audits share one definition of "overlapping" and "inside".

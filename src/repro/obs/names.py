@@ -122,7 +122,6 @@ CTR_SERVICE_STEALS = "service.steals"
 CTR_STA_FULL_REBUILDS = "sta.full_rebuilds"
 CTR_STA_INCREMENTAL_NODES = "sta.incremental_nodes"
 CTR_STA_LEVELS = "sta.levels"
-CTR_STA_SCALAR_FALLBACKS = "sta.scalar_fallbacks"
 CTR_STA_TOPOLOGY_PATCHES = "sta.topology_patches"
 CTR_STA_VECTOR_PASSES = "sta.vector_passes"
 CTR_TASKS_CRASHED = "tasks.crashed"
@@ -175,7 +174,6 @@ CTR_NAMES = (
     CTR_STA_FULL_REBUILDS,
     CTR_STA_INCREMENTAL_NODES,
     CTR_STA_LEVELS,
-    CTR_STA_SCALAR_FALLBACKS,
     CTR_STA_TOPOLOGY_PATCHES,
     CTR_STA_VECTOR_PASSES,
     CTR_TASKS_CRASHED,

@@ -62,7 +62,7 @@ from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.experiments import (EXPERIMENTS, ExperimentOptions,
+from ..analysis.experiments import (REGISTRY, ExperimentOptions,
                                     result_to_dict, run_experiment)
 from ..core.cache import DesignCache
 from ..faults import inject as faults
@@ -676,7 +676,7 @@ def run_sweep(request: SweepRequest,
             ``results_dict()`` is id-keyed; overlapping sweeps belong
             on the service broker, which coalesces by content hash).
     """
-    request.validate(known=EXPERIMENTS)
+    request.validate(known=REGISTRY)
     dupes = sorted(eid for eid, n
                    in Counter(request.experiment_ids()).items() if n > 1)
     if dupes:

@@ -17,25 +17,11 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 #: geometric slack (um) below which an overlap does not count.  Every
-#: overlap / containment decision in the placer, the legalizer and the
-#: lint checker goes through the predicates below with this tolerance,
-#: so the tools cannot disagree about what "overlapping" or "inside a
-#: macro hole" means.
+#: overlap decision (:func:`repro.place.legalize.overlapping_pairs`)
+#: and containment check in the placer, the legalizer and the lint
+#: checker uses this tolerance, so the tools cannot disagree about what
+#: "overlapping" or "inside a macro hole" means.
 GEOM_TOL_UM = 1e-6
-
-
-def interval_overlap(a0: float, a1: float, b0: float, b1: float) -> float:
-    """Signed 1D overlap of ``[a0, a1]`` and ``[b0, b1]``.
-
-    Positive = overlap length, negative = gap width, zero = abutting.
-    """
-    return min(a1, b1) - max(a0, b0)
-
-
-def spans_overlap(a0: float, a1: float, b0: float, b1: float,
-                  tol: float = GEOM_TOL_UM) -> bool:
-    """True when two 1D spans overlap by more than ``tol``."""
-    return interval_overlap(a0, a1, b0, b1) > tol
 
 
 def first_containing(rects: Iterable["Rect"], x: float,

@@ -14,8 +14,7 @@ the classic Tetris/Abacus legalizers do:
 
 The result keeps the global placement's structure (displacement is the
 quality metric) while guaranteeing non-overlap -- which the DEF export
-and the macro keep-out checks rely on.  The legacy per-cell search is
-preserved in :mod:`~repro.place.scalar` behind ``REPRO_PLACE_SCALAR=1``.
+and the macro keep-out checks rely on.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from ..netlist.core import Instance
 from ..obs import trace
 from ..obs.metrics import metrics
 from ..tech.cells import CELL_HEIGHT_UM
-from . import scalar
 from .grid import GEOM_TOL_UM, Rect
 
 
@@ -115,9 +113,6 @@ def legalize_cells(cells: Sequence[Instance], outline: Rect,
         Displacement statistics; cells that found no segment (core
         overfull) keep their input position and count as ``failed``.
     """
-    if scalar.use_scalar():
-        return scalar.legalize_cells(cells, outline, obstructions,
-                                     row_height, max_row_search)
     with trace.span("place.legalize", cells=len(cells)):
         return _legalize_batched(cells, outline, obstructions,
                                  row_height, max_row_search)
@@ -338,13 +333,11 @@ def overlapping_pairs(cells: Sequence[Instance],
     """All same-row cell pairs whose x spans overlap.
 
     Cells are bucketed into rows by their y coordinate; within a row a
-    sorted sweep finds *every* overlapping pair (the legacy scan in
-    :mod:`~repro.place.scalar` only compared adjacent neighbors and
-    missed overlaps spanned by wide cells).  Candidate pairs are
-    confirmed with exactly the
-    :func:`~repro.place.grid.interval_overlap` arithmetic the legalizer
-    and the lint checker use, so the tools cannot disagree about what
-    counts as an overlap.
+    sorted sweep finds *every* overlapping pair (an adjacent-neighbor
+    scan would miss overlaps spanned by wide cells).  Candidate pairs are
+    confirmed as ``min(a1, b1) - max(a0, b0) > GEOM_TOL_UM``; the lint
+    checker calls this function, so the tools cannot disagree about
+    what counts as an overlap.
 
     Args:
         cells: placed standard cells.
@@ -353,8 +346,6 @@ def overlapping_pairs(cells: Sequence[Instance],
             row-snap convention) instead of the left edge (legalizer
             convention).
     """
-    if scalar.use_scalar():
-        return scalar.overlapping_pairs(cells, row_height, x_is_center)
     n = len(cells)
     if n < 2:
         return []
@@ -388,7 +379,7 @@ def overlapping_pairs(cells: Sequence[Instance],
     ii = np.repeat(np.arange(n), cnt)
     start = np.concatenate([[0], np.cumsum(cnt)[:-1]])
     jj = np.arange(total) - np.repeat(start, cnt) + ii + 1
-    # same expression as interval_overlap: min(a1,b1) - max(a0,b0)
+    # signed span overlap: min(a1,b1) - max(a0,b0)
     keep = (np.minimum(e[ii], e[jj]) -
             np.maximum(s[ii], s[jj])) > GEOM_TOL_UM
     return [(cells[a], cells[b]) for a, b in zip(o[ii[keep]], o[jj[keep]])]

@@ -19,7 +19,6 @@ import numpy as np
 from ..netlist.core import Netlist
 from ..obs import trace
 from ..tech.cells import CELL_HEIGHT_UM
-from . import scalar
 from .grid import DensityGrid, Rect
 from .quadratic import QPNet, QuadraticPlacer
 from .spreading import spread
@@ -247,12 +246,9 @@ def run_global_place(netlist: Netlist, movable: List, outline: Rect,
 def snap_to_rows(movable: List, xs: np.ndarray, ys: np.ndarray,
                  outline: Rect) -> None:
     """Assign final coordinates, snapping y to standard-cell rows."""
-    if scalar.use_scalar():
-        scalar.snap_to_rows(movable, xs, ys, outline)
-        return
     row0 = outline.y0 + CELL_HEIGHT_UM / 2
-    # np.round and the scalar path's round() share half-to-even
-    # semantics, so both snaps pick identical rows
+    # np.round shares Python round()'s half-to-even semantics, so rows
+    # match a per-cell round() snap exactly
     fx = np.clip(xs, outline.x0, outline.x1)
     rows = np.round((ys - row0) / CELL_HEIGHT_UM)
     fy = np.clip(row0 + rows * CELL_HEIGHT_UM, outline.y0, outline.y1)

@@ -17,8 +17,8 @@ diagonal/rhs accumulation are emitted in exactly the order the legacy
 per-pin loop produced them, so both paths build bit-identical systems
 (``np.add.at`` is unbuffered and processes indices sequentially, and
 scipy's duplicate summation only depends on the per-coordinate emission
-order).  The legacy loop survives in :mod:`~repro.place.scalar` behind
-``REPRO_PLACE_SCALAR=1`` for the parity harness.
+order).  The legacy per-pin loop is kept as a test oracle for the parity
+harness.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from ..obs.metrics import metrics
-from . import scalar
 
 
 @dataclass
@@ -56,9 +55,8 @@ def b2b_weights(pa: np.ndarray, pb: np.ndarray,
                 degree: np.ndarray) -> np.ndarray:
     """Vectorized B2B pair weights.
 
-    Bit-identical to :meth:`QuadraticPlacer._b2b_weight` applied
-    elementwise: the integer degree converts to float exactly, and both
-    paths evaluate ``2.0 / (max(degree-1, 1) * max(|pa-pb|, 1.0))`` in
+    Bit-identical to the legacy per-pair formula applied elementwise:
+    the integer degree converts to float exactly, and both evaluate ``2.0 / (max(degree-1, 1) * max(|pa-pb|, 1.0))`` in
     the same operation order.
     """
     md = np.maximum(np.asarray(degree) - 1, 1).astype(np.float64)
@@ -162,8 +160,6 @@ class QuadraticPlacer:
 
     def _solve_axis(self, coords: np.ndarray, axis: int,
                     anchors) -> np.ndarray:
-        if scalar.use_scalar():
-            return scalar.solve_axis(self, coords, axis, anchors)
         metrics().counter("place.qp_solves").inc()
         mat, rhs = self._assemble_axis(coords, axis, anchors)
         return spsolve(mat, rhs)
@@ -267,8 +263,3 @@ class QuadraticPlacer:
         vals = np.concatenate([ovals, diag])
         mat = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         return mat, rhs
-
-    @staticmethod
-    def _b2b_weight(pi: float, pj: float, degree: int) -> float:
-        span = abs(pi - pj)
-        return 2.0 / (max(degree - 1, 1) * max(span, 1.0))

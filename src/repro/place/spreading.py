@@ -10,9 +10,7 @@ macros instead of piling against them.
 Two batched kernels carry the cost: region supply queries answer in
 O(1) from prefix-sum tables (:class:`_SupplyAccel`), and all leaf
 regions place their cells in one vectorized pass after the recursion
-has only *partitioned* the index set.  The legacy per-bin/per-cell
-loops survive in :mod:`~repro.place.scalar` behind
-``REPRO_PLACE_SCALAR=1``.
+has only *partitioned* the index set.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from typing import List, Tuple
 import numpy as np
 
 from ..obs.metrics import metrics
-from . import scalar
 from .grid import DensityGrid, Rect
 
 
@@ -129,9 +126,6 @@ def spread(grid: DensityGrid, xs: np.ndarray, ys: np.ndarray,
     Returns:
         New (x, y) arrays with approximately legal density.
     """
-    if scalar.use_scalar():
-        return scalar.spread(grid, xs, ys, areas, rng,
-                             leaf_cells=leaf_cells)
     metrics().counter("place.spread_calls").inc()
     n = len(xs)
     out_x = xs.copy()

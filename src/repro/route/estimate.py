@@ -213,8 +213,8 @@ class NetArrays:
     drv_ports: List[Optional[str]]
     drv_pin: np.ndarray
     total_cap: np.ndarray
-    #: routed.sinks positionally identical to net.sinks (the array STA
-    #: requires this; stale-topology snapshots fall back to scalar)
+    #: routed.sinks positionally identical to net.sinks (setup STA
+    #: requires this and rejects stale-topology snapshots)
     matched: np.ndarray
     #: CSR offsets: net row i owns sinks [sink_start[i], sink_start[i+1])
     sink_start: np.ndarray
@@ -505,43 +505,18 @@ def route_block(netlist: Netlist, stack: MetalStack, max_metal: int = 7,
     ``via_sites`` maps crossing net ids to legalized via locations (from
     the 3D placer or the F2F via placer).
 
-    Flat (single-tier) nets are extracted in one vectorized batch
-    (:func:`_route_block_batch`); tier-crossing nets keep the per-net
-    :func:`route_net` path.  ``REPRO_STA_SCALAR=1`` selects the original
-    per-net loop for every net (the parity reference in
-    :mod:`repro.timing.scalar`); both emit bit-identical
-    :class:`RoutedNet` snapshots in the same net order.
-    """
-    from ..timing import scalar as _scalar
-
-    if _scalar.use_scalar():
-        return _scalar.route_block(
-            netlist, stack, max_metal=max_metal, via=via,
-            via_sites=via_sites, long_wire_um=long_wire_um,
-            detour_factor=detour_factor)
-    return _route_block_batch(netlist, stack, max_metal, via,
-                              via_sites or {}, long_wire_um,
-                              detour_factor)
-
-
-def _route_block_batch(netlist: Netlist, stack: MetalStack,
-                       max_metal: int,
-                       via: Optional[Via3D],
-                       via_sites: Dict[int, Tuple[float, float]],
-                       long_wire_um: float,
-                       detour_factor: float) -> RoutingResult:
-    """One-shot batched extraction of every flat non-clock net.
-
-    Gathers all pin positions once, runs the trunk-tree statistics and
-    per-sink path lengths as flat numpy kernels
-    (:func:`repro.route.steiner.batch_trunk_stats`), and emits
-    ``RoutedNet`` objects bit-identical to :func:`route_net` -- same
-    median, same sequential stub-length accumulation, same operand
+    Flat (single-tier) nets are extracted in one vectorized batch:
+    all pin positions are gathered once, the trunk-tree statistics and
+    per-sink path lengths run as flat numpy kernels
+    (:func:`repro.route.steiner.batch_trunk_stats`), and the emitted
+    ``RoutedNet`` objects are bit-identical to :func:`route_net` --
+    same median, same sequential stub-length accumulation, same operand
     order on every float expression.  Tier-crossing nets (a via plus a
     legalized site) go through :func:`route_net` unchanged.
     """
     from ..obs.metrics import metrics
 
+    via_sites = via_sites or {}
     # the three layer classes a net can land in, resolved once
     rc_by_class = (stack.effective_rc(2, min(3, max_metal)),
                    stack.effective_rc(4, min(6, max_metal)),

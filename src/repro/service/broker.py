@@ -52,7 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..analysis.experiments import EXPERIMENTS
+from ..analysis.experiments import REGISTRY
 from ..core.cache import DesignCache
 from ..faults import inject as faults
 from ..faults.plan import FaultPlan
@@ -330,7 +330,7 @@ class Broker:
                              msg: Dict[str, Any]) -> None:
         try:
             request = SweepRequest.from_wire(msg.get("request") or {})
-            request.validate(known=EXPERIMENTS)
+            request.validate(known=REGISTRY)
         except SchemaError as exc:
             await self._send(session, {"type": "error",
                                        "error": str(exc)})

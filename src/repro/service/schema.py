@@ -158,8 +158,8 @@ class SweepRequest:
         """A uniform sweep over experiment ids (default: the whole
         registry, in registry order)."""
         if ids is None:
-            from ..analysis.experiments import EXPERIMENTS
-            ids = list(EXPERIMENTS)
+            from ..analysis.experiments import REGISTRY
+            ids = list(REGISTRY)
         return SweepRequest(
             points=tuple(PointSpec(experiment_id=eid, scale=scale,
                                    seed=seed) for eid in ids),

@@ -1,15 +1,16 @@
-"""Levelized structure-of-arrays timing engines (the default path).
+"""Levelized structure-of-arrays timing graph.
 
-The scalar engines in :mod:`repro.timing.scalar` walk the
-combinational DAG one node at a time through dicts and deques.  This
-module replaces that walk with a **TimingGraph**: a flat array view of
-the routed netlist (instances, per-sink Elmore wire delays, driver
-loads, combinational edges) plus a one-shot Kahn levelization.  Each
-analysis then runs as a handful of vectorized gathers and segment
-reductions per level instead of per-node Python.
+Setup STA (:func:`repro.timing.sta.run_sta`), hold
+(:func:`repro.timing.hold.run_hold_analysis`) and the I/O path halves
+(:func:`repro.timing.paths.io_path_delays`) all run on a
+**TimingGraph**: a flat array view of the routed netlist (instances,
+per-sink Elmore wire delays, driver loads, combinational edges) plus a
+one-shot Kahn levelization.  Each analysis is a handful of vectorized
+gathers and segment reductions per level instead of per-node Python.
 
-Bit-exactness contract (verified by ``tests/test_sta_parity.py``; the
-full argument lives in ``docs/timing.md``):
+Bit-exactness contract against the per-node dict/deque walk kept as a
+test oracle (verified by ``tests/test_sta_parity.py``; the full
+argument lives in ``docs/timing.md``):
 
 * order-free reductions (arrival max, required/hold min, WNS/WHS) are
   computed with vector ``max``/``min`` -- comparison-based and
@@ -35,10 +36,10 @@ generated library), which makes arrivals strictly increasing along
 edges; the scalar backward pass's arrival-sorted order is then a
 reverse topological order and level-descending processing matches it.
 
-Fallbacks: combinational cycles, routed sinks out of positional sync
-with the netlist (mid-surgery snapshots), or non-monotone instance ids
-route the call to the scalar reference engine (counted by
-``sta.scalar_fallbacks``).
+Rejected inputs: a combinational cycle or a net endpoint on an
+instance missing from the netlist raises ``ValueError`` naming the
+cells or nets; setup STA additionally rejects routed sinks out of
+positional sync with the netlist (stale routing after surgery).
 
 Caching: the flat net view lives on the :class:`RoutingResult`
 (:meth:`~repro.route.estimate.RoutingResult.net_arrays`, keyed by the
@@ -56,8 +57,7 @@ import numpy as np
 
 from ..netlist.core import Netlist
 from ..route.estimate import NetArrays, RoutingResult
-from ..tech.process import ProcessNode
-from .sta import (MACRO_SETUP_PS, SETUP_PS, STAResult, TimingConfig)
+from .sta import MACRO_SETUP_PS, SETUP_PS
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
@@ -78,8 +78,6 @@ class TimingGraph:
 
     def __init__(self, netlist: Netlist, arrays: NetArrays) -> None:
         self.mrev = netlist.mrev
-        self.ok = True          # False -> callers must use the scalar path
-        self.cyclic = False
 
         insts = netlist.instances
         iids: List[int] = []
@@ -109,11 +107,9 @@ class TimingGraph:
         intrinsic = np.asarray(intr, dtype=np.float64)
         drive_res = np.asarray(res, dtype=np.float64)
 
-        if V and not bool(np.all(np.diff(self.iids) > 0)):
-            self.ok = False     # scalar seed order needs monotone ids
-            return
-
         # -- dense endpoint indices ------------------------------------
+        # ids come from Netlist._next_inst in insertion order, so
+        # self.iids is strictly increasing and searchsorted is exact
         s_raw = arrays.sink_inst
         net_row = arrays.sink_net
         sp = arrays.sink_is_port
@@ -126,20 +122,25 @@ class TimingGraph:
             dd = np.clip(dd, 0, V - 1)
             bad_sink = (~sp) & (self.iids[sd] != s_raw)
             bad_drv = (~drvp) & (self.iids[dd] != d_raw)
-            if bool(bad_sink.any()) or bool(bad_drv.any()):
-                self.ok = False  # dangling endpoint: scalar raises KeyError
-                return
         else:
             sd = np.zeros(len(s_raw), dtype=np.int64)
             dd = np.zeros(len(d_raw), dtype=np.int64)
-            if bool((~sp).any()) or bool((~drvp).any()):
-                self.ok = False   # instance endpoints but no instances
-                return
+            bad_sink, bad_drv = ~sp, ~drvp
+        if bool(bad_sink.any()) or bool(bad_drv.any()):
+            rows = np.union1d(net_row[bad_sink], np.flatnonzero(bad_drv))
+            nets = [netlist.nets[nid].name
+                    for nid in arrays.net_ids[rows].tolist()]
+            raise ValueError(
+                f"dangling endpoint: net(s) {_names(nets)} connect to "
+                f"instances missing from netlist {netlist.name!r}")
 
         mac_sd = self.is_macro[sd] if V else np.zeros(len(sd), dtype=bool)
         seq_sd = self.is_seq[sd] if V else np.zeros(len(sd), dtype=bool)
         mac_dd = self.is_macro[dd] if V else np.zeros(len(dd), dtype=bool)
-        self.all_matched = bool(arrays.matched.all())
+        #: nets whose routed sinks no longer match the netlist's sinks
+        #: position for position (see :meth:`reject_stale`)
+        self.stale_nets = [netlist.nets[nid].name for nid in
+                           arrays.net_ids[~arrays.matched].tolist()]
 
         # -- driver loads and cell delays (ordered accumulation) -------
         # predicate = net_loads_driver: non-clock (already filtered),
@@ -280,9 +281,11 @@ class TimingGraph:
             frontier = wave_nodes
 
         if V and not bool(done.all()):
-            self.cyclic = True   # combinational cycle: scalar handles it
-            self.ok = False
-            return
+            stuck = self.iids[~done].tolist()
+            raise ValueError(
+                f"combinational cycle in netlist {netlist.name!r}: cells "
+                f"{_names([insts[i].name for i in stuck])} lie on or "
+                f"behind a loop with no flop or macro")
 
         self.waves = waves
         self.canon = np.concatenate(waves) if waves else \
@@ -301,6 +304,19 @@ class TimingGraph:
             cnt4 = s_indptr[bn + 1] - s_indptr[bn]
             starts4 = np.cumsum(cnt4) - cnt4
             self.bout.append((bn, s_dst[r4], s_wd[r4], starts4))
+
+    def reject_stale(self) -> None:
+        """Raise if any routed net's sinks are out of sync with the netlist.
+
+        Setup STA walks sinks in netlist order and takes wire delays from
+        the routing, so a routing taken before netlist surgery would pair
+        delays with the wrong sinks.  Hold and the I/O path halves walk
+        the routed sinks only and do not need this check.
+        """
+        if self.stale_nets:
+            raise ValueError(
+                f"stale routing: net(s) {_names(self.stale_nets)} changed "
+                f"sinks since they were routed; re-route before timing")
 
     # -- forward max/min value propagation -----------------------------
 
@@ -369,9 +385,19 @@ def _intern(names: List[Optional[str]]
     return uniq, idx
 
 
-def graph_for(netlist: Netlist, routing: RoutingResult
-              ) -> Optional[TimingGraph]:
-    """The cached levelized graph for a snapshot (None -> use scalar)."""
+def _names(names: List[str], limit: int = 8) -> str:
+    """``'a', 'b', ... (+N more)`` for error messages."""
+    shown = ", ".join(repr(n) for n in names[:limit])
+    extra = len(names) - limit
+    return f"{shown} (+{extra} more)" if extra > 0 else shown
+
+
+def graph_for(netlist: Netlist, routing: RoutingResult) -> TimingGraph:
+    """The cached levelized graph for a routed snapshot.
+
+    Raises:
+        ValueError: on a combinational cycle or a dangling endpoint.
+    """
     from ..obs.metrics import metrics
 
     arrays = routing.net_arrays(netlist)
@@ -379,211 +405,5 @@ def graph_for(netlist: Netlist, routing: RoutingResult
     if g is None or g.mrev != netlist.mrev:
         g = TimingGraph(netlist, arrays)
         arrays._graph = g
-        if g.ok:
-            metrics().counter("sta.levels").inc(g.n_levels)
-    if not g.ok:
-        metrics().counter("sta.scalar_fallbacks").inc()
-        return None
+        metrics().counter("sta.levels").inc(g.n_levels)
     return g
-
-
-# ---------------------------------------------------------------------------
-# setup STA
-# ---------------------------------------------------------------------------
-
-def run_sta_array(netlist: Netlist, routing: RoutingResult,
-                  process: ProcessNode,
-                  config: TimingConfig) -> STAResult:
-    """Array-path :func:`repro.timing.sta.run_sta` (same result, faster)."""
-    from ..obs.metrics import metrics
-    from . import scalar
-
-    g = graph_for(netlist, routing)
-    if g is None or not g.all_matched:
-        if g is not None:
-            metrics().counter("sta.scalar_fallbacks").inc()
-        return scalar.run_sta(netlist, routing, process, config)
-    metrics().counter("sta.vector_passes").inc()
-
-    period = process.clock_period_ps(config.clock_domain)
-    V = g.V
-
-    # input-port arrivals onto their combinational fanout
-    comb_in = np.full(V, _NEG_INF)
-    if len(g.pf_dst):
-        a0 = np.asarray([config.io_delay(nm) for nm in g.pf_names])
-        np.maximum.at(comb_in, g.pf_dst, a0[g.pf_name_idx] + g.pf_wd)
-
-    # level-0 arrivals: flop/macro launches plus zero-pred comb cells
-    arr = np.full(V, _NEG_INF)
-    w0 = g.waves[0] if g.waves else np.empty(0, np.int64)
-    arr[w0] = g.delay[w0]
-    zp = g.seed_comb
-    base = comb_in[zp].copy()
-    base[base == _NEG_INF] = 0.0
-    arr[zp] = base + g.delay[zp]
-
-    arr = g.forward_max(comb_in, arr)
-
-    # terminal requirements -> req seed (order-free min)
-    req = np.full(V, _INF)
-    if len(g.t_i_drv):
-        r_i = np.where(g.t_i_macro, period - MACRO_SETUP_PS,
-                       period - SETUP_PS)
-        np.minimum.at(req, g.t_i_drv, r_i - g.t_i_wd)
-    if len(g.t_p_drv):
-        ports = netlist.ports
-        keep = np.asarray([not ports[nm].false_path
-                           for nm in g.tp_names])[g.t_p_name_idx]
-        if bool(keep.any()):
-            r_p = np.asarray([period - config.io_delay(nm)
-                              for nm in g.tp_names])[g.t_p_name_idx]
-            np.minimum.at(req, g.t_p_drv[keep],
-                          (r_p - g.t_p_wd)[keep])
-    req = g.backward_min(req)
-
-    # -- emission in the scalar engine's dict orders -------------------
-    arrival: Dict[int, float] = {}
-    a_list = arr[g.canon].tolist()
-    for iid, a in zip(g.canon_iids, a_list):
-        arrival[iid] = a
-
-    required: Dict[int, float] = {}
-    ordb = np.lexsort((np.arange(V, dtype=np.int64), -arr))
-    iids_b = g.iids[ordb].tolist()
-    req_b = req[ordb].tolist()
-    for iid, r in zip(iids_b, req_b):
-        required[iid] = r
-
-    slack: Dict[int, float] = {}
-    wns = _INF
-    tns = 0.0
-    r_canon = req[g.canon].tolist()
-    for iid, a, r in zip(g.canon_iids, a_list, r_canon):
-        if r >= _INF:
-            continue
-        s = r - a
-        slack[iid] = s
-        if s < wns:
-            wns = s
-        if s < 0:
-            tns += s
-    if wns == _INF:
-        wns = 0.0
-    return STAResult(period_ps=period, arrival=arrival, required=required,
-                     slack=slack, wns_ps=wns, tns_ps=tns)
-
-
-# ---------------------------------------------------------------------------
-# hold analysis
-# ---------------------------------------------------------------------------
-
-def run_hold_array(netlist: Netlist, routing: RoutingResult,
-                   process: ProcessNode, config: TimingConfig,
-                   cts=None, hold_ps: float = None):
-    """Array-path :func:`repro.timing.hold.run_hold_analysis`."""
-    from ..obs.metrics import metrics
-    from . import scalar
-    from .hold import HoldResult
-    from .sta import HOLD_PS
-
-    if hold_ps is None:
-        hold_ps = HOLD_PS
-    g = graph_for(netlist, routing)
-    if g is None:
-        return scalar.run_hold_analysis(netlist, routing, process, config,
-                                        cts=cts, hold_ps=hold_ps)
-    metrics().counter("sta.vector_passes").inc()
-
-    skew = cts.skew_ps if cts is not None else 0.0
-    requirement = hold_ps + skew
-
-    V = g.V
-    arr = np.full(V, _INF)
-    w0 = g.waves[0] if g.waves else np.empty(0, np.int64)
-    # macro -> intrinsic, flop / port-only comb -> delay(load): exactly
-    # the per-node delay table
-    arr[w0] = g.delay[w0]
-    arr = g.forward_min(arr)
-
-    hs = (arr[g.t_i_drv] + g.t_i_wd) - requirement
-    slack: Dict[int, float] = {}
-    whs = _INF
-    perm = g.cap_perm
-    caps = g.t_i_sink_raw[perm].tolist()
-    hs_l = hs[perm].tolist()
-    for cap_inst, h in zip(caps, hs_l):
-        prev = slack.get(cap_inst, _INF)
-        if h < prev:
-            slack[cap_inst] = h
-        if h < whs:
-            whs = h
-    violations = sum(1 for v in slack.values() if v < 0)
-    if whs == _INF:
-        whs = 0.0
-    return HoldResult(slack=slack, whs_ps=whs, violations=violations)
-
-
-# ---------------------------------------------------------------------------
-# I/O path halves
-# ---------------------------------------------------------------------------
-
-def io_path_array(netlist: Netlist, routing: RoutingResult,
-                  process: ProcessNode, config: TimingConfig,
-                  sta: Optional[STAResult] = None) -> Tuple[float, float]:
-    """Array-path :func:`repro.timing.paths.io_path_delays`."""
-    from ..obs.metrics import metrics
-    from . import scalar
-    from .sta import run_sta as run_sta_dispatch
-
-    g = graph_for(netlist, routing)
-    if g is None:
-        return scalar.io_path_delays(netlist, routing, process, config,
-                                     sta=sta)
-    metrics().counter("sta.vector_passes").inc()
-
-    if sta is None:
-        sta = run_sta_dispatch(netlist, routing, process, config)
-
-    # t_out: worst launch-to-output-port arrival (few port nets; the
-    # scalar scan is kept -- it is not a hot path)
-    t_out = 0.0
-    for name, port in netlist.ports.items():
-        if port.direction != "out" or port.false_path:
-            continue
-        for net in netlist.nets_of_port(name):
-            routed = routing.nets.get(net.id)
-            if routed is None or net.driver.is_port:
-                continue
-            for s in routed.sinks:
-                if s.ref.is_port and s.ref.port == name:
-                    a = sta.arrival.get(net.driver.inst, 0.0)
-                    t_out = max(t_out,
-                                a + routed.sink_wire_delay_ps(s))
-
-    # t_in: longest port-to-capture path; port-seeded forward pass
-    V = g.V
-    comb_in = g.port_base.copy()
-    arr = np.where(comb_in > _NEG_INF, comb_in + g.delay,
-                   _NEG_INF)
-    mask = np.zeros(V, dtype=bool)
-    w0 = g.waves[0] if g.waves else np.empty(0, np.int64)
-    mask[w0] = True
-    arr = np.where(mask, arr, _NEG_INF)  # only level-0 values so far
-    for ell in range(1, len(g.waves)):
-        nodes = g.waves[ell]
-        src, wd, starts = g.fin[ell]
-        t = arr[src] + wd
-        m = np.maximum.reduceat(t, starts) if len(t) else \
-            np.empty(0, np.float64)
-        ci = np.maximum(m, comb_in[nodes])
-        arr[nodes] = np.where(ci > _NEG_INF, ci + g.delay[nodes],
-                              _NEG_INF)
-
-    t_in = 0.0
-    if len(g.t_i_drv):
-        c = (arr[g.t_i_drv] + g.t_i_wd) + g.io_cap_setup
-        c = c[arr[g.t_i_drv] > _NEG_INF]
-        if len(c):
-            t_in = max(t_in, float(c.max()))
-    return t_in, t_out

@@ -19,11 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..cts.tree import CTSResult
 from ..netlist.core import Netlist
+from ..obs.metrics import metrics
 from ..route.estimate import RoutingResult
 from ..tech.process import ProcessNode
+from .graph import graph_for
 from .sta import HOLD_PS, TimingConfig
+
+_INF = float("inf")
 
 
 @dataclass
@@ -46,18 +52,41 @@ def run_hold_analysis(netlist: Netlist, routing: RoutingResult,
                       hold_ps: float = HOLD_PS) -> HoldResult:
     """Check every capture against ``hold + skew`` with min-delay paths.
 
-    Dispatches to the levelized array engine
-    (:func:`repro.timing.graph.run_hold_array`); the scalar reference
-    walk lives in :mod:`repro.timing.scalar` behind
-    ``REPRO_STA_SCALAR=1``.
+    A levelized min-arrival sweep over the cached
+    :class:`~repro.timing.graph.TimingGraph`.
+
+    Raises:
+        ValueError: on a combinational cycle or a dangling endpoint.
     """
-    from . import scalar
-    if scalar.use_scalar():
-        return scalar.run_hold_analysis(netlist, routing, process, config,
-                                        cts=cts, hold_ps=hold_ps)
-    from .graph import run_hold_array
-    return run_hold_array(netlist, routing, process, config,
-                          cts=cts, hold_ps=hold_ps)
+    g = graph_for(netlist, routing)
+    metrics().counter("sta.vector_passes").inc()
+
+    skew = cts.skew_ps if cts is not None else 0.0
+    requirement = hold_ps + skew
+
+    arr = np.full(g.V, _INF)
+    w0 = g.waves[0] if g.waves else np.empty(0, np.int64)
+    # macro -> intrinsic, flop / port-only comb -> delay(load): exactly
+    # the per-node delay table
+    arr[w0] = g.delay[w0]
+    arr = g.forward_min(arr)
+
+    hs = (arr[g.t_i_drv] + g.t_i_wd) - requirement
+    slack: Dict[int, float] = {}
+    whs = _INF
+    perm = g.cap_perm
+    caps = g.t_i_sink_raw[perm].tolist()
+    hs_l = hs[perm].tolist()
+    for cap_inst, h in zip(caps, hs_l):
+        prev = slack.get(cap_inst, _INF)
+        if h < prev:
+            slack[cap_inst] = h
+        if h < whs:
+            whs = h
+    violations = sum(1 for v in slack.values() if v < 0)
+    if whs == _INF:
+        whs = 0.0
+    return HoldResult(slack=slack, whs_ps=whs, violations=violations)
 
 
 def fix_hold(netlist: Netlist, routing: RoutingResult,

@@ -13,10 +13,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..netlist.core import Netlist
+from ..obs.metrics import metrics
 from ..route.estimate import RoutingResult
 from ..tech.process import ProcessNode
+from .graph import graph_for
 from .sta import STAResult, TimingConfig, run_sta
+
+_NEG_INF = float("-inf")
 
 
 @dataclass
@@ -158,14 +164,56 @@ def io_path_delays(netlist: Netlist, routing: RoutingResult,
     sign-off (``repro.core.chip_sta``) adds the inter-block wire between
     them.
 
-    Dispatches to the levelized array engine
-    (:func:`repro.timing.graph.io_path_array`); the scalar relaxation
-    walk lives in :mod:`repro.timing.scalar` behind
-    ``REPRO_STA_SCALAR=1``.
+    Runs on the cached :class:`~repro.timing.graph.TimingGraph`: the
+    setup arrivals give ``t_out``, and a port-seeded forward max pass
+    gives ``t_in``.
+
+    Raises:
+        ValueError: on a combinational cycle or a dangling endpoint.
     """
-    from . import scalar
-    if scalar.use_scalar():
-        return scalar.io_path_delays(netlist, routing, process, config,
-                                     sta=sta)
-    from .graph import io_path_array
-    return io_path_array(netlist, routing, process, config, sta=sta)
+    g = graph_for(netlist, routing)
+    metrics().counter("sta.vector_passes").inc()
+
+    if sta is None:
+        sta = run_sta(netlist, routing, process, config)
+
+    # t_out: worst launch-to-output-port arrival (few port nets, so a
+    # plain scan)
+    t_out = 0.0
+    for name, port in netlist.ports.items():
+        if port.direction != "out" or port.false_path:
+            continue
+        for net in netlist.nets_of_port(name):
+            routed = routing.nets.get(net.id)
+            if routed is None or net.driver.is_port:
+                continue
+            for s in routed.sinks:
+                if s.ref.is_port and s.ref.port == name:
+                    a = sta.arrival.get(net.driver.inst, 0.0)
+                    t_out = max(t_out,
+                                a + routed.sink_wire_delay_ps(s))
+
+    # t_in: longest port-to-capture path; port-seeded forward pass
+    comb_in = g.port_base.copy()
+    arr = np.where(comb_in > _NEG_INF, comb_in + g.delay, _NEG_INF)
+    mask = np.zeros(g.V, dtype=bool)
+    w0 = g.waves[0] if g.waves else np.empty(0, np.int64)
+    mask[w0] = True
+    arr = np.where(mask, arr, _NEG_INF)  # only level-0 values so far
+    for ell in range(1, len(g.waves)):
+        nodes = g.waves[ell]
+        src, wd, starts = g.fin[ell]
+        t = arr[src] + wd
+        m = np.maximum.reduceat(t, starts) if len(t) else \
+            np.empty(0, np.float64)
+        ci = np.maximum(m, comb_in[nodes])
+        arr[nodes] = np.where(ci > _NEG_INF, ci + g.delay[nodes],
+                              _NEG_INF)
+
+    t_in = 0.0
+    if len(g.t_i_drv):
+        c = (arr[g.t_i_drv] + g.t_i_wd) + g.io_cap_setup
+        c = c[arr[g.t_i_drv] > _NEG_INF]
+        if len(c):
+            t_in = max(t_in, float(c.max()))
+    return t_in, t_out

@@ -73,27 +73,9 @@ def derate_routing(netlist: Netlist, routing: RoutingResult,
         lengths are scaled by the corridor's coupling factor, so both
         delay and net power see the crosstalk penalty.
 
-    Dispatches to a batched implementation (endpoint gcells, corridor
-    bounding boxes and layer classes computed as flat arrays over every
-    net at once); the scalar per-net loop lives in
-    :mod:`repro.timing.scalar` behind ``REPRO_STA_SCALAR=1``.
-    """
-    from . import scalar
-    if scalar.use_scalar():
-        return scalar.derate_routing(netlist, routing, router, config)
-    return _derate_routing_batch(netlist, routing, router, config)
-
-
-def _derate_routing_batch(netlist: Netlist, routing: RoutingResult,
-                          router: BlockRouter,
-                          config: Optional[SiConfig] = None
-                          ) -> Tuple[RoutingResult, SiReport]:
-    """Array-path :func:`derate_routing` (same result, faster prep).
-
-    The per-net corridor ``usage.mean()`` keeps numpy's own pairwise
-    reduction (identical in both paths); everything feeding it --
-    endpoint gcell indices, per-net bounding boxes, layer classes -- is
-    vectorized over the flat endpoint list.
+    Endpoint gcells, corridor bounding boxes and layer classes are
+    computed as flat arrays over every net at once; the per-net
+    corridor ``usage.mean()`` keeps numpy's own pairwise reduction.
     """
     from ..route.estimate import INTERMEDIATE_LIMIT_UM, LOCAL_LIMIT_UM
 

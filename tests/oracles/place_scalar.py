@@ -1,39 +1,29 @@
-"""Legacy instance-at-a-time placement kernels (parity reference).
+"""Legacy instance-at-a-time placement kernels (parity oracle).
 
-The default placement path is the batched numpy implementation in
-:mod:`~repro.place.quadratic`, :mod:`~repro.place.spreading` and
-:mod:`~repro.place.legalize`.  This module preserves the original
+The library's placement path is the batched numpy implementation in
+:mod:`repro.place.quadratic`, :mod:`repro.place.spreading` and
+:mod:`repro.place.legalize`.  This module preserves the original
 scalar (per-pin / per-cell Python loop) kernels **unchanged** so the
-parity/QoR harness (``tests/test_place_parity.py``) and the bench gate
-(``benchmarks/place_smoke.py``) can compare the two:
-
-* set ``REPRO_PLACE_SCALAR=1`` in the environment to route every
-  dispatching kernel through the scalar reference;
-* the flag is read at *call* time, so tests can flip it per-case with
-  ``monkeypatch.setenv``.
-
-The scalar path is a test/bench instrument only -- it is not part of
-the production flow and is never selected implicitly.
+parity/QoR harness (``tests/test_place_parity.py``) can compare the
+two: kernels are called directly, or swapped into a whole placement
+run with ``monkeypatch.setattr`` on the names the flow calls.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..netlist.core import Instance
-from ..tech.cells import CELL_HEIGHT_UM
-from .grid import GEOM_TOL_UM, DensityGrid, Rect, spans_overlap
-
-#: environment variable selecting the legacy scalar kernels
-SCALAR_ENV = "REPRO_PLACE_SCALAR"
+from repro.netlist.core import Instance
+from repro.place.grid import GEOM_TOL_UM, DensityGrid, Rect
+from repro.tech.cells import CELL_HEIGHT_UM
 
 
-def use_scalar() -> bool:
-    """True when the legacy scalar placement kernels are requested."""
-    return os.environ.get(SCALAR_ENV, "") == "1"
+def spans_overlap(a0: float, a1: float, b0: float, b1: float,
+                  tol: float = GEOM_TOL_UM) -> bool:
+    """True when two 1D spans overlap by more than ``tol``."""
+    return min(a1, b1) - max(a0, b0) > tol
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +42,9 @@ def solve_axis(placer, coords: np.ndarray, axis: int,
 def assemble_axis(placer, coords: np.ndarray, axis: int, anchors):
     """Build the legacy B2B system (matrix, rhs) for one axis.
 
-    Split from :func:`solve_axis` so the bench gate can time system
-    assembly -- the kernel the batched path replaces -- without the
-    shared SuperLU factorization.
+    Split from :func:`solve_axis` to mirror the library's
+    ``QuadraticPlacer._assemble_axis`` seam, so the two systems can be
+    compared without the shared SuperLU factorization.
     """
     from scipy.sparse import coo_matrix
 
@@ -70,8 +60,12 @@ def assemble_axis(placer, coords: np.ndarray, axis: int, anchors):
         if i is not None and j is not None:
             diag[i] += w
             diag[j] += w
-            rows.append(i); cols.append(j); vals.append(-w)
-            rows.append(j); cols.append(i); vals.append(-w)
+            rows.append(i)
+            cols.append(j)
+            vals.append(-w)
+            rows.append(j)
+            cols.append(i)
+            vals.append(-w)
         elif i is not None:
             diag[i] += w
             rhs[i] += w * pj
@@ -158,7 +152,7 @@ def spread(grid: DensityGrid, xs: np.ndarray, ys: np.ndarray,
            areas: np.ndarray, rng: np.random.Generator,
            leaf_cells: int = 6) -> Tuple[np.ndarray, np.ndarray]:
     """Legacy recursive-bisection spreading (per-cell leaf loop)."""
-    from .spreading import _nearest_free
+    from repro.place.spreading import _nearest_free
 
     n = len(xs)
     out_x = xs.copy()
@@ -227,7 +221,7 @@ def legalize_cells(cells: Sequence[Instance], outline: Rect,
                    row_height: float = CELL_HEIGHT_UM,
                    max_row_search: int = 12):
     """Legacy Tetris legalization (per-cell min-displacement search)."""
-    from .legalize import LegalizeResult, RowSegment, build_rows
+    from repro.place.legalize import LegalizeResult, RowSegment, build_rows
 
     segments = build_rows(outline, obstructions, row_height)
     if not segments:

@@ -1,21 +1,13 @@
-"""Legacy per-net / per-node timing loops (parity reference).
+"""Legacy per-net / per-node timing loops (parity oracle).
 
-The default analysis path is the levelized array timing graph in
-:mod:`~repro.timing.graph` fed by the batched net extractor in
-:mod:`~repro.route.estimate`.  This module preserves the original
+The library's analysis path is the levelized array timing graph in
+:mod:`repro.timing.graph` fed by the batched net extractor in
+:mod:`repro.route.estimate`.  This module preserves the original
 scalar (per-net dict / ``deque`` walk) engines so the parity harness
-(``tests/test_sta_parity.py``) and the bench gate
-(``benchmarks/sta_smoke.py``) can compare the two:
-
-* set ``REPRO_STA_SCALAR=1`` in the environment to route every
-  dispatching entry point (:func:`repro.timing.sta.run_sta`,
-  :func:`repro.timing.hold.run_hold_analysis`,
-  :func:`repro.timing.paths.io_path_delays`,
-  :func:`repro.timing.si.derate_routing`,
-  :func:`repro.route.estimate.route_block`) through the scalar
-  reference;
-* the flag is read at *call* time, so tests can flip it per-case with
-  ``monkeypatch.setenv``.
+(``tests/test_sta_parity.py``) can call both and compare them
+bit for bit: :func:`run_sta`, :func:`run_hold_analysis`,
+:func:`io_path_delays`, :func:`derate_routing` and :func:`route_block`
+mirror the same-named library functions.
 
 The loops are kept verbatim from the pre-vectorization modules with
 two deliberate, documented changes (see ``docs/timing.md``):
@@ -29,35 +21,31 @@ two deliberate, documented changes (see ``docs/timing.md``):
   :class:`~repro.route.estimate.RoutedNet` (``driver_key`` today) are
   carried instead of silently dropped -- the same single code path the
   batch extractor and ``RoutedNet.copy`` use.
-
-The scalar path is a test/bench instrument only -- it is not part of
-the production flow and is never selected implicitly.
 """
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict, deque
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from ..cts.tree import CTSResult
-from ..netlist.core import Netlist
-from ..route.block_router import BlockRouter, _class_for
-from ..route.estimate import RoutingResult, route_net
-from ..tech.process import ProcessNode
-from .load import net_loads_driver
-from .si import SiConfig, SiReport, coupling_factor
-from .sta import (HOLD_PS, MACRO_SETUP_PS, SETUP_PS, STAResult,
-                  TimingConfig, _is_terminal_sink)
-
-#: environment variable selecting the legacy scalar timing engines
-SCALAR_ENV = "REPRO_STA_SCALAR"
+from repro.cts.tree import CTSResult
+from repro.netlist.core import Netlist, PinRef
+from repro.route.block_router import BlockRouter, _class_for
+from repro.route.estimate import RoutingResult, route_net
+from repro.tech.process import ProcessNode
+from repro.timing.load import net_loads_driver
+from repro.timing.si import SiConfig, SiReport, coupling_factor
+from repro.timing.sta import (HOLD_PS, MACRO_SETUP_PS, SETUP_PS, STAResult,
+                              TimingConfig)
 
 
-def use_scalar() -> bool:
-    """True when the legacy scalar timing engines are requested."""
-    return os.environ.get(SCALAR_ENV, "") == "1"
+def _is_terminal_sink(netlist: Netlist, ref: PinRef) -> bool:
+    """True if a sink endpoint captures a path (flop D / macro in / port)."""
+    if ref.is_port:
+        return True
+    inst = netlist.instances[ref.inst]
+    return inst.is_macro or inst.is_sequential
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +223,7 @@ def run_hold_analysis(netlist: Netlist, routing: RoutingResult,
                       cts: Optional[CTSResult] = None,
                       hold_ps: float = HOLD_PS):
     """The original per-net min-arrival hold walk (parity reference)."""
-    from .hold import HoldResult
+    from repro.timing.hold import HoldResult
 
     skew = cts.skew_ps if cts is not None else 0.0
     requirement = hold_ps + skew
@@ -334,10 +322,8 @@ def io_path_delays(netlist: Netlist, routing: RoutingResult,
                    sta: Optional[STAResult] = None
                    ) -> Tuple[float, float]:
     """The original worklist t_in / t_out scan (parity reference)."""
-    from .sta import run_sta as run_sta_dispatch
-
     if sta is None:
-        sta = run_sta_dispatch(netlist, routing, process, config)
+        sta = run_sta(netlist, routing, process, config)
     insts = netlist.instances
 
     # ---- t_out: arrival at output ports ---------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.experiments import (EXPERIMENTS, ExperimentOptions,
+from repro.analysis.experiments import (REGISTRY, ExperimentOptions,
                                         run_experiment)
 from repro.analysis.report import (MetricRow, design_metric_rows,
                                    format_table, relative)
@@ -55,7 +55,7 @@ class TestRegistry:
         expected = {"table1", "table2", "table3", "table4", "table5",
                     "fig2", "fig3", "fig6", "fig7", "fig8", "dvt",
                     "eco"}
-        assert expected == set(EXPERIMENTS)
+        assert expected == set(REGISTRY)
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.analysis.experiments import (EXPERIMENTS, REGISTRY,
-                                        Experiment, ExperimentOptions,
-                                        LegacyRunnerError,
+from repro.analysis.experiments import (REGISTRY, Experiment,
+                                        ExperimentOptions,
                                         UnknownExperimentError,
-                                        experiment, run_experiment,
-                                        run_table1)
+                                        experiment, run_experiment)
 from repro.obs import trace
 from repro.obs.trace import Tracer
 
@@ -22,12 +20,6 @@ class TestRegistry:
             assert isinstance(exp, Experiment)
             assert callable(exp.fn)
             assert exp.description
-
-    def test_experiments_dict_mirrors_registry(self):
-        assert set(EXPERIMENTS) == set(REGISTRY)
-        for eid, (runner, desc) in EXPERIMENTS.items():
-            assert callable(runner)
-            assert desc == REGISTRY[eid].description
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -83,20 +75,3 @@ class TestDispatch:
         assert ExperimentOptions(
             process=process).resolved_process() is process
 
-
-class TestLegacyWrappers:
-    def test_wrapper_raises_pointing_at_new_api(self, process):
-        with pytest.raises(LegacyRunnerError) as exc:
-            run_table1(process=process)
-        assert "run_experiment('table1'" in str(exc.value)
-        assert "ExperimentOptions" in str(exc.value)
-
-    def test_wrapper_error_is_a_typeerror(self):
-        with pytest.raises(TypeError):
-            run_table1()
-
-    def test_experiments_dict_runners_raise(self, process):
-        for eid, (runner, _) in EXPERIMENTS.items():
-            with pytest.raises(LegacyRunnerError) as exc:
-                runner(process=process)
-            assert f"run_experiment({eid!r}" in str(exc.value)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import EXPERIMENTS
+from repro.analysis.experiments import REGISTRY
 from repro.core.explore import explore_design_space
 from repro.parallel.engine import (explore_points, run_experiments,
                                    run_serial_experiment, run_sweep)
@@ -48,7 +48,7 @@ def test_run_serial_experiment_single_point(process):
 
 def test_default_ids_cover_registry():
     """Requesting nothing means the whole registry, in registry order."""
-    tasks = list(EXPERIMENTS)
+    tasks = list(REGISTRY)
     assert len(tasks) >= 11
     with pytest.raises(ValueError):
         run_experiments(ids=["definitely-not-registered"])

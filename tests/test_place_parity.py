@@ -1,9 +1,10 @@
-"""Parity/QoR harness: batched placement kernels vs the scalar reference.
+"""Parity/QoR harness: batched placement kernels vs the scalar oracle.
 
 The vectorized kernels in ``repro.place`` are gated by this suite: the
-legacy per-pin/per-cell loops live on in :mod:`repro.place.scalar`
-behind ``REPRO_PLACE_SCALAR=1``, and every case here runs a fresh block
-through both paths and compares the outcomes.
+legacy per-pin/per-cell loops live on in :mod:`tests.oracles.place_scalar`,
+and every case here runs a fresh block through both and compares the
+outcomes.  Whole-flow cases swap the oracle in with
+``monkeypatch.setattr`` on every name the flow calls.
 
 Tolerance policy (see docs/placement.md): the quadratic assembly is
 bit-identical by construction, but the O(1) prefix-sum supply queries
@@ -13,29 +14,52 @@ coordinates; structural invariants (overlap-freedom, die assignment,
 determinism) are exact.
 """
 
-import numpy as np
+import sys
+
 import pytest
 
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.names import (CTR_PLACE_CELLS_LEGALIZED,
+                             CTR_PLACE_QP_SOLVES, CTR_PLACE_SPREAD_CALLS)
 from repro.place import (PlacementConfig, check_overlaps, fm_bipartition,
-                         fold_place_3d, hpwl, place_block_2d)
+                         fold_place_3d, hpwl, legalize, place_block_2d,
+                         placer2d, spreading)
 from repro.place.legalize import overlapping_pairs
-from repro.place.scalar import SCALAR_ENV
-from repro.place import scalar
+from repro.place.quadratic import QuadraticPlacer
 from tests.conftest import fresh_block
+from tests.oracles import place_scalar as oracle
 
 #: HPWL may drift this much between the two paths (ULP-level split flips)
 HPWL_TOL = 1.02
 
 
+def use_oracle(monkeypatch):
+    """Route every placement kernel the flow calls through the oracle.
+
+    Rebinds each kernel in every loaded ``repro`` module that imported
+    it by name, plus the quadratic solver's per-axis method.
+    """
+    monkeypatch.setattr(QuadraticPlacer, "_solve_axis", oracle.solve_axis)
+    swap = {id(spreading.spread): oracle.spread,
+            id(placer2d.snap_to_rows): oracle.snap_to_rows,
+            id(legalize.legalize_cells): oracle.legalize_cells,
+            id(legalize.overlapping_pairs): oracle.overlapping_pairs}
+    for mod in list(sys.modules.values()):
+        if not getattr(mod, "__name__", "").startswith("repro."):
+            continue
+        for name, value in list(vars(mod).items()):
+            if id(value) in swap:
+                monkeypatch.setattr(mod, name, swap[id(value)])
+
+
 def place_both(library, name, seed, monkeypatch, **cfg):
-    """Place one block twice (vectorized, then scalar) from scratch."""
-    monkeypatch.delenv(SCALAR_ENV, raising=False)
+    """Place one block twice (vectorized, then oracle) from scratch."""
     vec = fresh_block(name, library, seed=seed)
     place_block_2d(vec.netlist, PlacementConfig(seed=seed, **cfg))
-    monkeypatch.setenv(SCALAR_ENV, "1")
-    ref = fresh_block(name, library, seed=seed)
-    place_block_2d(ref.netlist, PlacementConfig(seed=seed, **cfg))
-    monkeypatch.delenv(SCALAR_ENV, raising=False)
+    with monkeypatch.context() as mp:
+        use_oracle(mp)
+        ref = fresh_block(name, library, seed=seed)
+        place_block_2d(ref.netlist, PlacementConfig(seed=seed, **cfg))
     return vec.netlist, ref.netlist
 
 
@@ -54,17 +78,31 @@ class TestGlobalPlaceParity:
         assert wl_vec <= HPWL_TOL * wl_ref
         assert wl_ref <= HPWL_TOL * wl_vec
 
-    def test_scalar_env_reaches_scalar_path(self, monkeypatch):
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        assert scalar.use_scalar()
-        monkeypatch.setenv(SCALAR_ENV, "0")
-        assert not scalar.use_scalar()
+    def test_oracle_swap_reaches_every_kernel(self, monkeypatch):
+        with monkeypatch.context() as mp:
+            use_oracle(mp)
+            assert placer2d.spread is oracle.spread
+            assert placer2d.snap_to_rows is oracle.snap_to_rows
+            assert legalize.legalize_cells is oracle.legalize_cells
+            assert sys.modules["repro.place.placer3d"].spread is \
+                oracle.spread
+        assert placer2d.spread is spreading.spread
+
+    def test_kernel_counters_on_spc(self, library):
+        # every batched kernel reports its work on the largest block
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            gb = fresh_block("spc", library, seed=1)
+            place_block_2d(gb.netlist,
+                           PlacementConfig(seed=1, full_legalize=True))
+        counters = reg.snapshot()["counters"]
+        assert counters.get(CTR_PLACE_QP_SOLVES, 0) > 0
+        assert counters.get(CTR_PLACE_SPREAD_CALLS, 0) > 0
+        assert counters.get(CTR_PLACE_CELLS_LEGALIZED, 0) > 0
 
 
 class TestLegalizeParity:
-    def test_vectorized_legalization_overlap_free(self, library,
-                                                  monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_vectorized_legalization_overlap_free(self, library):
         gb = fresh_block("ncu", library, seed=3)
         place_block_2d(gb.netlist,
                        PlacementConfig(seed=3, full_legalize=True,
@@ -72,19 +110,17 @@ class TestLegalizeParity:
         movable = [c for c in gb.netlist.cells if not c.fixed]
         assert check_overlaps(movable) == 0
 
-    def test_pair_set_unchanged_on_golden_block(self, library,
-                                                monkeypatch):
+    def test_pair_set_unchanged_on_golden_block(self, library):
         # the global sweep fixes the adjacent-only scan's wide-cell
         # blindness; on a legalized (overlap-free) block both report
         # the same -- empty -- pair set
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
         gb = fresh_block("ncu", library, seed=4)
         place_block_2d(gb.netlist,
                        PlacementConfig(seed=4, full_legalize=True,
                                        utilization=0.45))
         movable = [c for c in gb.netlist.cells if not c.fixed]
         vec_pairs = overlapping_pairs(movable)
-        ref_pairs = scalar.overlapping_pairs(movable)
+        ref_pairs = oracle.overlapping_pairs(movable)
         key = lambda p: tuple(sorted((p[0].id, p[1].id)))  # noqa: E731
         assert {key(p) for p in vec_pairs} == {key(p) for p in ref_pairs}
         assert vec_pairs == []
@@ -93,20 +129,18 @@ class TestLegalizeParity:
 class TestFold3DParity:
     def test_identical_die_assignment(self, library, monkeypatch,
                                       process):
-        dies = {}
-        for env in ("vec", "scalar"):
-            if env == "scalar":
-                monkeypatch.setenv(SCALAR_ENV, "1")
-            else:
-                monkeypatch.delenv(SCALAR_ENV, raising=False)
+        def fold_dies():
             gb = fresh_block("ccx", library, seed=1)
             part = fm_bipartition(gb.netlist, seed=0)
             fold_place_3d(gb.netlist, process, part.assignment, "F2B",
                           PlacementConfig(seed=1), mode="fold")
-            dies[env] = {i.id: i.die
-                         for i in gb.netlist.instances.values()}
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
-        assert dies["vec"] == dies["scalar"]
+            return {i.id: i.die for i in gb.netlist.instances.values()}
+
+        vec = fold_dies()
+        with monkeypatch.context() as mp:
+            use_oracle(mp)
+            ref = fold_dies()
+        assert vec == ref
 
 
 class TestBistratalMode:

@@ -181,13 +181,14 @@ class TestPlaceKernelProperties:
                     min_size=1, max_size=32))
     @settings(max_examples=40, deadline=None)
     def test_b2b_weights_match_scalar(self, triples):
-        from repro.place.quadratic import QuadraticPlacer, b2b_weights
+        from repro.place.quadratic import b2b_weights
+        from tests.oracles.place_scalar import b2b_weight
         pa = np.array([t[0] for t in triples])
         pb = np.array([t[1] for t in triples])
         deg = np.array([t[2] for t in triples], dtype=np.int64)
         vec = b2b_weights(pa, pb, deg)
         for k, (a, b, d) in enumerate(triples):
-            assert vec[k] == QuadraticPlacer._b2b_weight(a, b, d)
+            assert vec[k] == b2b_weight(a, b, d)
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
            n=st.integers(min_value=1, max_value=120),

@@ -59,13 +59,9 @@ def stub_experiments():
         assert _GATE.wait(30.0), "test gate never opened"
         return _stub_result("svc_gated", opts)
 
-    for eid in STUB_IDS:
-        expmod.EXPERIMENTS[eid] = (expmod.REGISTRY[eid].fn,
-                                   expmod.REGISTRY[eid].description)
     yield STUB_IDS
     for eid in STUB_IDS:
         expmod.REGISTRY.pop(eid, None)
-        expmod.EXPERIMENTS.pop(eid, None)
 
 
 @pytest.fixture()

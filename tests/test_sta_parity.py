@@ -1,9 +1,9 @@
-"""Parity harness: levelized array timing engine vs the scalar reference.
+"""Parity harness: levelized array timing engine vs the scalar oracle.
 
 The vectorized STA/hold/SI/extraction kernels are gated by this suite:
 the legacy per-net / per-instance walks live on verbatim in
-:mod:`repro.timing.scalar` behind ``REPRO_STA_SCALAR=1``, and every
-case here runs both paths on the same placed design and demands
+:mod:`tests.oracles.timing_scalar`, and every case here runs both on
+the same placed design and demands
 *bit-exact* equality -- not just the float values but the emission
 order of every result dict (``arrival`` / ``required`` / hold ``slack``
 are ordered the way the legacy Kahn walk produced them, and downstream
@@ -12,8 +12,8 @@ consumers iterate them).
 Coverage: the five standard blocks in 2D, both bonding styles on a
 folded block (F2B via TSV sites, F2F via the via planner), SI derating
 from a detailed router's usage maps, the cache-invalidation seams
-(``rev`` / ``mrev``), and hypothesis properties over timing configs and
-master swaps.
+(``rev`` / ``mrev``), hypothesis properties over timing configs and
+master swaps, the engine counters, and the inputs the engine rejects.
 """
 
 import dataclasses
@@ -23,17 +23,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.folding import FoldSpec, make_partition
+from repro.netlist.core import INPUT, Netlist, PinRef
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.names import (CTR_ROUTE_NETS_EXTRACTED_BATCH,
+                             CTR_STA_LEVELS, CTR_STA_VECTOR_PASSES)
 from repro.place import PlacementConfig, fold_place_3d, place_block_2d
 from repro.route import route_block
 from repro.route.block_router import route_block_with_router
 from repro.timing import TimingConfig, run_sta
-from repro.timing import scalar
-from repro.timing.graph import graph_for, run_sta_array
+from repro.timing.graph import graph_for
 from repro.timing.hold import run_hold_analysis
 from repro.timing.paths import io_path_delays
-from repro.timing.scalar import SCALAR_ENV
 from repro.timing.si import derate_routing
 from tests.conftest import fresh_block
+from tests.oracles import timing_scalar as oracle
 
 BLOCKS = ["spc", "l2d", "l2t", "l2b", "ccx"]
 
@@ -54,25 +57,29 @@ def assert_routing_equal(vec, ref):
         assert routed == ref.nets[nid], f"net {nid}"
 
 
-def analysis_sweep(nl, routing, process, cfg, hold_ps=15.0):
-    sta = run_sta(nl, routing, process, cfg)
-    hold = run_hold_analysis(nl, routing, process, cfg, hold_ps=hold_ps)
-    io = io_path_delays(nl, routing, process, cfg)
-    return sta, hold, io
+def analysis_sweep(nl, routing, process, cfg, hold_ps=15.0, engine=None):
+    """setup + hold + I/O halves through the library or ``engine``."""
+    if engine is None:
+        return (run_sta(nl, routing, process, cfg),
+                run_hold_analysis(nl, routing, process, cfg,
+                                  hold_ps=hold_ps),
+                io_path_delays(nl, routing, process, cfg))
+    return (engine.run_sta(nl, routing, process, cfg),
+            engine.run_hold_analysis(nl, routing, process, cfg,
+                                     hold_ps=hold_ps),
+            engine.io_path_delays(nl, routing, process, cfg))
 
 
-def assert_both_paths_match(nl, process, cfg, monkeypatch,
-                            max_metal=7, via=None, via_sites=None):
-    """Route + full analysis sweep through both paths, bit-exact."""
-    monkeypatch.delenv(SCALAR_ENV, raising=False)
+def assert_both_paths_match(nl, process, cfg, max_metal=7, via=None,
+                            via_sites=None):
+    """Route + full analysis sweep through both engines, bit-exact."""
     r_vec = route_block(nl, process.metal_stack, max_metal=max_metal,
                         via=via, via_sites=via_sites)
     sweep_vec = analysis_sweep(nl, r_vec, process, cfg)
-    monkeypatch.setenv(SCALAR_ENV, "1")
-    r_ref = route_block(nl, process.metal_stack, max_metal=max_metal,
-                        via=via, via_sites=via_sites)
-    sweep_ref = analysis_sweep(nl, r_ref, process, cfg)
-    monkeypatch.delenv(SCALAR_ENV, raising=False)
+    r_ref = oracle.route_block(nl, process.metal_stack,
+                               max_metal=max_metal, via=via,
+                               via_sites=via_sites)
+    sweep_ref = analysis_sweep(nl, r_ref, process, cfg, engine=oracle)
 
     assert_routing_equal(r_vec, r_ref)
     assert_sta_equal(sweep_vec[0], sweep_ref[0])
@@ -85,15 +92,13 @@ def assert_both_paths_match(nl, process, cfg, monkeypatch,
 
 class TestFlatBlockParity:
     @pytest.mark.parametrize("name", BLOCKS)
-    def test_route_sta_hold_io_bit_exact(self, library, process,
-                                         monkeypatch, name):
+    def test_route_sta_hold_io_bit_exact(self, library, process, name):
         gb = fresh_block(name, library, seed=1)
         place_block_2d(gb.netlist, PlacementConfig(seed=1))
         cfg = TimingConfig("cpu_clk")
-        assert_both_paths_match(gb.netlist, process, cfg, monkeypatch)
+        assert_both_paths_match(gb.netlist, process, cfg)
 
-    def test_io_delays_and_false_paths(self, library, process,
-                                       monkeypatch):
+    def test_io_delays_and_false_paths(self, library, process):
         gb = fresh_block("ccx", library, seed=2)
         nl = gb.netlist
         place_block_2d(nl, PlacementConfig(seed=2))
@@ -103,13 +108,20 @@ class TestFlatBlockParity:
         out.false_path = True
         cfg = TimingConfig("cpu_clk", io_delays={inp.name: 120.0},
                            default_io_delay_ps=35.0)
-        assert_both_paths_match(nl, process, cfg, monkeypatch)
+        assert_both_paths_match(nl, process, cfg)
 
-    def test_scalar_env_reaches_scalar_path(self, monkeypatch):
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        assert scalar.use_scalar()
-        monkeypatch.setenv(SCALAR_ENV, "0")
-        assert not scalar.use_scalar()
+    def test_engine_counters_on_l2t(self, library, process):
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            gb = fresh_block("l2t", library, seed=1)
+            place_block_2d(gb.netlist, PlacementConfig(seed=1))
+            routing = route_block(gb.netlist, process.metal_stack)
+            analysis_sweep(gb.netlist, routing, process,
+                           TimingConfig("cpu_clk"))
+        counters = reg.snapshot()["counters"]
+        assert counters.get(CTR_STA_LEVELS, 0) > 0
+        assert counters.get(CTR_STA_VECTOR_PASSES, 0) > 0
+        assert counters.get(CTR_ROUTE_NETS_EXTRACTED_BATCH, 0) > 0
 
 
 class TestFoldedBlockParity:
@@ -129,28 +141,23 @@ class TestFoldedBlockParity:
         return gb.netlist, via, sites, max_metal
 
     @pytest.mark.parametrize("bonding", ["F2B", "F2F"])
-    def test_bonding_style_bit_exact(self, library, process,
-                                     monkeypatch, bonding):
+    def test_bonding_style_bit_exact(self, library, process, bonding):
         nl, via, sites, max_metal = self.folded(library, process,
                                                 bonding)
         cfg = TimingConfig("cpu_clk")
-        assert_both_paths_match(nl, process, cfg, monkeypatch,
-                                max_metal=max_metal, via=via,
-                                via_sites=sites)
+        assert_both_paths_match(nl, process, cfg, max_metal=max_metal,
+                                via=via, via_sites=sites)
 
 
 class TestSiParity:
-    def test_derate_bit_exact(self, library, process, monkeypatch):
+    def test_derate_bit_exact(self, library, process):
         gb = fresh_block("ncu", library, seed=1)
         nl = gb.netlist
         outline = place_block_2d(nl, PlacementConfig(seed=1)).outline
         routing, _, router = route_block_with_router(
             nl, process.metal_stack, outline)
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
         d_vec, rep_vec = derate_routing(nl, routing, router)
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        d_ref, rep_ref = derate_routing(nl, routing, router)
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+        d_ref, rep_ref = oracle.derate_routing(nl, routing, router)
         assert_routing_equal(d_vec, d_ref)
         assert rep_vec == rep_ref
 
@@ -196,7 +203,7 @@ class TestCopyAndCaches:
                                                  process):
         nl, routing = self.routed_ncu(library, process)
         g1 = graph_for(nl, routing)
-        assert g1 is not None and graph_for(nl, routing) is g1
+        assert graph_for(nl, routing) is g1
         cell = next(c for c in nl.cells if not c.is_sequential)
         swap = (process.library.downsize(cell.master) or
                 process.library.upsize(cell.master))
@@ -206,8 +213,8 @@ class TestCopyAndCaches:
         assert g2 is not g1
         # and the rebuilt graph still matches the scalar walk
         cfg = TimingConfig("cpu_clk")
-        assert_sta_equal(run_sta_array(nl, routing, process, cfg),
-                         scalar.run_sta(nl, routing, process, cfg))
+        assert_sta_equal(run_sta(nl, routing, process, cfg),
+                         oracle.run_sta(nl, routing, process, cfg))
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +226,7 @@ def ncu_workload(library, process):
 
 
 class TestProperties:
-    """Hypothesis sweeps; both engines called directly (no env)."""
+    """Hypothesis sweeps over both engines."""
 
     @settings(max_examples=20, deadline=None)
     @given(default_io=st.floats(0.0, 400.0),
@@ -235,16 +242,15 @@ class TestProperties:
         cfg = TimingConfig("cpu_clk",
                            io_delays={port.name: io_delay},
                            default_io_delay_ps=default_io)
-        assert_sta_equal(run_sta_array(nl, routing, process, cfg),
-                         scalar.run_sta(nl, routing, process, cfg))
-        from repro.timing.graph import io_path_array, run_hold_array
-        hv = run_hold_array(nl, routing, process, cfg, hold_ps=hold_ps)
-        hr = scalar.run_hold_analysis(nl, routing, process, cfg,
+        assert_sta_equal(run_sta(nl, routing, process, cfg),
+                         oracle.run_sta(nl, routing, process, cfg))
+        hv = run_hold_analysis(nl, routing, process, cfg, hold_ps=hold_ps)
+        hr = oracle.run_hold_analysis(nl, routing, process, cfg,
                                       hold_ps=hold_ps)
         assert list(hv.slack.items()) == list(hr.slack.items())
         assert (hv.whs_ps, hv.violations) == (hr.whs_ps, hr.violations)
-        assert (io_path_array(nl, routing, process, cfg) ==
-                scalar.io_path_delays(nl, routing, process, cfg))
+        assert (io_path_delays(nl, routing, process, cfg) ==
+                oracle.io_path_delays(nl, routing, process, cfg))
 
     @settings(max_examples=15, deadline=None)
     @given(picks=st.lists(st.integers(0, 10_000), min_size=1,
@@ -262,5 +268,67 @@ class TestProperties:
             if swap is not None:
                 nl.replace_master(cell.id, swap)
         cfg = TimingConfig("cpu_clk")
-        assert_sta_equal(run_sta_array(nl, routing, process, cfg),
-                         scalar.run_sta(nl, routing, process, cfg))
+        assert_sta_equal(run_sta(nl, routing, process, cfg),
+                         oracle.run_sta(nl, routing, process, cfg))
+
+
+def loop_netlist(lib):
+    """in -> a <-> b (a 2-cell combinational loop) -> flop."""
+    nl = Netlist("loop")
+    inv, dff = lib.master("INV_X2"), lib.master("DFF_X1")
+    a = nl.add_instance("loop_a", inv, x=0.0, y=0.0)
+    b = nl.add_instance("loop_b", inv, x=20.0, y=0.0)
+    f = nl.add_instance("cap", dff, x=40.0, y=0.0)
+    nl.add_port("in", INPUT)
+    nl.add_port("clk", INPUT)
+    nl.add_net("n_in", PinRef(port="in"), [PinRef(inst=a.id, pin=0)])
+    nl.add_net("n_ab", PinRef(inst=a.id),
+               [PinRef(inst=b.id, pin=0), PinRef(inst=f.id, pin=0)])
+    nl.add_net("n_ba", PinRef(inst=b.id), [PinRef(inst=a.id, pin=1)])
+    nl.add_net("clk", PinRef(port="clk"), [PinRef(inst=f.id, pin=1)],
+               is_clock=True)
+    return nl
+
+
+def routed_flop_to_inv(lib, process):
+    """(netlist, routing, net ``n_q``, its inverter sink), routed."""
+    nl = Netlist("flop_inv")
+    f = nl.add_instance("launch", lib.master("DFF_X1"), x=0.0, y=0.0)
+    a = nl.add_instance("sink", lib.master("INV_X2"), x=20.0, y=0.0)
+    nl.add_port("clk", INPUT)
+    q = nl.add_net("n_q", PinRef(inst=f.id), [PinRef(inst=a.id, pin=0)])
+    nl.add_net("clk", PinRef(port="clk"), [PinRef(inst=f.id, pin=1)],
+               is_clock=True)
+    return nl, route_block(nl, process.metal_stack), q, a
+
+
+class TestRejectedInputs:
+    """Malformed snapshots fail loudly instead of changing engines."""
+
+    @pytest.mark.parametrize("analysis", [run_sta, run_hold_analysis,
+                                          io_path_delays],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", ["loop", "removed_sink"])
+    def test_rejected_with_named_cells_or_net(self, library, process,
+                                              analysis, case):
+        if case == "loop":
+            nl = loop_netlist(library)
+            routing = route_block(nl, process.metal_stack)
+            match = r"combinational cycle.*'loop_a', 'loop_b'"
+        else:
+            nl, routing, _, sink = routed_flop_to_inv(library, process)
+            nl.instances.pop(sink.id)   # bypasses remove_instance's guard
+            match = r"dangling endpoint.*'n_q'"
+        with pytest.raises(ValueError, match=match):
+            analysis(nl, routing, process, TimingConfig("cpu_clk"))
+
+    def test_stale_routing_rejected_by_setup_sta_only(self, library,
+                                                      process):
+        nl, routing, net, _ = routed_flop_to_inv(library, process)
+        late = nl.add_instance("late", library.master("INV_X2"), x=40.0)
+        nl.add_sink(net.id, PinRef(inst=late.id, pin=0))
+        cfg = TimingConfig("cpu_clk")
+        with pytest.raises(ValueError, match=r"stale routing.*'n_q'"):
+            run_sta(nl, routing, process, cfg)
+        # hold walks the routed sinks, so the stale net is still usable
+        assert run_hold_analysis(nl, routing, process, cfg).met
