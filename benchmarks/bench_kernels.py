@@ -8,8 +8,10 @@ pytest-benchmark's statistics.
 
 import pytest
 
+from repro.core.folding import make_partition
+from repro.core.secondlevel import second_level_spec
 from repro.designgen import block_type_by_name, generate_block
-from repro.place import PlacementConfig, fm_bipartition, place_block_2d
+from repro.place import PlacementConfig, place_block_2d
 from repro.power import analyze_power
 from repro.route import route_block, route_block_detailed
 from repro.timing import TimingConfig, run_sta
@@ -69,11 +71,12 @@ def test_kernel_power(benchmark, process, placed_l2t):
 
 
 def test_kernel_partition(benchmark, process):
-    """FM min-cut bipartitioning (l2t)."""
+    """FM refinement of the SPC second-level fold (~2.6k cells, whole
+    FUBs locked) -- large enough that per-move cost shows."""
     def run():
-        gb = generate_block(block_type_by_name("l2t"), process.library,
+        gb = generate_block(block_type_by_name("spc"), process.library,
                             seed=1)
-        return fm_bipartition(gb.netlist, seed=0)
+        return make_partition(gb, second_level_spec())
     benchmark.pedantic(run, rounds=3, iterations=1)
 
 

@@ -36,6 +36,7 @@ SPAN_OPT_TIMING_STAGE = "opt.timing_stage"
 SPAN_PLACE_BISTRATAL = "place.bistratal"
 SPAN_PLACE_GLOBAL = "place.global"
 SPAN_PLACE_LEGALIZE = "place.legalize"
+SPAN_PLACE_PARTITION = "place.partition"
 SPAN_SERVICE_POINT = "service.point"
 SPAN_SERVICE_REQUEST = "service.request"
 SPAN_SERVICE_SHARD_DEATH = "service.shard_death"
@@ -68,6 +69,7 @@ SPAN_NAMES = (
     SPAN_PLACE_BISTRATAL,
     SPAN_PLACE_GLOBAL,
     SPAN_PLACE_LEGALIZE,
+    SPAN_PLACE_PARTITION,
     SPAN_SERVICE_POINT,
     SPAN_SERVICE_REQUEST,
     SPAN_SERVICE_SHARD_DEATH,

@@ -7,16 +7,22 @@ scalar (per-pin / per-cell Python loop) kernels **unchanged** so the
 parity/QoR harness (``tests/test_place_parity.py``) can compare the
 two: kernels are called directly, or swapped into a whole placement
 run with ``monkeypatch.setattr`` on the names the flow calls.
+
+It also keeps the original linear-scan FM partitioner
+(:func:`fm_bipartition`), which ``tests/test_place_partition.py``
+compares against the heap-based :func:`repro.place.partition.fm_bipartition`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.netlist.core import Instance
+from repro.netlist.core import Instance, Netlist
 from repro.place.grid import GEOM_TOL_UM, DensityGrid, Rect
+from repro.place.partition import PartitionResult, _areas, count_cut
 from repro.tech.cells import CELL_HEIGHT_UM
 
 
@@ -319,3 +325,147 @@ def snap_to_rows(movable: List, xs: np.ndarray, ys: np.ndarray,
         row = round((ys[k] - row0) / CELL_HEIGHT_UM)
         inst.y = float(np.clip(row0 + row * CELL_HEIGHT_UM,
                                outline.y0, outline.y1))
+
+
+# ---------------------------------------------------------------------------
+# partition: linear-scan move selection (original fm_bipartition)
+# ---------------------------------------------------------------------------
+
+def fm_bipartition(netlist: Netlist,
+                   initial: Optional[Dict[int, int]] = None,
+                   locked: Optional[Set[int]] = None,
+                   balance_tol: float = 0.10,
+                   max_passes: int = 6,
+                   seed: int = 0) -> PartitionResult:
+    """Linear-scan FM: every move is the best of a scan over all cells.
+
+    The original move selection, O(n) per move; same arguments and
+    result as :func:`repro.place.partition.fm_bipartition`.
+    """
+    rng = np.random.default_rng(seed)
+    insts = list(netlist.instances.values())
+    assignment: Dict[int, int] = {}
+    if initial:
+        assignment.update(initial)
+    # default: split the cluster space in half (locality-preserving)
+    clusters = sorted({i.cluster for i in insts})
+    half = set(clusters[: len(clusters) // 2])
+    for inst in insts:
+        if inst.id not in assignment:
+            assignment[inst.id] = 0 if inst.cluster in half else 1
+    locked = set(locked or ())
+
+    total_area = sum(i.area_um2 for i in insts)
+    lo = total_area * (0.5 - balance_tol)
+    hi = total_area * (0.5 + balance_tol)
+
+    # net -> movable instance ids (dedup); instance -> net ids
+    net_members: Dict[int, List[int]] = {}
+    inst_nets: Dict[int, List[int]] = defaultdict(list)
+    for net in netlist.nets.values():
+        if net.is_clock:
+            continue
+        members = sorted({r.inst for r in net.endpoints() if not r.is_port})
+        if len(members) < 2:
+            continue
+        net_members[net.id] = members
+        for m in members:
+            inst_nets[m].append(net.id)
+
+    def side_counts(net_id: int) -> List[int]:
+        counts = [0, 0]
+        for m in net_members[net_id]:
+            counts[assignment[m]] += 1
+        return counts
+
+    area = _areas(netlist, assignment)
+
+    for _ in range(max_passes):
+        counts = {nid: side_counts(nid) for nid in net_members}
+        gains: Dict[int, int] = {}
+        for inst in insts:
+            if inst.id in locked:
+                continue
+            g = 0
+            s = assignment[inst.id]
+            for nid in inst_nets[inst.id]:
+                c = counts[nid]
+                if c[s] == 1 and c[1 - s] > 0:
+                    g += 1  # moving uncuts the net
+                elif c[1 - s] == 0:
+                    g -= 1  # moving cuts the net
+            gains[inst.id] = g
+
+        moved: List[int] = []
+        gain_trace: List[int] = []
+        locked_pass: Set[int] = set(locked)
+        cum = 0
+        order_jitter = {iid: rng.random() for iid in gains}
+
+        for _step in range(len(gains)):
+            best_id, best_gain = None, None
+            for iid, g in gains.items():
+                if iid in locked_pass:
+                    continue
+                s = assignment[iid]
+                a = netlist.instances[iid].area_um2
+                if not (lo <= area[s] - a and area[1 - s] + a <= hi):
+                    continue
+                key = (g, order_jitter[iid])
+                if best_gain is None or key > best_gain:
+                    best_gain, best_id = key, iid
+            if best_id is None:
+                break
+            g = gains[best_id]
+            s = assignment[best_id]
+            a = netlist.instances[best_id].area_um2
+            assignment[best_id] = 1 - s
+            area[s] -= a
+            area[1 - s] += a
+            locked_pass.add(best_id)
+            cum += g
+            moved.append(best_id)
+            gain_trace.append(cum)
+            # update gains of neighbors
+            touched = set()
+            for nid in inst_nets[best_id]:
+                c = counts[nid]
+                c[s] -= 1
+                c[1 - s] += 1
+                touched.update(net_members[nid])
+            for t in touched:
+                if t in locked_pass or t in locked or t not in gains:
+                    continue
+                g2 = 0
+                st = assignment[t]
+                for nid in inst_nets[t]:
+                    c = counts[nid]
+                    if c[st] == 1 and c[1 - st] > 0:
+                        g2 += 1
+                    elif c[1 - st] == 0:
+                        g2 -= 1
+                gains[t] = g2
+            if len(moved) > 2 * len(gains):  # pragma: no cover - safety
+                break
+
+        if not gain_trace or max(gain_trace) <= 0:
+            # revert the whole pass
+            for iid in moved:
+                s = assignment[iid]
+                a = netlist.instances[iid].area_um2
+                assignment[iid] = 1 - s
+                area[s] -= a
+                area[1 - s] += a
+            break
+        # keep the best prefix
+        best_k = int(np.argmax(gain_trace)) + 1
+        for iid in moved[best_k:]:
+            s = assignment[iid]
+            a = netlist.instances[iid].area_um2
+            assignment[iid] = 1 - s
+            area[s] -= a
+            area[1 - s] += a
+
+    return PartitionResult(assignment=assignment,
+                           cut_nets=count_cut(netlist, assignment),
+                           area=_areas(netlist, assignment))
