@@ -81,7 +81,8 @@ def test_kernel_partition(benchmark, process):
 
 
 def test_kernel_optimize(benchmark, process):
-    """Staged optimization loop on l2t (incremental timing core)."""
+    """Staged optimization loop on l2t (live timing view: parasitics
+    refreshed in place, one array re-time per move chunk)."""
     from repro.opt.flow import OptimizeConfig, optimize_block
 
     def run():
@@ -99,8 +100,8 @@ def test_kernel_optimize(benchmark, process):
 
 
 def test_kernel_optimize_full_recompute(benchmark, process):
-    """Same loop with the incremental core disabled (the baseline the
-    opt-smoke CI step asserts >=2x against)."""
+    """Same loop with the incremental core disabled: a full re-route
+    and a full STA per move chunk."""
     from repro.opt.flow import OptimizeConfig, optimize_block
 
     def run():
@@ -116,7 +117,8 @@ def test_kernel_optimize_full_recompute(benchmark, process):
 
 
 def test_kernel_incremental_sta(benchmark, process):
-    """Batched ECO re-timing: ~1k master swaps per frontier walk."""
+    """Batched ECO re-timing: ~1k master swaps, then one array re-time
+    of the whole block."""
     from repro.timing.incremental import IncrementalSTA
     gb = generate_block(block_type_by_name("l2t"), process.library,
                         seed=1)

@@ -87,7 +87,7 @@ class EcoClosureReport:
     rounds: List[EcoRound] = field(default_factory=list)
     #: copy of the session's deterministic work tallies at return time
     #: (``nets_rerouted``, ``sta_full_rebuilds``, ...) -- what the
-    #: reuse assertions in ``benchmarks/eco_smoke.py`` read
+    #: reuse assertions in ``tests/test_eco_engine.py`` read
     session_stats: dict = field(default_factory=dict)
 
     @property

@@ -7,14 +7,15 @@ modes with *bit-identical* results:
 * **incremental** (default) -- only the nets incident to an edit are
   re-routed (through the design's captured
   :class:`repro.route.estimate.RouteContext`), the live
-  :class:`repro.timing.incremental.IncrementalSTA` graph is patched
-  instead of rebuilt, and the clock tree replays untouched bisection
-  subtrees from the :class:`repro.cts.incremental.IncrementalCTS` memo;
+  :class:`repro.timing.incremental.IncrementalSTA` view, adopted from
+  the design's sign-off STA, re-times the block after each edit, and
+  the clock tree replays untouched bisection subtrees from the
+  :class:`repro.cts.incremental.IncrementalCTS` memo;
 * **full recompute** -- every edit triggers a whole-block re-route, a
   fresh ``run_sta`` and a from-scratch CTS.
 
 The parity harness (``tests/test_eco_properties.py``) holds the two
-modes byte-equal over random move batches; ``benchmarks/eco_smoke.py``
+modes byte-equal over random move batches; ``tests/test_eco_engine.py``
 holds the incremental mode to its reuse targets.
 
 Batches are validated up front against the pre-batch state and nothing
@@ -71,9 +72,9 @@ class EcoSession:
             displaced cells.
         obstructions: macro keep-outs for legalization.
         sta_snapshot: the design's sign-off :class:`STAResult`; when
-            given (incremental mode) the timing graph is adopted from
-            it instead of re-running STA -- ``sta_full_rebuilds`` stays
-            at zero.
+            given (incremental mode) the timing view adopts it
+            instead of re-running STA -- ``sta_full_rebuilds`` stays at
+            zero.
         full_recompute: disable every incremental path (parity /
             baseline mode).
         legalize_buffers: snap freshly inserted buffers into legal row
@@ -368,9 +369,9 @@ class EcoSession:
                 [self.netlist.instances[i] for i in res.new_inst_ids],
                 exclude=res.new_inst_ids)
         if self.view is not None:
-            changed = self.routing.update_instances(
+            self.routing.update_instances(
                 self.netlist, res.new_inst_ids, reroute=self._reroute)
-            self.view.patch_topology((), changed)
+            self.view.patch_topology()
         else:
             self._full_recompute_now()
         return res.added
@@ -386,11 +387,9 @@ class EcoSession:
         self.netlist.remove_net(innet.id)
         self.netlist.remove_instance(iid)
         if self.view is not None:
-            changed = self.routing.refresh_nets(
+            self.routing.refresh_nets(
                 self.netlist, [innet.id, out.id], reroute=self._reroute)
-            upstream = [] if drv.is_port else [drv.inst]
-            self.view.patch_topology(upstream, changed,
-                                     removed_insts=[iid])
+            self.view.patch_topology()
         else:
             self._full_recompute_now()
         return 1
@@ -403,9 +402,9 @@ class EcoSession:
         touched = sorted(n.id for n in self.netlist.nets_of(inst.id)
                          if not n.is_clock)
         if self.view is not None:
-            changed = self.routing.refresh_nets(self.netlist, touched,
-                                                reroute=self._reroute)
-            self.view.apply_routing_update(changed)
+            self.routing.refresh_nets(self.netlist, touched,
+                                      reroute=self._reroute)
+            self.view.apply_routing_update()
         else:
             self._full_recompute_now()
         return 1

@@ -7,17 +7,18 @@ downsizing (and optionally HVT swapping) for power -- verifying every
 decision against fresh parasitics.
 
 Sizing and Vth moves freeze placement and net topology, so only pin
-capacitances and the touched cells' timing cones actually change between
-transform chunks.  The loop therefore runs against a *live* incremental
-view -- :meth:`repro.route.estimate.RoutingResult.update_instances` for
-parasitics and :class:`repro.timing.incremental.IncrementalSTA` for
-timing -- which reproduces a full re-route + re-STA bit-for-bit at a
-fraction of the cost.  Full recomputation happens only where it must:
-after :func:`insert_buffers` edits the net topology (counted by the
-``opt.full_reroutes`` metric), or when the ``full_recompute=True``
-escape hatch disables the incremental core entirely (the two modes
-produce identical designs; the escape hatch exists as a baseline and a
-bisection aid).
+capacitances actually change between transform chunks.  The loop
+therefore runs against a *live* view --
+:meth:`repro.route.estimate.RoutingResult.update_instances` refreshes
+the touched nets' parasitics in place and
+:class:`repro.timing.incremental.IncrementalSTA` re-times the block on
+the array engine -- which reproduces a full re-route + re-STA
+bit-for-bit without the re-route.  Full re-routing happens only where
+it must: after :func:`insert_buffers` edits the net topology (counted
+by the ``opt.full_reroutes`` metric), or when the
+``full_recompute=True`` escape hatch disables the incremental core
+entirely (the two modes produce identical designs; the escape hatch
+exists as a baseline and a bisection aid).
 
 ``true_slack=True`` additionally replaces the ``path_sharing_factor``
 acceptance heuristic for downsizes and HVT swaps with exact per-move
@@ -91,9 +92,10 @@ class _TimingCore:
     """The loop's view of parasitics + timing, incremental or full.
 
     Both implementations expose the same three operations; the
-    incremental one reuses routed geometry and the live timing graph,
-    the full one re-routes and re-times the whole block.  Their STA
-    snapshots (and hence every optimization decision) are identical.
+    incremental one reuses routed geometry and re-times through the
+    live timing view, the full one re-routes and re-times the whole
+    block.  Their STA snapshots (and hence every optimization
+    decision) are identical.
     """
 
     def __init__(self, netlist: Netlist, process: ProcessNode,
@@ -136,7 +138,7 @@ class _TimingCore:
         return len(moves)
 
     def rebuild(self) -> None:
-        """Full re-route + fresh timing graph (after netlist surgery)."""
+        """Full re-route + fresh timing view (after netlist surgery)."""
         self.routing = self._full_route()
         if self.incremental:
             self.view = IncrementalSTA(self.netlist, self.routing,
@@ -148,19 +150,19 @@ class _TimingCore:
         With a per-net route context available, only the nets incident
         to the new buffers are (re-)routed -- untouched geometry is a
         pure function of unchanged positions, so the resulting routing
-        is bit-identical to a full re-route -- and the timing graph is
-        patched structurally instead of rebuilt from a fresh
-        ``run_sta``.  Without one (or in full-recompute mode) this
-        degrades to the historical :meth:`rebuild`.
+        is bit-identical to a full re-route -- and the live timing view
+        re-times the patched netlist.  Without one (or in
+        full-recompute mode) this degrades to the historical
+        :meth:`rebuild`.
         """
         if self.view is None or self.route_net_fn is None:
             self.rebuild()
             return
         route_net_fn = self.route_net_fn
-        changed = self.routing.update_instances(
+        self.routing.update_instances(
             self.netlist, surgery.new_inst_ids,
             reroute=lambda net: route_net_fn(self.netlist, net))
-        self.view.patch_topology((), changed)
+        self.view.patch_topology()
 
     # -- exact per-move acceptance (true_slack mode) -------------------
 

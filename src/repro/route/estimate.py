@@ -229,9 +229,12 @@ class NetArrays:
         return int(self.net_ids.shape[0])
 
 
-def _gather_net_arrays(netlist: Netlist, routing: "RoutingResult"
-                       ) -> NetArrays:
-    """One pass over the routed nets into the flat array view."""
+def gather_net_arrays(netlist: Netlist, routing: "RoutingResult"
+                      ) -> NetArrays:
+    """One pass over the routed nets into the flat array view.
+
+    Uncached; :meth:`RoutingResult.net_arrays` is the cached lookup.
+    """
     net_ids: List[int] = []
     drv_inst: List[int] = []
     drv_is_port: List[bool] = []
@@ -359,7 +362,7 @@ class RoutingResult:
         if cached is not None and cached.rev == netlist.rev and \
                 cached.netlist_ref() is netlist:
             return cached
-        arrays = _gather_net_arrays(netlist, self)
+        arrays = gather_net_arrays(netlist, self)
         self._net_arrays = arrays
         return arrays
 

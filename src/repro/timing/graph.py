@@ -46,7 +46,10 @@ Caching: the flat net view lives on the :class:`RoutingResult`
 netlist's connectivity revision); the levelized graph with its delay
 tables is cached on that view keyed by the netlist's master revision,
 so a setup + hold + I/O-path sweep over one snapshot builds the graph
-once.
+once.  :class:`~repro.timing.incremental.IncrementalSTA` re-times after
+every edit on a graph it builds from
+:func:`~repro.route.estimate.gather_net_arrays` and drops afterwards,
+so a finished design does not keep one alive on its routing.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..netlist.core import Netlist
+from ..obs.metrics import metrics
 from ..route.estimate import NetArrays, RoutingResult
 from .sta import MACRO_SETUP_PS, SETUP_PS
 
@@ -293,6 +297,7 @@ class TimingGraph:
         self.canon_iids = self.iids[self.canon].tolist()
         self.seed_comb = w0[~(self.is_macro[w0] | self.is_seq[w0])]
         self.n_levels = len(waves)
+        metrics().counter("sta.levels").inc(self.n_levels)
 
         # backward out-edge gathers per wave (only nodes with edges)
         self.bout: List[Tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -398,12 +403,9 @@ def graph_for(netlist: Netlist, routing: RoutingResult) -> TimingGraph:
     Raises:
         ValueError: on a combinational cycle or a dangling endpoint.
     """
-    from ..obs.metrics import metrics
-
     arrays = routing.net_arrays(netlist)
     g = getattr(arrays, "_graph", None)
     if g is None or g.mrev != netlist.mrev:
         g = TimingGraph(netlist, arrays)
         arrays._graph = g
-        metrics().counter("sta.levels").inc(g.n_levels)
     return g

@@ -18,13 +18,16 @@ slack the power optimizer then converts into smaller and higher-Vth cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
 from ..netlist.core import Netlist
 from ..route.estimate import RoutingResult
 from ..tech.process import ProcessNode
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .graph import TimingGraph
 
 #: setup time assumed at flop D pins (ps)
 SETUP_PS = 30.0
@@ -84,10 +87,25 @@ def run_sta(netlist: Netlist, routing: RoutingResult, process: ProcessNode,
         ValueError: on a combinational cycle, a dangling endpoint, or a
             routing whose sinks no longer match the netlist.
     """
-    from ..obs.metrics import metrics
     from .graph import graph_for
 
-    g = graph_for(netlist, routing)
+    return sta_on_graph(graph_for(netlist, routing), netlist, process,
+                        config)
+
+
+def sta_on_graph(g: TimingGraph, netlist: Netlist, process: ProcessNode,
+                 config: TimingConfig) -> STAResult:
+    """:func:`run_sta`'s sweep on an already built timing graph.
+
+    :class:`~repro.timing.incremental.IncrementalSTA` re-times through
+    this with a graph it builds without caching it on the routing.
+
+    Raises:
+        ValueError: if ``g`` holds a routing whose sinks no longer match
+            the netlist.
+    """
+    from ..obs.metrics import metrics
+
     g.reject_stale()
     metrics().counter("sta.vector_passes").inc()
 

@@ -1,4 +1,5 @@
-"""ECO-engine regressions: reroute scope, counters, the flow stage.
+"""ECO-engine regressions: reroute scope, counters, the flow stage,
+scenario derivation.
 
 The headline regression (ISSUE 9): buffer insertion used to trigger a
 full block reroute and a from-scratch STA.  These tests pin the new
@@ -16,10 +17,13 @@ import pytest
 from repro.analysis.export_json import block_to_dict
 from repro.core.flow import FlowConfig, run_block_flow
 from repro.designgen import block_type_by_name, generate_block
-from repro.eco import BufferInsert, Displace, EcoConfig, EcoSession
+from repro.eco import (BufferInsert, Displace, EcoConfig, EcoSession,
+                       derive_design)
 from repro.obs.metrics import metrics
-from repro.obs.names import (CTR_OPT_FULL_REROUTES,
-                             CTR_ROUTE_NETS_REEXTRACTED)
+from repro.obs.names import (CTR_ECO_DERIVED_DESIGNS,
+                             CTR_ECO_MOVES_APPLIED, CTR_OPT_FULL_REROUTES,
+                             CTR_ROUTE_NETS_REEXTRACTED,
+                             CTR_ROUTE_NETS_REROUTED)
 from repro.opt.buffering import BufferingConfig, plan_net_buffering
 from repro.opt.flow import OptimizeConfig, optimize_block
 from repro.place import PlacementConfig, place_block_2d
@@ -117,3 +121,33 @@ class TestFlowEcoStage:
                          eco=EcoConfig())
         with pytest.raises(ValueError, match="detailed_route"):
             run_block_flow("l2t", cfg, process)
+
+
+class TestScenarioDerivation:
+    def test_l2t_neighbor_matches_full_recompute_and_reuses_routing(
+            self, process):
+        """l2t at scale 1: io budget 60 -> 90 ps plus dual-Vth, derived
+        incrementally and with every incremental path off."""
+        config = FlowConfig(scale=1.0, seed=1, io_budget_ps=60.0)
+        neighbor = replace(config, io_budget_ps=90.0, dual_vth=True)
+        m = metrics()
+        # nets_rerouted advances in the base flow's buffer surgery; the
+        # derivations themselves re-route (next to) nothing
+        counters = (CTR_ECO_DERIVED_DESIGNS, CTR_ECO_MOVES_APPLIED,
+                    CTR_ROUTE_NETS_REROUTED)
+        before = {name: m.counter(name).value for name in counters}
+        base = run_block_flow("l2t", config, process)
+        derived, rep_inc = derive_design(
+            base, replace(neighbor, eco=EcoConfig()), process)
+        full, rep_full = derive_design(
+            base, replace(neighbor, eco=EcoConfig(full_recompute=True)),
+            process)
+        assert json.dumps(block_to_dict(derived), sort_keys=True) == \
+            json.dumps(block_to_dict(full), sort_keys=True)
+        inc_rr = rep_inc.session_stats["nets_rerouted"]
+        full_rr = rep_full.session_stats["nets_rerouted"]
+        assert full_rr > 0
+        assert 1.0 - inc_rr / full_rr >= 0.9
+        assert rep_inc.session_stats["sta_full_rebuilds"] == 0
+        for name in counters:
+            assert m.counter(name).value > before[name], name

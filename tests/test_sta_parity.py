@@ -28,11 +28,12 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.names import (CTR_ROUTE_NETS_EXTRACTED_BATCH,
                              CTR_STA_LEVELS, CTR_STA_VECTOR_PASSES)
 from repro.place import PlacementConfig, fold_place_3d, place_block_2d
-from repro.route import route_block
+from repro.route import route_block, route_net
 from repro.route.block_router import route_block_with_router
 from repro.timing import TimingConfig, run_sta
 from repro.timing.graph import graph_for
 from repro.timing.hold import run_hold_analysis
+from repro.timing.incremental import IncrementalSTA
 from repro.timing.paths import io_path_delays
 from repro.timing.si import derate_routing
 from tests.conftest import fresh_block
@@ -332,3 +333,52 @@ class TestRejectedInputs:
             run_sta(nl, routing, process, cfg)
         # hold walks the routed sinks, so the stale net is still usable
         assert run_hold_analysis(nl, routing, process, cfg).met
+
+    @pytest.mark.parametrize("edit", ["apply_routing_update",
+                                      "patch_topology"])
+    def test_stale_routing_rejected_through_the_view(self, library,
+                                                     process, edit):
+        """A sink removed without a re-route fails the next re-time."""
+        gb = fresh_block("ncu", library, seed=23)
+        nl = gb.netlist
+        place_block_2d(nl, PlacementConfig(seed=23))
+        routing = route_block(nl, process.metal_stack)
+        view = IncrementalSTA(nl, routing, process,
+                              TimingConfig("cpu_clk",
+                                           default_io_delay_ps=50.0))
+        net = next(n for n in nl.nets.values() if not n.is_clock
+                   and sum(not s.is_port for s in n.sinks) >= 2)
+        sink = next(s for s in net.sinks if not s.is_port)
+        nl.remove_sink(net.id, sink)
+        with pytest.raises(ValueError,
+                           match=rf"stale routing.*'{net.name}'"):
+            getattr(view, edit)()
+
+    def test_loop_closed_by_surgery_rejected_by_patch_topology(
+            self, library, process):
+        """in -> a -> b -> c -> flop, then c also drives a: a 3-cell
+        loop the re-routed view must name instead of timing."""
+        nl = Netlist("chain")
+        inv, dff = library.master("INV_X2"), library.master("DFF_X1")
+        a, b, c = (nl.add_instance(f"loop_{n}", inv, x=20.0 * i)
+                   for i, n in enumerate("abc"))
+        f = nl.add_instance("cap", dff, x=60.0)
+        nl.add_port("in", INPUT)
+        nl.add_port("clk", INPUT)
+        nl.add_net("n_in", PinRef(port="in"), [PinRef(inst=a.id, pin=0)])
+        nl.add_net("n_ab", PinRef(inst=a.id), [PinRef(inst=b.id, pin=0)])
+        nl.add_net("n_bc", PinRef(inst=b.id), [PinRef(inst=c.id, pin=0)])
+        out = nl.add_net("n_c", PinRef(inst=c.id),
+                         [PinRef(inst=f.id, pin=0)])
+        nl.add_net("clk", PinRef(port="clk"), [PinRef(inst=f.id, pin=1)],
+                   is_clock=True)
+        routing = route_block(nl, process.metal_stack)
+        view = IncrementalSTA(nl, routing, process,
+                              TimingConfig("cpu_clk"))
+        nl.add_sink(out.id, PinRef(inst=a.id, pin=1))
+        routing.refresh_nets(
+            nl, [out.id],
+            reroute=lambda net: route_net(nl, net, process.metal_stack))
+        with pytest.raises(ValueError, match=r"combinational cycle.*"
+                           r"'loop_a', 'loop_b', 'loop_c'"):
+            view.patch_topology()

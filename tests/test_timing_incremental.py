@@ -21,18 +21,39 @@ def setup(library, process):
     return gb.netlist, routing, config
 
 
-def assert_matches_full(inc, netlist, routing, process, config):
-    full = run_sta(netlist, routing, process, config)
-    snap = inc.result()
-    assert snap.wns_ps == pytest.approx(full.wns_ps, abs=1e-6)
-    for iid, s in full.slack.items():
-        assert snap.slack.get(iid) == pytest.approx(s, abs=1e-6), iid
+def assert_same(snap, full):
+    """Values AND dict key order (downstream consumers iterate them)."""
+    assert snap.period_ps == full.period_ps
+    for fld in ("arrival", "required", "slack"):
+        assert list(getattr(snap, fld).items()) == \
+            list(getattr(full, fld).items()), fld
+    assert snap.wns_ps == full.wns_ps
+    assert snap.tns_ps == full.tns_ps
+
+
+def assert_exact(inc, netlist, process, config):
+    """to_result() must equal run_sta over a *fresh* route exactly."""
+    fresh_routing = route_block(netlist, process.metal_stack)
+    assert_same(inc.to_result(),
+                run_sta(netlist, fresh_routing, process, config))
+
+
+def variant_for(library, master, kind):
+    """A resized or re-Vth'd master for ``kind`` in 0..3 (or None)."""
+    if kind == 0:
+        return library.upsize(master)
+    if kind == 1:
+        return library.downsize(master)
+    if kind == 2:
+        return library.variant(master, vth="HVT")
+    return library.variant(master, vth="RVT")
 
 
 def test_initial_state_matches(setup, process):
     netlist, routing, config = setup
     inc = IncrementalSTA(netlist, routing, process, config)
-    assert_matches_full(inc, netlist, routing, process, config)
+    inc.to_result().arrival.clear()   # a snapshot is the caller's copy
+    assert_exact(inc, netlist, process, config)
 
 
 def test_single_upsize_matches(setup, process):
@@ -40,8 +61,8 @@ def test_single_upsize_matches(setup, process):
     inc = IncrementalSTA(netlist, routing, process, config)
     cell = next(c for c in netlist.cells
                 if not c.is_sequential and c.master.drive == 2)
-    inc.swap_master(cell.id, process.library.upsize(cell.master))
-    assert_matches_full(inc, netlist, routing, process, config)
+    inc.swap_masters([(cell.id, process.library.upsize(cell.master))])
+    assert_exact(inc, netlist, process, config)
 
 
 def test_vth_swap_matches(setup, process):
@@ -49,8 +70,8 @@ def test_vth_swap_matches(setup, process):
     inc = IncrementalSTA(netlist, routing, process, config)
     cell = next(c for c in netlist.cells if not c.is_sequential)
     hvt = process.library.variant(cell.master, vth="HVT")
-    inc.swap_master(cell.id, hvt)
-    assert_matches_full(inc, netlist, routing, process, config)
+    inc.swap_masters([(cell.id, hvt)])
+    assert_exact(inc, netlist, process, config)
 
 
 def test_many_random_swaps_match(setup, process):
@@ -67,44 +88,30 @@ def test_many_random_swaps_match(setup, process):
             new = process.library.downsize(cell.master) or \
                 process.library.upsize(cell.master)
         if new is not None:
-            inc.swap_master(cell.id, new)
-    assert_matches_full(inc, netlist, routing, process, config)
+            inc.swap_masters([(cell.id, new)])
+    assert_exact(inc, netlist, process, config)
 
 
 def test_noop_swap_is_stable(setup, process):
     netlist, routing, config = setup
     inc = IncrementalSTA(netlist, routing, process, config)
-    before = inc.result().wns_ps
+    before = inc.to_result()
     cell = next(iter(netlist.cells))
-    inc.swap_master(cell.id, cell.master)
-    assert inc.result().wns_ps == pytest.approx(before)
+    assert inc.swap_masters([(cell.id, cell.master)]) == 0
+    assert_same(inc.to_result(), before)
+    assert_exact(inc, netlist, process, config)
 
 
-# --- exactness: the incremental view must equal a from-scratch
-# re-route + re-STA bit-for-bit, not approximately ---------------------
-
-
-def assert_exact(inc, netlist, process, config):
-    """to_result() must equal run_sta over a *fresh* route exactly."""
-    fresh_routing = route_block(netlist, process.metal_stack)
-    full = run_sta(netlist, fresh_routing, process, config)
-    snap = inc.to_result()
-    assert snap.arrival == full.arrival
-    assert snap.required == full.required
-    assert snap.slack == full.slack
-    assert snap.wns_ps == full.wns_ps
-    assert snap.tns_ps == full.tns_ps
-
-
-def variant_for(library, master, kind):
-    """A resized or re-Vth'd master for ``kind`` in 0..3 (or None)."""
-    if kind == 0:
-        return library.upsize(master)
-    if kind == 1:
-        return library.downsize(master)
-    if kind == 2:
-        return library.variant(master, vth="HVT")
-    return library.variant(master, vth="RVT")
+def test_retime_caches_no_graph_on_the_routing(setup, process):
+    """A finished design keeps its result, not a timing graph."""
+    netlist, routing, config = setup
+    inc = IncrementalSTA(netlist, routing, process, config)
+    cell = next(c for c in netlist.cells if not c.is_sequential)
+    hvt = process.library.variant(cell.master, vth="HVT")
+    inc.swap_masters([(cell.id, hvt)])
+    assert routing._net_arrays is None
+    inc.retarget(TimingConfig("cpu_clk", default_io_delay_ps=80.0))
+    assert routing._net_arrays is None
 
 
 def test_batched_swaps_match_exactly(setup, process):
@@ -124,17 +131,14 @@ def test_batched_swaps_match_exactly(setup, process):
 def test_apply_routing_update_matches_exactly(setup, process):
     netlist, routing, config = setup
     inc = IncrementalSTA(netlist, routing, process, config)
-    # mutate masters behind the view's back, then hand it the net ids
+    # mutate masters and parasitics behind the view's back
     cells = [c for c in netlist.cells if not c.is_sequential][:20]
     for cell in cells:
         new = process.library.downsize(cell.master) or \
             process.library.upsize(cell.master)
         netlist.replace_master(cell.id, new)
-    changed = routing.update_instances(netlist, [c.id for c in cells])
-    # reload the swapped cells' own loads too: drivers of unchanged nets
-    for c in cells:
-        changed.extend(n.id for n in netlist.nets_of(c.id))
-    inc.apply_routing_update(sorted(set(changed)))
+    routing.update_instances(netlist, [c.id for c in cells])
+    inc.apply_routing_update()
     assert_exact(inc, netlist, process, config)
 
 
@@ -151,9 +155,8 @@ def test_try_swap_accepts_and_reverts_exactly(setup, process):
     # a huge margin forces a revert; state must be restored exactly
     assert not inc.try_swap(cell.id, smaller, min_slack_ps=1e12)
     assert netlist.instances[cell.id].master is cell.master
-    after = inc.to_result()
-    assert after.arrival == base.arrival
-    assert after.required == base.required
+    assert_same(inc.to_result(), base)
+    assert_exact(inc, netlist, process, config)
     # an impossible-to-miss margin accepts, and the view stays exact
     assert inc.try_swap(cell.id, smaller, min_slack_ps=-1e12)
     assert netlist.instances[cell.id].master is smaller
