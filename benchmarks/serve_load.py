@@ -6,8 +6,8 @@ contract under load:
 
 * every client gets a complete, all-ok sweep back;
 * every streamed result is byte-identical (canonical JSON) to a serial
-  control run of the same point -- cache tier, coalescing and
-  work-stealing must never change the numbers;
+  control run of the same point -- the result store, coalescing and
+  supervised workers must never change the numbers;
 * overlapping submissions are deduplicated: the coalescing hit rate
   ``(service.coalesced + service.result_hits) / service.points`` must
   be positive (with N identical sweeps, roughly ``(N-1)/N``).
@@ -19,6 +19,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/serve_load.py \
         --clients 4 --quick --out serve_load.json
+
+``--parallel`` means what it means for ``bench`` and ``serve``: the
+default ``0`` runs points one at a time inside the broker's process,
+``N > 1`` runs up to N at a time in supervised worker processes.
 """
 
 import argparse
@@ -76,9 +80,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--clients", type=int, default=4,
                     help="concurrent client threads (default 4)")
-    ap.add_argument("--shards", type=int, default=2)
-    ap.add_argument("--shard-mode", default="inline",
-                    choices=("inline", "process"))
+    ap.add_argument("--parallel", type=int, default=0, metavar="N",
+                    help="broker's concurrent points (0/1 = "
+                         "in-process, N = supervised workers)")
     ap.add_argument("--quick", action="store_true",
                     help="small sweep at scale 0.4 (the CI smoke)")
     ap.add_argument("--ids", default=None,
@@ -105,10 +109,9 @@ def main(argv=None):
 
     print(f"serve_load: {args.clients} clients x {len(points)} points "
           f"({len(ids)} ids x {len(seeds)} seeds, scale {scale}), "
-          f"{args.shards} {args.shard_mode} shards")
+          f"parallel {args.parallel}")
     before = dict(metrics().snapshot()["counters"])
-    config = ServiceConfig(port=0, shards=args.shards,
-                           shard_mode=args.shard_mode)
+    config = ServiceConfig(port=0, parallel=args.parallel)
     slots = [{} for _ in range(args.clients)]
     t0 = time.perf_counter()
     with serve_background(config) as handle:
@@ -163,8 +166,7 @@ def main(argv=None):
     done = args.clients * len(points)
     report = {
         "clients": args.clients,
-        "shards": args.shards,
-        "shard_mode": args.shard_mode,
+        "parallel": args.parallel,
         "ids": list(ids),
         "scale": scale,
         "seeds": list(seeds),

@@ -9,9 +9,10 @@ Subcommands:
   a persistent design cache, exporting the merged span/metrics trace;
 * ``chaos [--seed N] [--plan SPECS] [--parallel N]`` -- run the bench
   under a deterministic fault plan and check it degrades cleanly
-  (``--serve`` chaos-tests the broker instead: a fault plan kills a
-  shard mid-sweep and the survivors must finish it);
-* ``serve [--port P] [--shards N] [--cache-dir D]`` -- run the
+  (``--serve`` sends the sweep through the broker instead: the first
+  experiment's first attempt crashes and the engine's retry must still
+  complete the sweep);
+* ``serve [--port P] [--parallel N] [--cache-dir D]`` -- run the
   experiment broker (streaming sweep service; see docs/service.md);
 * ``submit [--ids ...] [--port P]`` -- send one sweep to a running
   broker and stream its results back;
@@ -134,8 +135,8 @@ def _cmd_chaos(args) -> int:
     degrades cleanly: the report always comes back, every injection is
     observable, and a ``--no-faults`` control run stays byte-identical
     to a plain bench.  With ``--serve`` the same idea targets the
-    service broker: the plan kills worker shards mid-sweep and the
-    surviving shards must still complete it."""
+    service broker: the sweep goes through an in-process broker under
+    the plan, and every point must still complete."""
     import json
 
     from .faults import FaultPlan, FaultPlanError, installed
@@ -152,9 +153,10 @@ def _cmd_chaos(args) -> int:
             print(f"bad --plan: {exc}", file=sys.stderr)
             return 2
     elif args.serve:
-        # the default broker chaos: assassinate the first shard the
-        # moment it claims work -- work-stealing must absorb it
-        plan = FaultPlan.parse("raise task=shard-0 stage=service.shard",
+        # the default broker chaos: crash the first experiment's first
+        # attempt -- the engine's retry must absorb it
+        first = ids[0] if ids else "*"
+        plan = FaultPlan.parse(f"crash task={first} stage=task attempt=1",
                                seed=args.seed)
     else:
         plan = FaultPlan.seeded(args.seed, tasks=ids)
@@ -218,13 +220,7 @@ def _cmd_chaos(args) -> int:
         report.write_trace(args.trace_out)
         print(f"wrote {args.trace_out}")
 
-    # a killed or crashed worker cannot ship its injection records, so
-    # resilience events count as evidence the plan fired too
-    events = injected + sum(
-        v for k, v in counters.items()
-        if k in ("tasks.retried", "tasks.timed_out", "tasks.crashed",
-                 "tasks.failed"))
-    if plan is not None and events == 0:
+    if plan is not None and _fault_events(counters) == 0:
         print("chaos run injected no faults: the plan never matched "
               "(check task/stage patterns)", file=sys.stderr)
         return 1
@@ -238,12 +234,22 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
+def _fault_events(counters) -> int:
+    """Evidence a fault plan fired: injections plus resilience events
+    (a killed or crashed worker cannot ship its injection records)."""
+    return int(counters.get("faults.injected", 0) + sum(
+        v for k, v in counters.items()
+        if k in ("tasks.retried", "tasks.timed_out", "tasks.crashed",
+                 "tasks.failed")))
+
+
 def _chaos_serve(args, plan) -> int:
     """Chaos-test the service broker: run a sweep through an
-    in-process broker while the fault plan kills shards, and require
-    the surviving shards to complete every point."""
+    in-process broker under the fault plan, and require every point to
+    complete through the engine's retries."""
     import json
 
+    from .obs.metrics import metrics
     from .service.broker import ServiceConfig, serve_background
     from .service.client import Client, ServiceError
     from .service.schema import SweepRequest
@@ -252,39 +258,36 @@ def _chaos_serve(args, plan) -> int:
     request = SweepRequest.from_ids(
         ids, scale=args.scale, seed=args.seed,
         timeout_s=args.timeout or None, retries=args.retries)
-    config = ServiceConfig(port=0, shards=args.shards,
-                           shard_mode="inline",
+    config = ServiceConfig(port=0, parallel=args.parallel,
                            cache_dir=args.cache_dir)
+    before = metrics().snapshot()
     handle = serve_background(config, fault_plan=plan)
     try:
         with Client(port=handle.port) as client:
             results = client.collect(request)
-            stats = client.stats()
     except ServiceError as exc:
         print(f"broker sweep failed: {exc}", file=sys.stderr)
         return 1
     finally:
         handle.stop()
 
-    counters = stats["counters"]
-    deaths = int(counters.get("service.shard_deaths", 0))
-    alive = [s for s in stats["shards"] if s["alive"]]
+    counters = {k: v for k, v
+                in sorted(metrics().diff(before)["counters"].items())
+                if k.startswith(("faults.", "service.", "tasks."))}
     completed = [r for r in results if r.status == "ok"]
-    print(f"\n{len(completed)}/{len(results)} points completed; "
-          f"{deaths} shard(s) killed, "
-          f"{len(alive)}/{len(stats['shards'])} still alive")
-    for name, value in sorted(counters.items()):
+    print(f"\n{len(completed)}/{len(results)} points completed "
+          f"(parallel {args.parallel})")
+    for name, value in counters.items():
         print(f"{name}: {value:.0f}")
     if args.report_out:
         chaos_report = {
             "seed": args.seed,
             "plan": plan.to_text() if plan is not None else None,
-            "shards": stats["shards"],
-            "shard_deaths": deaths,
+            "parallel": args.parallel,
             "counters": counters,
             "completed": len(completed) == len(results),
             "runs": [{"id": r.point.experiment_id, "status": r.status,
-                      "source": r.source,
+                      "attempts": r.attempts, "source": r.source,
                       **({"error": r.error} if r.error else {})}
                      for r in results],
         }
@@ -292,19 +295,17 @@ def _chaos_serve(args, plan) -> int:
             json.dump(chaos_report, f, sort_keys=True, indent=2)
             f.write("\n")
         print(f"wrote {args.report_out}")
-    if plan is not None and deaths == 0:
-        print("serve chaos run killed no shard: the plan never "
-              "matched (check task=shard-<i> stage=service.shard)",
-              file=sys.stderr)
+    if plan is not None and _fault_events(counters) == 0:
+        print("serve chaos run injected no faults: the plan never "
+              "matched (check task/stage patterns)", file=sys.stderr)
         return 1
     if len(completed) != len(results):
         failed = ", ".join(r.point.experiment_id for r in results
                            if r.status != "ok")
-        print(f"sweep did not survive the shard kill: no result for "
+        print(f"sweep did not survive the faults: no result for "
               f"{failed}", file=sys.stderr)
         return 1
-    print("\nsweep survived: every point completed on the "
-          "surviving shards")
+    print("\nsweep survived: every point completed")
     return 0
 
 
@@ -312,9 +313,8 @@ def _cmd_serve(args) -> int:
     from .service.broker import ServiceConfig, serve
     config = ServiceConfig(host=args.host, port=args.port,
                            socket_path=args.socket,
-                           shards=args.shards,
+                           parallel=args.parallel,
                            cache_dir=args.cache_dir,
-                           shard_mode=args.shard_mode,
                            timeout_s=args.timeout or None,
                            retries=args.retries)
     try:
@@ -422,8 +422,7 @@ def _cmd_eco(args) -> int:
     from .tech import make_process
     fold = FoldSpec(mode=args.fold_mode) if args.fold else None
     eco = EcoConfig(target_wns_ps=args.target_wns,
-                    max_rounds=args.max_rounds,
-                    full_recompute=args.full_recompute)
+                    max_rounds=args.max_rounds)
     process = make_process()
     base_cfg = FlowConfig(scale=args.scale, seed=args.seed, fold=fold,
                           bonding=args.bonding,
@@ -676,7 +675,8 @@ def main(argv=None) -> int:
                          help="comma-separated experiment ids")
     p_chaos.add_argument("--scale", type=float, default=0.7)
     p_chaos.add_argument("--parallel", type=int, default=0, metavar="N",
-                         help="worker processes (0/1 = serial)")
+                         help="worker processes (0/1 = serial); with "
+                              "--serve, the broker's --parallel")
     p_chaos.add_argument("--timeout", type=float, default=300.0,
                          metavar="S",
                          help="per-experiment wall-clock budget per "
@@ -696,10 +696,8 @@ def main(argv=None) -> int:
                          help="write the merged span/metrics trace")
     p_chaos.add_argument("--serve", action="store_true",
                          help="chaos-test the service broker instead: "
-                              "kill shards mid-sweep and require the "
-                              "survivors to finish it")
-    p_chaos.add_argument("--shards", type=int, default=2, metavar="N",
-                         help="broker shard count for --serve")
+                              "the sweep runs through a broker under "
+                              "the plan and every point must complete")
     p_chaos.set_defaults(func=_cmd_chaos)
 
     p_serve = sub.add_parser(
@@ -710,15 +708,13 @@ def main(argv=None) -> int:
                          help="TCP port (0 = ephemeral)")
     p_serve.add_argument("--socket", default=None, metavar="PATH",
                          help="listen on a unix socket instead of TCP")
-    p_serve.add_argument("--shards", type=int, default=2, metavar="N",
-                         help="work-stealing worker shard count")
+    p_serve.add_argument("--parallel", type=int, default=2, metavar="N",
+                         help="points run at once: 0/1 = one at a time "
+                              "in-process, N = N supervised worker "
+                              "processes")
     p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="shared persistent tier (design cache + "
                               "result store)")
-    p_serve.add_argument("--shard-mode", default="process",
-                         choices=["process", "inline"],
-                         help="run points in supervised worker "
-                              "processes (default) or in-process")
     p_serve.add_argument("--timeout", type=float, default=0.0,
                          metavar="S",
                          help="default per-point wall-clock budget "
@@ -799,9 +795,6 @@ def main(argv=None) -> int:
     p_eco.add_argument("--target-wns", type=float, default=0.0,
                        help="slack target in ps (default 0)")
     p_eco.add_argument("--max-rounds", type=int, default=4)
-    p_eco.add_argument("--full-recompute", action="store_true",
-                       help="disable every incremental path (parity "
-                       "baseline)")
     p_eco.add_argument("--best-effort", action="store_true",
                        help="exit 0 even when the target is not met")
     p_eco.set_defaults(func=_cmd_eco)

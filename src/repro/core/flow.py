@@ -74,10 +74,6 @@ class FlowConfig:
     #: run the static checker at stage boundaries and raise
     #: :class:`repro.lint.LintError` on any unwaived error
     assert_clean: bool = False
-    #: disable the optimizer's incremental timing/parasitic core and
-    #: fully re-route + re-time after every transform chunk (identical
-    #: results, much slower; baseline / bisection aid)
-    opt_full_recompute: bool = False
     #: 3D die-assignment style: ``"fold"`` keeps the partitioner's
     #: tiers (the paper's flow, default); ``"bistratal"`` refines the
     #: movable cells analytically with the coupled-planes z solve
@@ -265,8 +261,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
                              route_ctx.route_block,
                              OptimizeConfig(
                                  rounds=config.opt_rounds,
-                                 dual_vth=config.dual_vth,
-                                 full_recompute=config.opt_full_recompute),
+                                 dual_vth=config.dual_vth),
                              route_net_fn=route_ctx.route_net)
     stage_times_ms["optimize"] = sp_opt.duration_ms
 

@@ -39,7 +39,6 @@ SPAN_PLACE_LEGALIZE = "place.legalize"
 SPAN_PLACE_PARTITION = "place.partition"
 SPAN_SERVICE_POINT = "service.point"
 SPAN_SERVICE_REQUEST = "service.request"
-SPAN_SERVICE_SHARD_DEATH = "service.shard_death"
 SPAN_TASK_CRASH = "task.crash"
 SPAN_TASK_GAVE_UP = "task.gave_up"
 SPAN_TASK_RETRY = "task.retry"
@@ -72,7 +71,6 @@ SPAN_NAMES = (
     SPAN_PLACE_PARTITION,
     SPAN_SERVICE_POINT,
     SPAN_SERVICE_REQUEST,
-    SPAN_SERVICE_SHARD_DEATH,
     SPAN_TASK_CRASH,
     SPAN_TASK_GAVE_UP,
     SPAN_TASK_RETRY,
@@ -119,8 +117,6 @@ CTR_SERVICE_FAILED = "service.failed"
 CTR_SERVICE_POINTS = "service.points"
 CTR_SERVICE_REQUESTS = "service.requests"
 CTR_SERVICE_RESULT_HITS = "service.result_hits"
-CTR_SERVICE_SHARD_DEATHS = "service.shard_deaths"
-CTR_SERVICE_STEALS = "service.steals"
 CTR_STA_FULL_REBUILDS = "sta.full_rebuilds"
 CTR_STA_LEVELS = "sta.levels"
 CTR_STA_TOPOLOGY_PATCHES = "sta.topology_patches"
@@ -170,8 +166,6 @@ CTR_NAMES = (
     CTR_SERVICE_POINTS,
     CTR_SERVICE_REQUESTS,
     CTR_SERVICE_RESULT_HITS,
-    CTR_SERVICE_SHARD_DEATHS,
-    CTR_SERVICE_STEALS,
     CTR_STA_FULL_REBUILDS,
     CTR_STA_LEVELS,
     CTR_STA_TOPOLOGY_PATCHES,

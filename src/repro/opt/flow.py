@@ -203,7 +203,6 @@ class _TimingCore:
 def optimize_block(netlist: Netlist, process: ProcessNode,
                    timing: TimingConfig, route_fn: RouteFn,
                    config: Optional[OptimizeConfig] = None,
-                   full_recompute: Optional[bool] = None,
                    route_net_fn: Optional[RouteNetFn] = None
                    ) -> OptimizeResult:
     """Run the staged timing/power optimization on a placed block.
@@ -214,8 +213,6 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
         timing: clock domain and I/O budgets.
         route_fn: re-routes the netlist (knows layers and 3D via sites).
         config: loop configuration.
-        full_recompute: override ``config.full_recompute`` (the
-            escape hatch disabling the incremental core).
         route_net_fn: optional per-net re-route with the same context
             as ``route_fn``; when given, buffer insertion is absorbed
             incrementally (touched nets only) instead of triggering a
@@ -225,11 +222,9 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
         The converged routing, timing and clock tree plus move counters.
     """
     config = config or OptimizeConfig()
-    if full_recompute is None:
-        full_recompute = config.full_recompute
     lib = process.library
     core = _TimingCore(netlist, process, timing, route_fn,
-                       incremental=not full_recompute,
+                       incremental=not config.full_recompute,
                        route_net_fn=route_net_fn)
 
     buffers_added = 0

@@ -75,6 +75,18 @@ from ..tech.process import make_process
 #: worker-local state built once per worker process
 _WORKER: Dict[str, Any] = {}
 
+#: multiprocessing start method of every supervised worker
+MP_CONTEXT = "spawn"
+#: base delay before a task's second attempt
+BACKOFF_S = 0.25
+#: exponential growth of the retry delay per attempt
+BACKOFF_FACTOR = 2.0
+#: fractional random spread added to each retry delay
+JITTER = 0.25
+#: how long a killed worker may take to die before ``terminate``
+#: escalates to ``kill``
+TERM_GRACE_S = 2.0
+
 
 def _init_worker(cache_dir: Optional[str]) -> None:
     _WORKER["process"] = make_process()
@@ -122,21 +134,13 @@ class ResilienceConfig:
             (crashed workers are still detected -- collection never
             blocks forever on a dead process).
         retries: extra attempts after the first (``0`` = fail fast).
-        backoff_s: base delay before the second attempt.
-        backoff_factor: exponential growth of the delay per attempt.
-        jitter: fractional random spread added to each delay; the
-            randomness is seeded per (task, attempt), so reruns of the
-            same request schedule identically.
-        term_grace_s: how long a killed worker may take to die before
-            escalating from ``terminate`` to ``kill``.
+
+    Retry delays grow from :data:`BACKOFF_S` by :data:`BACKOFF_FACTOR`
+    per attempt plus up to :data:`JITTER` of random spread.
     """
 
     timeout_s: Optional[float] = None
     retries: int = 0
-    backoff_s: float = 0.25
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-    term_grace_s: float = 2.0
 
     @property
     def max_attempts(self) -> int:
@@ -150,9 +154,9 @@ class ResilienceConfig:
         (string-seeded :class:`random.Random` is stable across
         processes), so the same run replays the same schedule.
         """
-        base = self.backoff_s * (self.backoff_factor ** (attempt - 1))
+        base = BACKOFF_S * (BACKOFF_FACTOR ** (attempt - 1))
         rng = random.Random(f"repro-backoff:{seed}:{task_key}:{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
+        return base * (1.0 + JITTER * rng.random())
 
 
 @dataclass
@@ -295,33 +299,17 @@ class BenchReport:
                                   meta=header)
 
 
-def _run_one(task: Tuple[str, float, int]) -> Tuple[ExperimentRun, Dict]:
-    """Worker body: run one experiment against worker-local state.
-
-    Ships back, besides the serialized result, this *task's* spans and
-    its cache/metrics deltas -- worker state can be cumulative, so only
-    before/after differences aggregate correctly in the parent.
-    """
+def _run_one(task: Tuple[str, float, int]) -> ExperimentRun:
+    """Worker body: run one experiment against worker-local state."""
     experiment_id, scale, seed = task
-    tracer = trace.get_tracer()
-    n_spans = len(tracer.spans)
-    metrics_before = metrics().snapshot()
-    cache_before = _WORKER["cache"].stats.as_dict()
     t0 = time.perf_counter()
     result = run_experiment(experiment_id, ExperimentOptions(
         process=_WORKER["process"], scale=scale, seed=seed,
         cache=_WORKER["cache"]))
-    run = ExperimentRun(experiment_id=experiment_id,
-                        wall_s=time.perf_counter() - t0,
-                        all_passed=result.all_passed,
-                        result=result_to_dict(result))
-    payload = {
-        "cache": _cache_delta(_WORKER["cache"].stats.as_dict(),
-                              cache_before),
-        "spans": [sp.to_dict() for sp in tracer.spans[n_spans:]],
-        "metrics": metrics().diff(metrics_before),
-    }
-    return run, payload
+    return ExperimentRun(experiment_id=experiment_id,
+                         wall_s=time.perf_counter() - t0,
+                         all_passed=result.all_passed,
+                         result=result_to_dict(result))
 
 
 def _run_point(task: Tuple[str, bool, float, int]):
@@ -362,10 +350,10 @@ def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
 
     Sends exactly one message back: ``("ok", index, value, payload)``
     or ``("error", index, message, payload)`` -- the payload carries
-    the worker's spans/metrics/cache deltas either way, so injected
-    faults recorded before a failure still aggregate in the parent.
-    Crashes and hangs send nothing; the supervisor detects those from
-    the outside.
+    the worker's spans/metrics/cache deltas since this function's
+    first line either way, so injected faults (the ``task`` stage's
+    included) still aggregate in the parent.  Crashes and hangs send
+    nothing; the supervisor detects those from the outside.
     """
     n_spans = len(trace.get_tracer().spans)
     metrics_before = metrics().snapshot()
@@ -378,14 +366,10 @@ def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
         _init_worker(cache_dir)
         with faults.task_context(_task_label(kind, task), attempt):
             faults.fault_point("task")
-            if kind == "experiment":
-                run, payload = _run_one(task)
-                msg = ("ok", index, run, payload)
-            else:
-                value = _run_point(task)
-                msg = ("ok", index, value,
-                       _obs_payload(n_spans, metrics_before,
-                                    cache_before))
+            value = (_run_one(task) if kind == "experiment"
+                     else _run_point(task))
+        msg = ("ok", index, value,
+               _obs_payload(n_spans, metrics_before, cache_before))
     except faults.InjectedCrash:
         # die without a word: the supervisor must detect this from the
         # exit code alone and replace the worker
@@ -417,6 +401,19 @@ class _Outcome:
     wall_s: float = 0.0
 
 
+def _outcome_run(experiment_id: str, o: _Outcome) -> ExperimentRun:
+    """The :class:`ExperimentRun` one supervised experiment task
+    reports: the worker's run on success, a result-less degraded run
+    otherwise."""
+    if o.status == "ok":
+        run = o.value
+        run.attempts = o.attempts
+        return run
+    return ExperimentRun(experiment_id=experiment_id, wall_s=o.wall_s,
+                         all_passed=False, result={}, status=o.status,
+                         attempts=o.attempts, error=o.error)
+
+
 @dataclass
 class _Live:
     """One in-flight worker process."""
@@ -428,14 +425,14 @@ class _Live:
     t0: float
 
 
-def _stop_worker(lv: _Live, grace_s: float) -> None:
+def _stop_worker(lv: _Live) -> None:
     """Kill one worker process, escalating terminate -> kill."""
     try:
         lv.proc.terminate()
-        lv.proc.join(grace_s)
+        lv.proc.join(TERM_GRACE_S)
         if lv.proc.is_alive():
             lv.proc.kill()
-            lv.proc.join(grace_s)
+            lv.proc.join(TERM_GRACE_S)
     except Exception:
         pass
     try:
@@ -446,7 +443,7 @@ def _stop_worker(lv: _Live, grace_s: float) -> None:
 
 def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
                cache_dir: Optional[str], res: ResilienceConfig,
-               seed: int, mp_context: str,
+               seed: int,
                plan: Optional[FaultPlan]) -> Dict[int, _Outcome]:
     """Run every task in its own worker process, resiliently.
 
@@ -458,7 +455,7 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
     one :class:`_Outcome` per task; never raises for task-level
     failures and never blocks on a dead worker.
     """
-    ctx = multiprocessing.get_context(mp_context)
+    ctx = multiprocessing.get_context(MP_CONTEXT)
     n = len(tasks)
     max_workers = max(1, min(parallel, n))
     #: (not_before monotonic, index, attempt)
@@ -547,9 +544,9 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
                         msg = None
                 if msg is not None:
                     del live[index]
-                    lv.proc.join(res.term_grace_s)
+                    lv.proc.join(TERM_GRACE_S)
                     if lv.proc.is_alive():
-                        _stop_worker(lv, res.term_grace_s)
+                        _stop_worker(lv)
                     else:
                         lv.conn.close()
                     status, _, value, payload = msg
@@ -581,7 +578,7 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
                         f"{lv.proc.exitcode})", now - lv.t0, None)
                 elif lv.deadline is not None and now >= lv.deadline:
                     del live[index]
-                    _stop_worker(lv, res.term_grace_s)
+                    _stop_worker(lv)
                     metrics().counter("tasks.timed_out").inc()
                     with trace.span(
                             "task.timeout",
@@ -595,7 +592,7 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
                         now - lv.t0, None)
     finally:
         for lv in live.values():
-            _stop_worker(lv, res.term_grace_s)
+            _stop_worker(lv)
     return out
 
 
@@ -605,10 +602,8 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
                     seed: int = 1,
                     cache_dir: Optional[str] = None,
                     process=None,
-                    mp_context: str = "spawn",
                     timeout_s: Optional[float] = None,
                     retries: int = 0,
-                    resilience: Optional[ResilienceConfig] = None,
                     fault_plan: Optional[FaultPlan] = None
                     ) -> BenchReport:
     """Run a set of registered experiments, serially or supervised.
@@ -624,13 +619,10 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
             by all workers.
         process: technology node for the serial path (workers always
             build their own).
-        mp_context: multiprocessing start method.
         timeout_s: per-task wall-clock budget per attempt (parallel
             workers are killed at the deadline; the serial path
             enforces it cooperatively against injected hangs).
         retries: extra attempts for failed/timed-out tasks.
-        resilience: full :class:`ResilienceConfig`; overrides
-            ``timeout_s``/``retries`` when given.
         fault_plan: chaos plan to activate for this run (shipped to
             every worker; the serial path installs it for the run's
             duration).  Defaults to the ambient plan (``REPRO_FAULTS``
@@ -650,16 +642,13 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
     request = SweepRequest.from_ids(ids, scale=scale, seed=seed,
                                     timeout_s=timeout_s, retries=retries)
     return run_sweep(request, parallel=parallel, cache_dir=cache_dir,
-                     process=process, mp_context=mp_context,
-                     resilience=resilience, fault_plan=fault_plan)
+                     process=process, fault_plan=fault_plan)
 
 
 def run_sweep(request: SweepRequest,
               parallel: int = 0,
               cache_dir: Optional[str] = None,
               process=None,
-              mp_context: str = "spawn",
-              resilience: Optional[ResilienceConfig] = None,
               fault_plan: Optional[FaultPlan] = None) -> BenchReport:
     """Run one :class:`~repro.service.schema.SweepRequest`.
 
@@ -667,8 +656,7 @@ def run_sweep(request: SweepRequest,
     service broker and library callers all build a frozen
     :class:`SweepRequest` and hand it here, instead of re-threading
     flag soup into engine kwargs.  The request's ``timeout_s`` /
-    ``retries`` seed the :class:`ResilienceConfig` unless an explicit
-    ``resilience`` overrides them.
+    ``retries`` are the run's :class:`ResilienceConfig`.
 
     Raises:
         ValueError: when the request is empty, names unknown ids,
@@ -685,9 +673,8 @@ def run_sweep(request: SweepRequest,
             f"{', '.join(dupes)}; results are keyed by id -- submit "
             f"each id once (concurrent identical sweeps coalesce on "
             f"the service broker instead)")
-    res = resilience if resilience is not None else \
-        ResilienceConfig(timeout_s=request.timeout_s,
-                         retries=request.retries)
+    res = ResilienceConfig(timeout_s=request.timeout_s,
+                           retries=request.retries)
     plan = fault_plan if fault_plan is not None else faults.active_plan()
     tasks = [(p.experiment_id, p.scale, p.seed) for p in request.points]
     ids = request.experiment_ids()
@@ -701,20 +688,12 @@ def run_sweep(request: SweepRequest,
         with trace.span("bench", parallel=parallel, scale=scale,
                         seed=seed, n_experiments=len(ids)):
             outcomes = _supervise("experiment", tasks, parallel,
-                                  cache_dir, res, seed, mp_context, plan)
+                                  cache_dir, res, seed, plan)
         runs = []
         payloads = []
         for i, (eid, _, _) in enumerate(tasks):
             o = outcomes[i]
-            if o.status == "ok":
-                run = o.value
-                run.attempts = o.attempts
-            else:
-                run = ExperimentRun(experiment_id=eid, wall_s=o.wall_s,
-                                    all_passed=False, result={},
-                                    status=o.status, attempts=o.attempts,
-                                    error=o.error)
-            runs.append(run)
+            runs.append(_outcome_run(eid, o))
             if o.payloads:
                 payloads.extend(o.payloads)
                 worker_stats.append(_aggregate_cache(
@@ -810,7 +789,7 @@ def _run_serial_task(eid: str, scale: float, sd: int, proc, cache,
 
 
 # ---------------------------------------------------------------------------
-# Single-point entry points (the service broker's shard bodies)
+# Single-point entry points (the service broker's point runners)
 # ---------------------------------------------------------------------------
 
 def run_serial_experiment(point: PointSpec, process=None, cache=None,
@@ -821,8 +800,8 @@ def run_serial_experiment(point: PointSpec, process=None, cache=None,
     The cooperative twin of :func:`run_supervised_experiment`: no
     worker process is spawned, so timeouts only preempt injected
     hangs, but a caller-owned ``process``/``cache`` pair amortizes
-    across calls -- this is the broker's fast inline-shard body and is
-    also handy for tests.  Never raises for task-level failures; the
+    across calls -- this is how the broker runs points at
+    ``parallel`` <= 1, and is also handy for tests.  Never raises for task-level failures; the
     returned :class:`ExperimentRun` carries ``status`` / ``error``.
     """
     res = resilience if resilience is not None else ResilienceConfig()
@@ -837,33 +816,24 @@ def run_supervised_experiment(point: PointSpec,
                               cache_dir: Optional[str] = None,
                               resilience: Optional[ResilienceConfig]
                               = None,
-                              mp_context: str = "spawn",
                               fault_plan: Optional[FaultPlan] = None
                               ) -> ExperimentRun:
     """Run one sweep point under the full worker supervisor.
 
     The point gets its own spawned worker process with hard-kill
     timeouts, crash detection and retry-with-replacement -- exactly
-    one task through :func:`_supervise`.  This is the broker's
-    ``process`` shard body: a shard survives anything the point does,
+    one task through :func:`_supervise`.  This is how the broker runs
+    points at ``parallel`` > 1: it survives anything the point does,
     including a worker segfault.
     """
     res = resilience if resilience is not None else ResilienceConfig()
     plan = fault_plan if fault_plan is not None else faults.active_plan()
     task = (point.experiment_id, point.scale, point.seed)
-    outcomes = _supervise("experiment", [task], 1, cache_dir, res,
-                          point.seed, mp_context, plan)
-    o = outcomes[0]
+    o = _supervise("experiment", [task], 1, cache_dir, res,
+                   point.seed, plan)[0]
     for p in o.payloads:
         metrics().merge_snapshot(p["metrics"])
-    if o.status == "ok":
-        run = o.value
-        run.attempts = o.attempts
-        return run
-    return ExperimentRun(experiment_id=point.experiment_id,
-                         wall_s=o.wall_s, all_passed=False, result={},
-                         status=o.status, attempts=o.attempts,
-                         error=o.error)
+    return _outcome_run(point.experiment_id, o)
 
 
 # ---------------------------------------------------------------------------
@@ -875,10 +845,8 @@ def explore_points(grid: Sequence[Tuple[str, bool]],
                    seed: int = 1,
                    parallel: int = 2,
                    cache_dir: Optional[str] = None,
-                   mp_context: str = "spawn",
                    timeout_s: Optional[float] = None,
                    retries: int = 0,
-                   resilience: Optional[ResilienceConfig] = None,
                    fault_plan: Optional[FaultPlan] = None,
                    allow_partial: bool = False) -> List:
     """Evaluate design-space grid points across supervised workers.
@@ -895,8 +863,7 @@ def explore_points(grid: Sequence[Tuple[str, bool]],
     slot (results are deterministic per task triple, so replication is
     exact -- and never silently overwrites a differing value).
     """
-    res = resilience if resilience is not None else \
-        ResilienceConfig(timeout_s=timeout_s, retries=retries)
+    res = ResilienceConfig(timeout_s=timeout_s, retries=retries)
     plan = fault_plan if fault_plan is not None else faults.active_plan()
     all_tasks = [(style, dual_vth, scale, seed)
                  for style, dual_vth in grid]
@@ -910,7 +877,7 @@ def explore_points(grid: Sequence[Tuple[str, bool]],
             tasks.append(task)
         slot_of.append(first_slot[task])
     outcomes = _supervise("point", tasks, max(parallel, 1), cache_dir,
-                          res, seed, mp_context, plan)
+                          res, seed, plan)
     # fold worker metric deltas in, so parallel exploration counts work
     for o in outcomes.values():
         for p in o.payloads:

@@ -7,9 +7,9 @@ Three layers, importable independently:
   :class:`PointResult`) shared by the CLI, the engine's
   :func:`repro.parallel.run_sweep` and the network protocol;
 * :mod:`repro.service.broker` -- the asyncio broker
-  (``python -m repro serve``): work-stealing shards, request
-  coalescing, a shared result store, streaming completion-order
-  results;
+  (``python -m repro serve``): a thin front end that runs each point
+  through the engine's single-point runners, with request coalescing,
+  a shared result store and streaming completion-order results;
 * :mod:`repro.service.client` -- the blocking socket client
   (``submit`` / ``stream`` / ``collect`` / ``cancel``).
 

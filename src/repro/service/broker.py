@@ -7,18 +7,18 @@ stream back *as each point completes* -- completion order, not request
 order; the request-order batch view stays available through
 :func:`repro.parallel.run_sweep`.
 
-Scheduling is work-stealing over ``shards`` worker shards.  Each shard
-is an asyncio consumer loop feeding a single-thread executor whose
-body wraps the existing resilient engine: ``shard_mode="process"``
-runs every point under the full worker supervisor
-(:func:`~repro.parallel.engine.run_supervised_experiment` -- hard
-timeouts, crash replacement), ``shard_mode="inline"`` runs points
-in-process with a shard-local design cache
+The broker is a front end over the engine, not a second executor.
+Fresh points wait in one FIFO queue and at most ``parallel`` of them
+run at once, each through one of the engine's single-point runners
+-- the same split and meaning as ``run_sweep`` and ``bench
+--parallel``: ``parallel`` <= 1 runs points one at a time in-process
+against a broker-owned design cache
 (:func:`~repro.parallel.engine.run_serial_experiment` -- no spawn
-cost, cooperative timeouts).  A shard with an empty queue steals from
-the deepest peer queue's tail, so one slow sweep cannot idle the rest
-of the pool -- and when chaos testing kills a shard outright (see
-below) its queue drains through the survivors.
+cost, cooperative timeouts), ``parallel`` > 1 runs each point in its
+own supervised worker process
+(:func:`~repro.parallel.engine.run_supervised_experiment` -- hard
+timeouts, crash replacement).  Retries, backoff, timeouts and the
+``tasks.*`` metrics live only in the engine.
 
 Two layers keep repeated work free:
 
@@ -31,12 +31,13 @@ Two layers keep repeated work free:
   unique point (``service.coalesced`` counts the saved runs).
 
 Failure contract: a client disconnect only unsubscribes that client
--- in-flight jobs finish for their other subscribers (or the store)
-and the shard is untouched.  Chaos testing reuses :mod:`repro.faults`:
-each shard claims work under ``task_context("shard-<i>")`` and passes
-``fault_point("service.shard")``; a matching ``raise``/``crash`` spec
-kills the shard, its queue is redistributed, and the sweep still
-completes -- ``python -m repro chaos --serve`` asserts exactly this.
+-- in-flight jobs finish for their other subscribers (or the store),
+and a queued job nobody waits for any more is dropped unexecuted
+(``service.dropped``).  Chaos testing reuses :mod:`repro.faults`: a
+broker started with a fault plan installs it for its lifetime, so the
+engine's ``task`` and flow-stage hooks fire inside every point, and
+the engine's retries must absorb them -- ``python -m repro chaos
+--serve`` asserts exactly this.
 
 Everything observable goes through :mod:`repro.obs` under ``service.*``
 names (see the generated ``repro.obs.names`` registry).
@@ -50,7 +51,8 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ..analysis.experiments import REGISTRY
 from ..core.cache import DesignCache
@@ -66,8 +68,9 @@ from .schema import (SCHEMA_VERSION, PointResult, PointSpec, SchemaError,
                      SweepRequest, decode_line, encode_line)
 from .store import ResultStore
 
-#: shard execution styles
-SHARD_MODES = ("process", "inline")
+#: wire-line size limit (result JSON is big; the asyncio default of
+#: 64 KiB would truncate it)
+MAX_LINE_BYTES = 8 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -78,79 +81,23 @@ class ServiceConfig:
         host / port: TCP listen address; port ``0`` binds an ephemeral
             port (read it back from :attr:`Broker.port`).
         socket_path: listen on a unix socket instead of TCP.
-        shards: worker shard count (each consumes one point at a
-            time; work-stealing balances their queues).
-        cache_dir: shared persistent tier -- the design cache for the
-            shards *and* the broker's result store live under it.
-        shard_mode: ``"process"`` supervises every point in its own
-            spawned worker (production); ``"inline"`` runs points
-            in-process (fast startup -- tests, quick loads).
+        parallel: points run at once, as ``bench --parallel``:
+            ``0``/``1`` runs them one at a time in-process, ``N > 1``
+            runs up to N at a time, each in its own supervised worker
+            process.
+        cache_dir: shared persistent tier -- the design cache of every
+            point *and* the broker's result store live under it.
         timeout_s / retries: default resilience for points whose
             request does not set its own.
-        mp_context: start method for ``"process"`` mode workers.
-        max_line_bytes: wire-line size limit (result JSON is big;
-            the asyncio default of 64 KiB would truncate it).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     socket_path: Optional[str] = None
-    shards: int = 2
+    parallel: int = 2
     cache_dir: Optional[str] = None
-    shard_mode: str = "process"
     timeout_s: Optional[float] = None
     retries: int = 0
-    mp_context: str = "spawn"
-    max_line_bytes: int = 8 * 1024 * 1024
-
-
-class _ShardRuntime:
-    """Worker-thread-local state of one shard (built lazily)."""
-
-    __slots__ = ("mode", "cache_dir", "mp_context", "process", "cache")
-
-    def __init__(self, mode: str, cache_dir: Optional[str],
-                 mp_context: str):
-        self.mode = mode
-        self.cache_dir = cache_dir
-        self.mp_context = mp_context
-        self.process = None
-        self.cache = None
-
-
-def _execute_job(runtime: _ShardRuntime, spec: PointSpec,
-                 res: ResilienceConfig) -> ExperimentRun:
-    """Shard executor body: run one point through the engine.
-
-    Module-level on purpose -- executor callables must not capture
-    event-loop state (and the concurrency analyzer enforces the
-    idiom repo-wide).
-    """
-    if runtime.mode == "process":
-        return run_supervised_experiment(spec,
-                                         cache_dir=runtime.cache_dir,
-                                         resilience=res,
-                                         mp_context=runtime.mp_context)
-    if runtime.process is None:
-        runtime.process = make_process()
-        runtime.cache = DesignCache(cache_dir=runtime.cache_dir)
-    return run_serial_experiment(spec, process=runtime.process,
-                                 cache=runtime.cache, resilience=res)
-
-
-class _Shard:
-    """One work-stealing consumer: a queue, a loop, a worker thread."""
-
-    def __init__(self, index: int, config: ServiceConfig):
-        self.index = index
-        self.queue: Deque["_Job"] = deque()
-        self.alive = True
-        self.runtime = _ShardRuntime(config.shard_mode,
-                                     config.cache_dir,
-                                     config.mp_context)
-        self.pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-shard-{index}")
-        self.task: Optional[asyncio.Task] = None
 
 
 class _Job:
@@ -180,32 +127,39 @@ class _Session:
 
 
 class Broker:
-    """The service: sessions in, shards out, everything observable.
+    """The service: sessions in, engine runs out, everything observable.
 
-    All broker state is mutated only on the event-loop thread; shard
-    worker threads touch nothing but their own :class:`_ShardRuntime`.
+    All broker state is mutated only on the event-loop thread; the
+    executor threads do nothing but run the engine on one point.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  fault_plan: Optional[FaultPlan] = None):
         self.config = config or ServiceConfig()
-        if self.config.shard_mode not in SHARD_MODES:
-            raise ValueError(
-                f"shard_mode must be one of {SHARD_MODES}, "
-                f"got {self.config.shard_mode!r}")
         self._plan = fault_plan
         self._prev_plan: Optional[FaultPlan] = None
         self._process = make_process()
         self._store = ResultStore(cache_dir=self.config.cache_dir)
+        self._limit = max(1, self.config.parallel)
+        if self.config.parallel > 1:
+            self._run_point = partial(run_supervised_experiment,
+                                      cache_dir=self.config.cache_dir)
+        else:
+            self._run_point = partial(
+                run_serial_experiment, process=self._process,
+                cache=DesignCache(cache_dir=self.config.cache_dir))
+        self._pool = ThreadPoolExecutor(max_workers=self._limit,
+                                        thread_name_prefix="repro-point")
         self._jobs: Dict[str, _Job] = {}
-        self._shards: List[_Shard] = []
+        #: fresh jobs waiting for a free slot, oldest first
+        self._queue: Deque[_Job] = deque()
+        #: the (at most ``parallel``) jobs executing right now
+        self._active: Set[asyncio.Task] = set()
         self._sessions: Dict[int, _Session] = {}
         self._request_ids = itertools.count(1)
         self._session_ids = itertools.count(1)
-        self._rr = 0
-        self._running = False
+        self._accepting = False
         self._server: Optional[asyncio.AbstractServer] = None
-        self._wake: Optional[asyncio.Event] = None
         self._stop_event: Optional[asyncio.Event] = None
         self.port: Optional[int] = None
         self.endpoint: Optional[str] = None
@@ -213,47 +167,36 @@ class Broker:
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and start the shard loops."""
+        """Bind the listener."""
         if self._plan is not None:
             self._prev_plan = faults.active_plan()
             faults.install(self._plan)
-        self._running = True
-        self._wake = asyncio.Event()
+        self._accepting = True
         self._stop_event = asyncio.Event()
-        self._shards = [_Shard(i, self.config)
-                        for i in range(max(1, self.config.shards))]
         if self.config.socket_path is not None:
             self._server = await asyncio.start_unix_server(
                 self._handle_conn, path=self.config.socket_path,
-                limit=self.config.max_line_bytes)
+                limit=MAX_LINE_BYTES)
             self.endpoint = self.config.socket_path
         else:
             self._server = await asyncio.start_server(
                 self._handle_conn, host=self.config.host,
-                port=self.config.port, limit=self.config.max_line_bytes)
+                port=self.config.port, limit=MAX_LINE_BYTES)
             self.port = self._server.sockets[0].getsockname()[1]
             self.endpoint = f"{self.config.host}:{self.port}"
-        for shard in self._shards:
-            shard.task = asyncio.ensure_future(self._shard_loop(shard))
 
     async def stop(self) -> None:
-        """Close the listener, stop the shards, drop the sessions."""
-        self._running = False
-        if self._wake is not None:
-            self._wake.set()
+        """Close the listener, abandon queued and running points, drop
+        the sessions."""
+        self._accepting = False
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for shard in self._shards:
-            if shard.task is not None:
-                shard.task.cancel()
-        for shard in self._shards:
-            if shard.task is not None:
-                try:
-                    await shard.task
-                except (asyncio.CancelledError, Exception):
-                    pass
-            shard.pool.shutdown(wait=False, cancel_futures=True)
+        self._queue.clear()
+        for task in self._active:
+            task.cancel()
+        await asyncio.gather(*self._active, return_exceptions=True)
+        self._pool.shutdown(wait=False, cancel_futures=True)
         for session in list(self._sessions.values()):
             self._drop_session(session, expected=True)
         if self._plan is not None:
@@ -277,11 +220,11 @@ class Broker:
         session = _Session(next(self._session_ids), writer)
         self._sessions[session.sid] = session
         try:
-            while self._running:
+            while self._accepting:
                 try:
                     line = await reader.readline()
                 except ValueError:
-                    # line overran max_line_bytes: cannot resync safely
+                    # line overran MAX_LINE_BYTES: cannot resync safely
                     await self._send(session, {
                         "type": "error",
                         "error": "wire line too long"})
@@ -373,7 +316,8 @@ class Broker:
         job = _Job(key=key, spec=spec, resilience=res)
         job.subscribers.append((session, rid, index))
         self._jobs[key] = job
-        await self._enqueue(job)
+        self._queue.append(job)
+        self._pump()
 
     async def _handle_cancel(self, session: _Session,
                              msg: Dict[str, Any]) -> None:
@@ -391,97 +335,33 @@ class Broker:
 
     # -- scheduling ------------------------------------------------------
 
-    async def _enqueue(self, job: _Job) -> None:
-        live = [s for s in self._shards if s.alive]
-        if not live:
-            await self._complete(job, _dead_pool_run(job.spec))
-            return
-        live[self._rr % len(live)].queue.append(job)
-        self._rr += 1
-        assert self._wake is not None
-        self._wake.set()
-
-    def _claim(self, shard: _Shard) -> Optional[_Job]:
-        """Next runnable job: own queue head, else steal a peer tail."""
-        if not shard.alive or not self._running:
-            return None
-        while shard.queue:
-            job = shard.queue.popleft()
-            if job.subscribers:
-                return job
-            self._forget(job)
-        victims = sorted(
-            (s for s in self._shards if s is not shard and s.queue),
-            key=_queue_depth, reverse=True)
-        for victim in victims:
-            while victim.queue:
-                job = victim.queue.pop()
-                if job.subscribers:
-                    metrics().counter("service.steals").inc()
-                    return job
-                self._forget(job)
-        return None
-
-    def _forget(self, job: _Job) -> None:
-        """Drop a queued job every subscriber abandoned."""
-        self._jobs.pop(job.key, None)
-        metrics().counter("service.dropped").inc()
-
-    async def _shard_loop(self, shard: _Shard) -> None:
-        loop = asyncio.get_running_loop()
-        assert self._wake is not None
-        while self._running and shard.alive:
-            job = self._claim(shard)
-            if job is None:
-                # single-threaded loop: nothing can enqueue between
-                # the failed claim and this clear
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(self._wake.wait(),
-                                           timeout=0.25)
-                except asyncio.TimeoutError:
-                    pass
+    def _pump(self) -> None:
+        """Start queued jobs, oldest first, while fewer than
+        ``parallel`` run; a job every subscriber abandoned while it
+        waited is dropped unexecuted."""
+        while (self._accepting and self._queue
+               and len(self._active) < self._limit):
+            job = self._queue.popleft()
+            if not job.subscribers:
+                self._jobs.pop(job.key, None)
+                metrics().counter("service.dropped").inc()
                 continue
-            if not self._survive_fault(shard):
-                await self._abandon_shard(shard, job)
-                return
+            self._active.add(asyncio.ensure_future(self._execute(job)))
+
+    async def _execute(self, job: _Job) -> None:
+        """Run one job through the engine, then fan its result out."""
+        loop = asyncio.get_running_loop()
+        try:
             with trace.span("service.point", key=job.key[:12],
-                            experiment=job.spec.experiment_id,
-                            shard=shard.index):
+                            experiment=job.spec.experiment_id):
                 run = await loop.run_in_executor(
-                    shard.pool, _execute_job, shard.runtime, job.spec,
-                    job.resilience)
+                    self._pool, partial(self._run_point, job.spec,
+                                        resilience=job.resilience))
             metrics().counter("service.computed").inc()
             await self._complete(job, run)
-
-    def _survive_fault(self, shard: _Shard) -> bool:
-        """The chaos seam: a matching fault spec kills this shard."""
-        try:
-            with faults.task_context(f"shard-{shard.index}", 1):
-                faults.fault_point("service.shard")
-            return True
-        except Exception:
-            return False
-
-    async def _abandon_shard(self, shard: _Shard, job: _Job) -> None:
-        """Mark the shard dead and rehome its work on the survivors."""
-        shard.alive = False
-        metrics().counter("service.shard_deaths").inc()
-        with trace.span("service.shard_death", shard=shard.index):
-            pass
-        orphans = [job] + list(shard.queue)
-        shard.queue.clear()
-        live = [s for s in self._shards if s.alive]
-        if not live:
-            for orphan in orphans:
-                await self._complete(orphan,
-                                     _dead_pool_run(orphan.spec))
-            return
-        for orphan in orphans:
-            live[self._rr % len(live)].queue.append(orphan)
-            self._rr += 1
-        assert self._wake is not None
-        self._wake.set()
+        finally:
+            self._active.discard(asyncio.current_task())
+            self._pump()
 
     # -- result fan-out --------------------------------------------------
 
@@ -522,7 +402,8 @@ class Broker:
 
     def _drop_session(self, session: _Session,
                       expected: bool = False) -> None:
-        """Unsubscribe a dead client everywhere; never touch shards."""
+        """Unsubscribe a dead client everywhere; running points
+        finish regardless."""
         if not session.alive:
             return
         session.alive = False
@@ -542,30 +423,17 @@ class Broker:
     # -- introspection ---------------------------------------------------
 
     def _stats_payload(self) -> Dict[str, Any]:
-        snap = metrics().snapshot()
-        counters = {k: v for k, v in snap["counters"].items()
-                    if k.startswith("service.")}
+        counters = metrics().snapshot()["counters"]
         return {
             "type": "stats",
             "schema_version": SCHEMA_VERSION,
-            "counters": counters,
-            "shards": [{"index": s.index, "alive": s.alive,
-                        "queued": len(s.queue)} for s in self._shards],
+            "parallel": self.config.parallel,
+            "counters": {k: v for k, v in counters.items()
+                         if k.startswith(("service.", "tasks."))},
             "jobs_in_flight": len(self._jobs),
             "store_entries": len(self._store),
             "sessions": len(self._sessions),
         }
-
-
-def _queue_depth(shard: _Shard) -> int:
-    return len(shard.queue)
-
-
-def _dead_pool_run(spec: PointSpec) -> ExperimentRun:
-    """The synthetic failure a point gets when every shard is dead."""
-    return ExperimentRun(experiment_id=spec.experiment_id, wall_s=0.0,
-                         all_passed=False, result={}, status="failed",
-                         attempts=1, error="no live shards")
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +448,7 @@ async def _serve_until_stopped(config: Optional[ServiceConfig],
     await broker.start()
     if verbose:
         print(f"repro service listening on {broker.endpoint} "
-              f"({len(broker._shards)} shards, "
-              f"{broker.config.shard_mode} mode)")
+              f"(parallel {broker.config.parallel})")
     try:
         await broker.wait_stopped()
     finally:

@@ -138,7 +138,8 @@ class Client:
         return self._await_type(("pong",))
 
     def stats(self) -> Dict[str, Any]:
-        """The broker's ``service.*`` counters plus shard/store state."""
+        """The broker's ``service.*`` / ``tasks.*`` counters, its
+        ``parallel`` setting and its job/store/session counts."""
         self._send({"type": "stats"})
         return self._await_type(("stats",))
 

@@ -24,7 +24,7 @@ Wire form is newline-delimited, key-sorted JSON (:func:`encode_line` /
 :func:`decode_line`); every ``to_wire`` embeds the schema version and
 every ``from_wire`` rejects versions it does not speak with
 :class:`SchemaError` -- protocol mistakes fail loudly at the edge, not
-deep inside a shard.
+deep inside a running point.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A two-tier store of finished :class:`~repro.service.schema.PointResult`
 objects keyed by :meth:`PointSpec.key` content hashes -- the broker
-consults it before dispatching a point to a shard, so a point any
+consults it before queuing a point to run, so a point any
 client ever completed is served instantly to every later request:
 
 * **memory** -- a FIFO-capped dict (same policy as the design cache's

@@ -1,6 +1,7 @@
 """Smoke tests: the CLI and every example script actually run."""
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -55,6 +56,53 @@ class TestCli:
         assert cli_main(["chip", "2d", "--scale", "0.3"]) == 0
         out = capsys.readouterr().out
         assert "inter-block wirelength" in out
+
+
+class TestEcoCli:
+    def test_eco_closes_the_base_scenario(self, capsys):
+        assert cli_main(["eco", "ncu", "--scale", "0.4",
+                         "--target-wns", "60"]) == 0
+        out = capsys.readouterr().out
+        assert "closure: met after 1 round(s), 9 move(s) applied" in out
+
+    def test_eco_derives_a_neighboring_scenario(self, capsys):
+        assert cli_main(["eco", "l2t", "--scale", "0.5", "--io-budget",
+                         "60", "--derive-io-budget", "120"]) == 0
+        out = capsys.readouterr().out
+        assert "closure: met after 1 round(s), 32 move(s) applied" in out
+        assert "0 full STA rebuilds" in out
+
+
+class TestServiceCli:
+    SWEEP = ["--ids", "table1,table2", "--scale", "0.3"]
+
+    def test_submit_json_matches_bench_byte_for_byte(self, tmp_path,
+                                                     capsys):
+        from repro.service import ServiceConfig, serve_background
+        submitted = tmp_path / "submit.json"
+        benched = tmp_path / "bench.json"
+        with serve_background(ServiceConfig(port=0,
+                                            parallel=0)) as handle:
+            assert cli_main(["submit", "--port", str(handle.port),
+                             *self.SWEEP, "--json-out",
+                             str(submitted)]) == 0
+        assert cli_main(["bench", *self.SWEEP, "--json-out",
+                         str(benched)]) == 0
+        assert submitted.read_bytes() == benched.read_bytes()
+
+    def test_chaos_serve_retries_through_the_default_crash(self, tmp_path,
+                                                           capsys):
+        report_out = tmp_path / "serve-chaos.json"
+        assert cli_main(["chaos", "--serve", "--ids", "table1",
+                         "--scale", "0.3", "--report-out",
+                         str(report_out)]) == 0
+        report = json.loads(report_out.read_text())
+        assert report["plan"].startswith("crash task=table1 stage=task")
+        assert report["completed"]
+        assert [(r["status"], r["attempts"]) for r in report["runs"]] \
+            == [("ok", 2)]
+        assert report["counters"]["tasks.retried"] == 1
+        assert "sweep survived" in capsys.readouterr().out
 
 
 class TestExamples:

@@ -212,6 +212,21 @@ class TestParallelResilience:
         assert _chaos_counters(report)["tasks.crashed"] == 2.0
 
 
+@pytest.mark.parametrize("parallel", [0, 2])
+def test_task_stage_fault_record_reaches_the_report(parallel, baseline):
+    """A fault at the engine's ``task`` stage, on an attempt that then
+    succeeds, is recorded the same serial and supervised: the worker's
+    payload covers everything since it started, not only the flow."""
+    plan = FaultPlan.parse(
+        "slow task=fig6 stage=task attempt=1 seconds=0.01")
+    report = run_experiments(ids=IDS, scale=SCALE, parallel=parallel,
+                             fault_plan=plan)
+    assert report.completed()
+    assert _chaos_counters(report)["faults.injected"] == 1.0
+    assert "fault.injected" in {sp["name"] for sp in report.spans}
+    assert report.results_json() == baseline.results_json()
+
+
 # ---------------------------------------------------------------------------
 # Cache corruption under the engine
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """End-to-end tests for the experiment service broker.
 
-The broker runs in-process (:func:`serve_background`) with ``inline``
-shards, so test stub experiments registered here execute inside this
-interpreter -- which lets the tests hold submitted work open on a
+The broker runs in-process (:func:`serve_background`) and, unless a
+test says otherwise, at ``parallel=0``: one point at a time inside
+this interpreter, so test stub experiments registered here execute in
+it -- which lets the tests hold submitted work open on a
 :class:`threading.Event` and assert scheduling behaviour (coalescing,
-stealing, disconnects, chaos) deterministically instead of by timing.
+queueing, disconnects) deterministically instead of by timing.  The
+supervised ``parallel > 1`` path spawns real worker processes, so its
+test runs a real experiment.
 """
 
+import contextlib
+import os
+import shutil
+import tempfile
 import threading
 import time
 
@@ -15,11 +22,13 @@ import pytest
 from repro.analysis import experiments as expmod
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import metrics
+from repro.parallel import run_serial_experiment
 from repro.service import (Client, ServiceConfig, ServiceError,
                            serve_background)
-from repro.service.schema import PointSpec, SweepRequest
+from repro.service.schema import PointResult, PointSpec, SweepRequest
+from repro.tech import make_process
 
-STUB_IDS = ("svc_fast", "svc_slow", "svc_gated")
+STUB_IDS = ("svc_fast", "svc_gated")
 
 #: gate the ``svc_gated`` stub blocks on until a test opens it
 _GATE = threading.Event()
@@ -42,16 +51,11 @@ def _stub_result(eid, opts):
 
 @pytest.fixture(scope="module")
 def stub_experiments():
-    """Three throwaway experiments registered for this module only."""
+    """Two throwaway experiments registered for this module only."""
 
     @expmod.experiment("svc_fast", "service stub: returns immediately")
     def _fast(opts):
         return _stub_result("svc_fast", opts)
-
-    @expmod.experiment("svc_slow", "service stub: sleeps 0.4 s")
-    def _slow(opts):
-        time.sleep(0.4)
-        return _stub_result("svc_slow", opts)
 
     @expmod.experiment("svc_gated", "service stub: waits on the gate")
     def _gated(opts):
@@ -70,7 +74,7 @@ def gate():
     _STARTED.clear()
     del _CALLS[:]
     yield _GATE
-    _GATE.set()  # unblock any straggling shard thread
+    _GATE.set()  # unblock any straggling executor thread
 
 
 def _counters():
@@ -83,9 +87,29 @@ def _delta(before, name):
 
 def _config(**kw):
     kw.setdefault("port", 0)
-    kw.setdefault("shards", 2)
-    kw.setdefault("shard_mode", "inline")
+    kw.setdefault("parallel", 0)
     return ServiceConfig(**kw)
+
+
+@contextlib.contextmanager
+def _serve(transport="tcp", fault_plan=None, **kw):
+    """A background broker; yields the :class:`Client` kwargs that
+    reach it over ``transport`` (``"tcp"`` or ``"unix"``)."""
+    if transport == "tcp":
+        with serve_background(_config(**kw), fault_plan) as handle:
+            yield {"port": handle.port}
+        return
+    # AF_UNIX paths cap near 107 bytes and pytest's tmp_path can exceed
+    # that, so the socket goes in a short private temp dir
+    tmp = tempfile.mkdtemp(prefix="repro-svc-")
+    path = os.path.join(tmp, "broker.sock")
+    try:
+        with serve_background(_config(socket_path=path, **kw),
+                              fault_plan) as handle:
+            assert handle.endpoint == path
+            yield {"socket_path": path}
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _poll(predicate, timeout=15.0, what="condition"):
@@ -105,8 +129,19 @@ class TestProtocolBasics:
                 assert pong["type"] == "pong"
                 stats = client.stats()
         assert stats["type"] == "stats"
-        assert [s["alive"] for s in stats["shards"]] == [True, True]
+        assert stats["parallel"] == 0
         assert stats["sessions"] == 1
+
+    @pytest.mark.parametrize("transport", ["tcp", "unix"])
+    def test_round_trip_over_each_listener(self, stub_experiments,
+                                           transport):
+        with _serve(transport) as endpoint:
+            with Client(timeout=30.0, **endpoint) as client:
+                assert client.ping()["type"] == "pong"
+                results = client.collect(SweepRequest(
+                    points=(PointSpec("svc_fast", 1.0, 1),)))
+        assert [r.ok for r in results] == [True]
+        assert results[0].result["table"] == "svc_fast scale=1.0 seed=1"
 
     def test_unknown_experiment_id_is_rejected(self, stub_experiments):
         with serve_background(_config()) as handle:
@@ -184,35 +219,26 @@ class TestCoalescing:
 
 
 class TestScheduling:
-    def test_stream_order_is_completion_order(self, stub_experiments):
-        req = SweepRequest(points=(
-            PointSpec("svc_slow", 1.0, 201),   # shard 0, ~0.4 s
-            PointSpec("svc_fast", 1.0, 201),   # shard 1, immediate
-        ))
-        with serve_background(_config()) as handle:
-            with Client(port=handle.port, timeout=30.0) as client:
-                rid = client.submit(req)
-                order = [index for index, _ in client.stream(rid)]
-        assert order == [1, 0]  # fast point first, not request order
-
-    def test_idle_shard_steals_queued_work(self, stub_experiments):
-        before = _counters()
-        req = SweepRequest(points=(
-            PointSpec("svc_slow", 1.0, 211),  # occupies shard 0
-            PointSpec("svc_fast", 1.0, 211),  # shard 1, done instantly
-            PointSpec("svc_fast", 1.0, 212),  # queued on shard 0,
-        ))                                    # stolen by idle shard 1
-        with serve_background(_config()) as handle:
-            with Client(port=handle.port, timeout=30.0) as client:
-                results = client.collect(req)
-        assert all(r.ok for r in results)
-        assert _delta(before, "service.steals") >= 1
-        assert _delta(before, "service.computed") == 3
+    def test_stream_order_is_completion_order(self, stub_experiments,
+                                              gate):
+        """One in-process worker: a store hit at index 1 streams before
+        the point ahead of it, which is still computing."""
+        stored = PointSpec("svc_fast", 1.0, 201)
+        order = []
+        with _serve() as endpoint:
+            with Client(timeout=30.0, **endpoint) as client:
+                client.collect(SweepRequest(points=(stored,)))
+                rid = client.submit(SweepRequest(points=(
+                    PointSpec("svc_gated", 1.0, 201), stored)))
+                for index, _ in client.stream(rid):
+                    order.append(index)
+                    gate.set()  # the hit is out: let index 0 finish
+        assert order == [1, 0]  # completion order, not request order
 
     def test_cancel_terminates_the_stream(self, stub_experiments,
                                           gate):
         before = _counters()
-        with serve_background(_config(shards=1)) as handle:
+        with serve_background(_config()) as handle:
             with Client(port=handle.port, timeout=30.0) as client:
                 req = SweepRequest(points=(PointSpec("svc_gated",
                                                      1.0, 221),))
@@ -228,13 +254,13 @@ class TestFailureContract:
     def test_disconnect_mid_stream_does_not_poison_the_pool(
             self, stub_experiments, gate):
         before = _counters()
-        with serve_background(_config(shards=1)) as handle:
+        with serve_background(_config()) as handle:
             victim = Client(port=handle.port, timeout=30.0)
             victim.connect()
             rid = victim.submit(SweepRequest(
                 points=(PointSpec("svc_gated", 1.0, 301),)))
             assert rid >= 1
-            # wait until the only shard is blocked inside the gated
+            # wait until the only worker is blocked inside the gated
             # point, then vanish without reading a single result
             assert _STARTED.wait(15.0), "gated point never started"
             victim.close()
@@ -243,32 +269,51 @@ class TestFailureContract:
             gate.set()
             _poll(lambda: _delta(before, "service.computed") == 1,
                   what="the orphaned point to finish")
-            # the same shard must still serve a fresh client
+            # the same worker must still serve a fresh client
             with Client(port=handle.port, timeout=30.0) as client:
                 res = client.collect(SweepRequest(
                     points=(PointSpec("svc_fast", 1.0, 302),)))[0]
-                stats = client.stats()
         assert res.ok
-        assert [s["alive"] for s in stats["shards"]] == [True]
-        assert _delta(before, "service.shard_deaths") == 0
 
-    def test_killed_shard_drains_through_survivors(self,
-                                                   stub_experiments):
-        """Chaos contract: a fault-killed shard's queue is stolen."""
-        plan = FaultPlan.parse("raise task=shard-0 stage=service.shard",
-                               seed=1)
+    def test_queued_job_of_a_vanished_client_is_dropped(
+            self, stub_experiments, gate):
         before = _counters()
-        req = SweepRequest(points=(
-            PointSpec("svc_fast", 1.0, 311),
-            PointSpec("svc_fast", 1.0, 312),
-            PointSpec("svc_fast", 1.0, 313),
-        ))
-        with serve_background(_config(), fault_plan=plan) as handle:
-            with Client(port=handle.port, timeout=30.0) as client:
-                results = client.collect(req)
-                stats = client.stats()
-        assert all(r.ok for r in results)
-        assert len(results) == len(req.points)
-        assert _delta(before, "service.shard_deaths") == 1
-        alive = {s["index"]: s["alive"] for s in stats["shards"]}
-        assert alive == {0: False, 1: True}
+        with _serve() as endpoint:
+            with Client(timeout=30.0, **endpoint) as holder:
+                held = holder.submit(SweepRequest(
+                    points=(PointSpec("svc_gated", 1.0, 311),)))
+                assert _STARTED.wait(15.0), "gated point never started"
+                # the only worker is busy, so this point queues behind
+                # it -- and its one client leaves before it starts
+                victim = Client(timeout=30.0, **endpoint)
+                victim.submit(SweepRequest(
+                    points=(PointSpec("svc_fast", 1.0, 312),)))
+                victim.close()
+                _poll(lambda: _delta(before, "service.disconnects") == 1,
+                      what="the broker to notice the disconnect")
+                gate.set()
+                assert [r.ok for _, r in holder.stream(held)] == [True]
+                _poll(lambda: _delta(before, "service.dropped") == 1,
+                      what="the abandoned job to be dropped")
+        assert ("svc_fast", 1.0, 312) not in _CALLS
+        assert _delta(before, "service.computed") == 1
+
+
+class TestSupervisedExecution:
+    def test_crashed_workers_retry_to_the_serial_bytes(self):
+        """``parallel > 1`` runs each point in a supervised worker: the
+        engine replaces a worker that crashed on the first attempt, and
+        the retried result is the in-process result, byte for byte."""
+        plan = FaultPlan.parse("crash task=table1 stage=task attempt=1")
+        points = (PointSpec("table1", 0.3, 1), PointSpec("table1", 0.3, 2))
+        before = _counters()
+        with _serve(parallel=2, retries=1, fault_plan=plan) as endpoint:
+            with Client(timeout=120.0, **endpoint) as client:
+                results = client.collect(SweepRequest(points=points))
+        assert [(r.status, r.attempts) for r in results] == [("ok", 2)] * 2
+        assert _delta(before, "tasks.crashed") == 2
+        process = make_process()
+        for point, result in zip(points, results):
+            run = run_serial_experiment(point, process=process)
+            want = PointResult.from_run(run, point, point.key(process))
+            assert result.canonical_json() == want.canonical_json()
