@@ -14,6 +14,7 @@ from repro.designgen import block_type_by_name, generate_block
 from repro.place import PlacementConfig, place_block_2d
 from repro.power import analyze_power
 from repro.route import route_block, route_block_detailed
+from repro.route.estimate import RouteContext
 from repro.timing import TimingConfig, run_sta
 
 
@@ -81,7 +82,7 @@ def test_kernel_partition(benchmark, process):
 
 
 def test_kernel_optimize(benchmark, process):
-    """Staged optimization loop on l2t (live timing view: parasitics
+    """Staged optimization loop on l2t (live-edit session: parasitics
     refreshed in place, one array re-time per move chunk)."""
     from repro.opt.flow import OptimizeConfig, optimize_block
 
@@ -91,16 +92,17 @@ def test_kernel_optimize(benchmark, process):
         place_block_2d(gb.netlist, PlacementConfig(seed=1))
         return optimize_block(
             gb.netlist, process, TimingConfig("cpu_clk"),
-            lambda nl: route_block(nl, process.metal_stack),
+            RouteContext(stack=process.metal_stack),
             OptimizeConfig(dual_vth=True))
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     assert res.downsized > 0 and res.hvt_swaps > 0
-    # the incremental loop re-routes only at start + buffer insertion
-    assert res.full_reroutes <= 4
+    # buffer insertion re-routes per net: the initial route is the
+    # only whole-block route
+    assert res.full_reroutes == 1
 
 
 def test_kernel_optimize_full_recompute(benchmark, process):
-    """Same loop with the incremental core disabled: a full re-route
+    """Same loop on the session's full-recompute twin: a full re-route
     and a full STA per move chunk."""
     from repro.opt.flow import OptimizeConfig, optimize_block
 
@@ -110,7 +112,7 @@ def test_kernel_optimize_full_recompute(benchmark, process):
         place_block_2d(gb.netlist, PlacementConfig(seed=1))
         return optimize_block(
             gb.netlist, process, TimingConfig("cpu_clk"),
-            lambda nl: route_block(nl, process.metal_stack),
+            RouteContext(stack=process.metal_stack),
             OptimizeConfig(dual_vth=True, full_recompute=True))
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     assert res.full_reroutes > 4

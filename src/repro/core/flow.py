@@ -30,7 +30,7 @@ from ..faults.inject import fault_point
 from ..netlist.core import Netlist
 from ..obs import trace
 from ..obs.metrics import metrics
-from ..opt.flow import OptimizeConfig, OptimizeResult, optimize_block
+from ..opt.flow import OptimizeConfig, optimize_block
 from ..place.grid import Rect
 from ..place.placer2d import PlacementConfig, place_block_2d
 from ..place.placer3d import Fold3DResult, fold_place_3d
@@ -257,12 +257,9 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
                           default_io_delay_ps=config.io_budget_ps)
     with trace.span("flow.optimize", block=block_type.name) as sp_opt:
         fault_point("optimize")
-        opt = optimize_block(netlist, process, timing,
-                             route_ctx.route_block,
-                             OptimizeConfig(
-                                 rounds=config.opt_rounds,
-                                 dual_vth=config.dual_vth),
-                             route_net_fn=route_ctx.route_net)
+        opt = optimize_block(netlist, process, timing, route_ctx,
+                             OptimizeConfig(rounds=config.opt_rounds,
+                                            dual_vth=config.dual_vth))
     stage_times_ms["optimize"] = sp_opt.duration_ms
 
     eco_report: Optional[EcoClosureReport] = None
@@ -273,8 +270,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
             session = EcoSession(
                 netlist, opt.routing, process, timing, route_ctx,
                 outline=outline, sta_snapshot=opt.sta,
-                full_recompute=config.eco.full_recompute,
-                legalize_buffers=config.eco.legalize_buffers)
+                full_recompute=config.eco.full_recompute)
             eco_report = close_timing(session, config.eco)
             opt.routing = session.routing
             opt.sta = session.sta()

@@ -57,7 +57,6 @@ class EcoConfig:
     stall_rounds: int = 2
     #: run the session with every incremental path disabled
     full_recompute: bool = False
-    legalize_buffers: bool = True
 
 
 @dataclass
@@ -233,8 +232,7 @@ def derive_design(base, config, process) -> Tuple[object,
     eco_cfg = config.eco or EcoConfig()
     session = EcoSession.from_design(
         base, process, clone=True,
-        full_recompute=eco_cfg.full_recompute,
-        legalize_buffers=eco_cfg.legalize_buffers)
+        full_recompute=eco_cfg.full_recompute)
     if config.io_budget_ps != base.config.io_budget_ps:
         session.retarget(TimingConfig(
             clock_domain=session.timing.clock_domain,

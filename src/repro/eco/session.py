@@ -1,26 +1,39 @@
-"""The ECO session: incremental edits on a finished design.
+"""The live-edit session: incremental edits on a routed block.
 
-A session owns a netlist + routing + timing + clock-tree view and
-applies :mod:`repro.eco.moves` batches to them.  It runs in one of two
-modes with *bit-identical* results:
+A session owns a netlist + routing + timing + clock-tree view of one
+routed block and edits them in place.  It is the one live-edit core
+of the code base, with two kinds of caller:
+
+* the staged optimizer (:func:`repro.opt.flow.optimize_block`) opens a
+  session on the block it just routed and commits each planned chunk
+  through :meth:`EcoSession.swap_masters` and
+  :meth:`EcoSession.commit_buffers`;
+* the ECO engine (:mod:`repro.eco.driver`) opens one on a finished
+  design (:meth:`EcoSession.from_design`) and applies typed
+  :mod:`repro.eco.moves` batches through :meth:`EcoSession.apply`.
+
+A session runs in one of two modes with *bit-identical* results:
 
 * **incremental** (default) -- only the nets incident to an edit are
-  re-routed (through the design's captured
+  re-routed (through the block's
   :class:`repro.route.estimate.RouteContext`), the live
-  :class:`repro.timing.incremental.IncrementalSTA` view, adopted from
-  the design's sign-off STA, re-times the block after each edit, and
-  the clock tree replays untouched bisection subtrees from the
-  :class:`repro.cts.incremental.IncrementalCTS` memo;
+  :class:`repro.timing.incremental.IncrementalSTA` view (adopted from
+  the design's sign-off STA when one is given) re-times the block
+  after each edit, and the clock tree replays untouched bisection
+  subtrees from the :class:`repro.cts.incremental.IncrementalCTS`
+  memo;
 * **full recompute** -- every edit triggers a whole-block re-route, a
   fresh ``run_sta`` and a from-scratch CTS.
 
-The parity harness (``tests/test_eco_properties.py``) holds the two
-modes byte-equal over random move batches; ``tests/test_eco_engine.py``
-holds the incremental mode to its reuse targets.
+The parity harnesses (``tests/test_eco_properties.py`` for ECO
+batches, ``tests/test_opt_flow.py`` for the optimizer loop) hold the
+two modes byte-equal; ``tests/test_eco_engine.py`` holds the
+incremental mode to its reuse targets.
 
-Batches are validated up front against the pre-batch state and nothing
-is mutated when validation rejects a move (:class:`EcoError`), so a
-failed ``apply`` leaves the session untouched.
+:meth:`EcoSession.apply` validates a batch up front against the
+pre-batch state and mutates nothing when validation rejects a move
+(:class:`EcoError`), so a failed ``apply`` leaves the session
+untouched.
 """
 
 from __future__ import annotations
@@ -30,12 +43,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cts.incremental import IncrementalCTS
 from ..cts.tree import CTSResult
-from ..netlist.core import Net, Netlist, PinRef
+from ..netlist.core import Instance, Net, Netlist, PinRef
 from ..obs.metrics import metrics
 from ..opt.buffering import (BufferingConfig, apply_buffer_plan,
                              plan_net_buffering)
 from ..place.grid import Rect
-from ..place.legalize import legalize_new_cells
+from ..place.legalize import legalize_new_cells, macro_rects_of
 from ..route.estimate import RoutedNet, RouteContext, RoutingResult
 from ..tech.cells import CellMaster
 from ..tech.process import ProcessNode
@@ -58,50 +71,43 @@ class EcoApplyReport:
 
 
 class EcoSession:
-    """Applies typed ECO moves to a design, incrementally or fully.
+    """Edits a routed block in place, incrementally or fully.
 
     Args:
-        netlist: the design netlist (mutated in place -- clone first
+        netlist: the block netlist (mutated in place -- clone first
             for what-if work, see :meth:`from_design`).
         routing: the routing view to keep current (mutated in place).
         process: technology node.
-        timing: clock domain + I/O budgets the design was signed off
-            against.
-        route_ctx: the per-net route context captured by the flow.
-        outline: block outline; enables row legalization of inserted /
-            displaced cells.
-        obstructions: macro keep-outs for legalization.
+        timing: clock domain + I/O budgets to time against.
+        route_ctx: the per-net route context ``routing`` came from.
+        outline: block outline; when given, inserted buffers and
+            ``Displace(legalize=True)`` cells are row-legalized on
+            their own die, around that die's cells and macros.
         sta_snapshot: the design's sign-off :class:`STAResult`; when
             given (incremental mode) the timing view adopts it
             instead of re-running STA -- ``sta_full_rebuilds`` stays at
             zero.
         full_recompute: disable every incremental path (parity /
             baseline mode).
-        legalize_buffers: snap freshly inserted buffers into legal row
-            slots (needs ``outline``).
     """
 
     def __init__(self, netlist: Netlist, routing: RoutingResult,
                  process: ProcessNode, timing: TimingConfig,
                  route_ctx: RouteContext, *,
                  outline: Optional[Rect] = None,
-                 obstructions: Sequence[Rect] = (),
                  sta_snapshot: Optional[STAResult] = None,
-                 full_recompute: bool = False,
-                 legalize_buffers: bool = True,
-                 cts_leaf_size: int = 12) -> None:
+                 full_recompute: bool = False) -> None:
         self.netlist = netlist
         self.routing = routing
         self.process = process
         self.timing = timing
         self.ctx = route_ctx
         self.outline = outline
-        self.obstructions = tuple(obstructions)
         self.full_recompute = full_recompute
-        self.legalize_buffers = legalize_buffers
         #: deterministic session-local work tallies (the process-global
         #: metrics registry is disabled when tracing is off, so reuse
-        #: assertions read these instead)
+        #: assertions read these instead); ``legalize_failures`` joins
+        #: them at the first cell the legalizer could not place
         self.stats: Dict[str, int] = {
             "moves_requested": 0, "moves_applied": 0, "swaps": 0,
             "buffers_added": 0, "buffers_removed": 0, "displaced": 0,
@@ -118,16 +124,14 @@ class EcoSession:
                 self.view = IncrementalSTA(netlist, routing, process,
                                            timing)
                 self.stats["sta_full_rebuilds"] += 1
-        self.cts = IncrementalCTS(netlist, process,
-                                  leaf_size=cts_leaf_size)
+        self.cts = IncrementalCTS(netlist, process)
         metrics().counter("eco.sessions").inc()
 
     @classmethod
     def from_design(cls, design, process: ProcessNode, *,
                     timing: Optional[TimingConfig] = None,
                     clone: bool = True,
-                    full_recompute: bool = False,
-                    legalize_buffers: bool = True) -> "EcoSession":
+                    full_recompute: bool = False) -> "EcoSession":
         """Open a session on a finished :class:`BlockDesign`.
 
         ``clone=True`` (default) deep-copies the netlist and routing so
@@ -160,8 +164,7 @@ class EcoSession:
         return cls(netlist, routing, process, timing, ctx,
                    outline=design.outline,
                    sta_snapshot=design.sta,
-                   full_recompute=full_recompute,
-                   legalize_buffers=legalize_buffers)
+                   full_recompute=full_recompute)
 
     # -- timing / clock-tree views ------------------------------------
 
@@ -185,6 +188,56 @@ class EcoSession:
         if self.view is not None:
             self.view.retarget(timing)
         self._sta_cache = None
+
+    # -- edit primitives ----------------------------------------------
+
+    def swap_masters(self, moves: Sequence[Tuple[int, CellMaster]]) -> int:
+        """Swap a batch of ``(instance id, master)`` pairs, re-time once.
+
+        No-op swaps are skipped; returns the number applied.  An empty
+        batch returns 0 without touching the timing view.
+        """
+        if not moves:
+            return 0
+        if self.view is not None:
+            n = self.view.swap_masters(moves)
+        else:
+            n = 0
+            for iid, master in moves:
+                if self.netlist.instances[iid].master is master:
+                    continue
+                self.netlist.replace_master(iid, master)
+                n += 1
+            if n:
+                self._full_recompute_now()
+        if n:
+            self.stats["swaps"] += n
+            self.cts.invalidate()
+        return n
+
+    def commit_buffers(self, plans: List) -> int:
+        """Commit planned buffering transforms; returns buffers added.
+
+        ``plans`` come from :func:`repro.opt.buffering.plan_buffers` or
+        :func:`~repro.opt.buffering.plan_net_buffering`.  The new
+        buffers are legalized when the session has an outline, then
+        only the nets around them are re-routed and the timing view
+        re-times once (the full-recompute twin re-routes the block).
+        """
+        res = apply_buffer_plan(self.netlist, plans)
+        if not res.added:
+            return 0
+        self._legalize([self.netlist.instances[i]
+                        for i in res.new_inst_ids])
+        if self.view is not None:
+            self.routing.update_instances(
+                self.netlist, res.new_inst_ids, reroute=self._reroute)
+            self.view.patch_topology()
+        else:
+            self._full_recompute_now()
+        self.stats["buffers_added"] += res.added
+        self.cts.invalidate()
+        return res.added
 
     # -- move application ---------------------------------------------
 
@@ -219,12 +272,8 @@ class EcoSession:
         self._flush_swaps(swaps, report)
         self.stats["moves_requested"] += report.requested
         self.stats["moves_applied"] += report.applied
-        self.stats["swaps"] += report.swaps
-        self.stats["buffers_added"] += report.buffers_added
         self.stats["buffers_removed"] += report.buffers_removed
         self.stats["displaced"] += report.displaced
-        if report.applied:
-            self.cts.invalidate()
         metrics().counter("eco.moves_applied").inc(report.applied)
         return report
 
@@ -331,27 +380,28 @@ class EcoSession:
             pending[m.inst_id] = new
             resolved.append((m.inst_id, new))
         swaps.clear()
-        if self.view is not None:
-            n = self.view.swap_masters(resolved)
-        else:
-            n = 0
-            for iid, master in resolved:
-                if self.netlist.instances[iid].master is master:
-                    continue
-                self.netlist.replace_master(iid, master)
-                n += 1
-            if n:
-                self._full_recompute_now()
+        n = self.swap_masters(resolved)
         report.swaps += n
         report.applied += n
 
-    def _legalize(self, cells: List, exclude: Iterable[int]) -> None:
+    def _legalize(self, cells: List[Instance]) -> None:
+        """Row-legalize ``cells`` die by die, around that die's cells
+        and macros; a cell that finds no slot keeps its position and
+        counts in ``stats["legalize_failures"]``."""
         if self.outline is None:
             return
-        skip = set(exclude)
-        placed = [c for c in self.netlist.cells if c.id not in skip]
-        legalize_new_cells(cells, placed, self.outline,
-                           obstructions=self.obstructions)
+        skip = {c.id for c in cells}
+        macros = macro_rects_of(self.netlist)
+        for die in sorted({c.die for c in cells}):
+            placed = [c for c in self.netlist.cells
+                      if c.die == die and c.id not in skip]
+            res = legalize_new_cells(
+                [c for c in cells if c.die == die], placed,
+                self.outline, obstructions=macros.get(die, ()))
+            if res.failed:
+                failed = self.stats.get("legalize_failures", 0)
+                self.stats["legalize_failures"] = failed + res.failed
+                metrics().counter("eco.legalize_failures").inc(res.failed)
 
     def _apply_buffer_insert(self, move: BufferInsert) -> int:
         routed = self.routing.nets.get(move.net_id)
@@ -363,18 +413,7 @@ class EcoSession:
                                   self.process.library, cfg)
         if plan is None:
             return 0
-        res = apply_buffer_plan(self.netlist, [plan])
-        if self.legalize_buffers and res.new_inst_ids:
-            self._legalize(
-                [self.netlist.instances[i] for i in res.new_inst_ids],
-                exclude=res.new_inst_ids)
-        if self.view is not None:
-            self.routing.update_instances(
-                self.netlist, res.new_inst_ids, reroute=self._reroute)
-            self.view.patch_topology()
-        else:
-            self._full_recompute_now()
-        return res.added
+        return self.commit_buffers([plan])
 
     def _apply_buffer_remove(self, move: BufferRemove) -> int:
         iid = move.inst_id
@@ -392,13 +431,14 @@ class EcoSession:
             self.view.patch_topology()
         else:
             self._full_recompute_now()
+        self.cts.invalidate()
         return 1
 
     def _apply_displace(self, move: Displace) -> int:
         inst = self.netlist.instances[move.inst_id]
         inst.x, inst.y = move.x, move.y
         if move.legalize:
-            self._legalize([inst], exclude=[inst.id])
+            self._legalize([inst])
         touched = sorted(n.id for n in self.netlist.nets_of(inst.id)
                          if not n.is_clock)
         if self.view is not None:
@@ -407,4 +447,5 @@ class EcoSession:
             self.view.apply_routing_update()
         else:
             self._full_recompute_now()
+        self.cts.invalidate()
         return 1

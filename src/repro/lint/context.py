@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..netlist.core import Netlist
 from ..place.grid import Rect
+from ..place.legalize import macro_rects_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.flow import BlockDesign
@@ -66,22 +67,6 @@ class LintContext:
         if not self.macro_rects:
             return []
         return [r for rects in self.macro_rects.values() for r in rects]
-
-
-def macro_rects_of(netlist: Netlist) -> Dict[int, List[Rect]]:
-    """Per-die macro rectangles reconstructed from placed macro instances.
-
-    The placers store macro positions as center coordinates on the
-    instances themselves, so this reconstruction is exact -- the same
-    rectangles the density grids carved out as holes.
-    """
-    rects: Dict[int, List[Rect]] = {}
-    for inst in netlist.macros:
-        w, h = inst.width_um, inst.height_um
-        rects.setdefault(inst.die, []).append(
-            Rect(inst.x - w / 2, inst.y - h / 2,
-                 inst.x + w / 2, inst.y + h / 2))
-    return rects
 
 
 def context_for_netlist(netlist: Netlist,

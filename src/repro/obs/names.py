@@ -89,6 +89,7 @@ CTR_CHIP_BUILDS = "chip.builds"
 CTR_CTS_SUBTREES_BUILT = "cts.subtrees_built"
 CTR_CTS_SUBTREES_REUSED = "cts.subtrees_reused"
 CTR_ECO_DERIVED_DESIGNS = "eco.derived_designs"
+CTR_ECO_LEGALIZE_FAILURES = "eco.legalize_failures"
 CTR_ECO_MOVES_APPLIED = "eco.moves_applied"
 CTR_ECO_ROUNDS = "eco.rounds"
 CTR_ECO_SESSIONS = "eco.sessions"
@@ -138,6 +139,7 @@ CTR_NAMES = (
     CTR_CTS_SUBTREES_BUILT,
     CTR_CTS_SUBTREES_REUSED,
     CTR_ECO_DERIVED_DESIGNS,
+    CTR_ECO_LEGALIZE_FAILURES,
     CTR_ECO_MOVES_APPLIED,
     CTR_ECO_ROUNDS,
     CTR_ECO_SESSIONS,

@@ -10,7 +10,7 @@ and that ordering emerges here from the same mechanism.
 Like the sizing passes, each transform is a *planner* deciding moves
 against a frozen STA snapshot (loads priced by the shared
 :func:`repro.timing.load.driven_load` model) plus a thin applier, so the
-staged loop can feed whole chunks to the incremental timing core.
+staged loop can commit whole chunks through the live-edit session.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Two passes over the STA result:
 
 Each pass is split into a *planner* (:func:`plan_upsizes`,
 :func:`plan_downsizes`) that decides the moves against a frozen STA
-snapshot, and a thin applier.  The staged loop feeds the plans to the
-incremental timing core (one batched cone update per chunk); the
+snapshot, and a thin applier.  The staged loop commits the plans
+through the live-edit session (one batched re-time per chunk); the
 classic mutate-in-place entry points remain for direct callers and are
 decision-identical.
 

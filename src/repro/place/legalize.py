@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..netlist.core import Instance
+from ..netlist.core import Instance, Netlist
 from ..obs import trace
 from ..obs.metrics import metrics
 from ..tech.cells import CELL_HEIGHT_UM
@@ -66,6 +66,23 @@ class LegalizeResult:
     def avg_displacement_um(self) -> float:
         return self.total_displacement_um / self.placed if self.placed \
             else 0.0
+
+
+def macro_rects_of(netlist: Netlist) -> Dict[int, List[Rect]]:
+    """Per-die macro rectangles reconstructed from placed macro instances.
+
+    The placers store macro positions as center coordinates on the
+    instances themselves, so this reconstruction is exact -- the same
+    rectangles the density grids carved out as holes, and the
+    obstructions an ECO legalization packs around.
+    """
+    rects: Dict[int, List[Rect]] = {}
+    for inst in netlist.macros:
+        w, h = inst.width_um, inst.height_um
+        rects.setdefault(inst.die, []).append(
+            Rect(inst.x - w / 2, inst.y - h / 2,
+                 inst.x + w / 2, inst.y + h / 2))
+    return rects
 
 
 def build_rows(outline: Rect, obstructions: Sequence[Rect],

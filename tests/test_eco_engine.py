@@ -21,12 +21,14 @@ from repro.eco import (BufferInsert, Displace, EcoConfig, EcoSession,
                        derive_design)
 from repro.obs.metrics import metrics
 from repro.obs.names import (CTR_ECO_DERIVED_DESIGNS,
+                             CTR_ECO_LEGALIZE_FAILURES,
                              CTR_ECO_MOVES_APPLIED, CTR_OPT_FULL_REROUTES,
                              CTR_ROUTE_NETS_REEXTRACTED,
                              CTR_ROUTE_NETS_REROUTED)
 from repro.opt.buffering import BufferingConfig, plan_net_buffering
 from repro.opt.flow import OptimizeConfig, optimize_block
 from repro.place import PlacementConfig, place_block_2d
+from repro.place.legalize import macro_rects_of
 from repro.route.estimate import RouteContext
 from repro.timing import TimingConfig
 
@@ -84,15 +86,63 @@ class TestBufferInsertionStaysIncremental:
         full_before = m.counter(CTR_OPT_FULL_REROUTES).value
         extracted_before = m.counter(CTR_ROUTE_NETS_REEXTRACTED).value
         result = optimize_block(
-            gb.netlist, process, TimingConfig("cpu_clk"),
-            ctx.route_block, OptimizeConfig(dual_vth=True),
-            route_net_fn=ctx.route_net)
+            gb.netlist, process, TimingConfig("cpu_clk"), ctx,
+            OptimizeConfig(dual_vth=True))
         assert result.buffers_added > 0
         # exactly the initial route: buffer surgery patches per net now
         assert result.full_reroutes == 1
         assert m.counter(CTR_OPT_FULL_REROUTES).value - full_before == 1
         assert m.counter(CTR_ROUTE_NETS_REEXTRACTED).value > \
             extracted_before
+
+
+class TestLegalizationAroundMacros:
+    """Inserted buffers are legalized on their own die, around that
+    die's macros; a buffer the legalizer cannot place is counted."""
+
+    @pytest.fixture(scope="class")
+    def l2d(self, process):
+        return run_block_flow(
+            "l2d", FlowConfig(scale=0.3, seed=7, io_budget_ps=60.0),
+            process)
+
+    def _buffer_after_stretch(self, base, process, name):
+        """Displace ``name`` to (5, 5), buffer the one net that now
+        needs it; returns the session and the new buffers."""
+        session = EcoSession.from_design(base, process)
+        inst = next(c for c in session.netlist.cells if c.name == name)
+        session.apply([Displace(inst_id=inst.id, x=5.0, y=5.0)])
+        nets = _bufferable_nets(session, process)
+        assert len(nets) == 1
+        before = set(session.netlist.instances)
+        report = session.apply([BufferInsert(net_id=nets[0])])
+        new = [inst for iid, inst in session.netlist.instances.items()
+               if iid not in before]
+        assert report.buffers_added == len(new) > 0
+        return session, new
+
+    @staticmethod
+    def _inside_macros(session, cells):
+        macros = macro_rects_of(session.netlist)
+        return [c.name for c in cells
+                if any(r.x0 < c.x < r.x1 and r.y0 < c.y < r.y1
+                       for r in macros.get(c.die, ()))]
+
+    def test_buffers_land_outside_macros(self, l2d, process):
+        session, new = self._buffer_after_stretch(l2d, process, "u_0")
+        assert len(new) == 2
+        assert self._inside_macros(session, new) == []
+        assert "legalize_failures" not in session.stats
+
+    def test_unplaceable_buffer_is_counted(self, l2d, process):
+        m = metrics()
+        before = m.counter(CTR_ECO_LEGALIZE_FAILURES).value
+        session, new = self._buffer_after_stretch(l2d, process, "u_11")
+        # the one buffer found no free row slot: it keeps its planned
+        # position, inside a macro, and the failure is on record
+        assert len(self._inside_macros(session, new)) == 1
+        assert session.stats["legalize_failures"] == 1
+        assert m.counter(CTR_ECO_LEGALIZE_FAILURES).value - before == 1
 
 
 class TestFlowEcoStage:

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core.folding import FoldSpec, make_partition
 from repro.opt.flow import OptimizeConfig, optimize_block
 from repro.place.placer2d import PlacementConfig, place_block_2d
-from repro.route.estimate import route_block
-from repro.timing.sta import TimingConfig, run_sta
+from repro.place.placer3d import fold_place_3d
 from repro.power.analysis import analyze_power
+from repro.route.estimate import RouteContext
+from repro.route.route3d import place_f2f_vias
 from repro.tech.process import CPU_CLOCK
+from repro.timing.sta import TimingConfig
 from tests.conftest import fresh_block
 
 
@@ -17,17 +20,32 @@ def prepared(library, name="ncu", seed=21):
     return gb
 
 
-def route_fn_for(process, max_metal=7):
-    def route_fn(nl):
-        return route_block(nl, process.metal_stack, max_metal=max_metal)
-    return route_fn
+def ctx_for(process):
+    return RouteContext(stack=process.metal_stack)
+
+
+def folded_ctx(gb, process, bonding, seed):
+    """Fold-place ``gb`` (min-cut) and build the flow's route context:
+    all nine metals, the bonding style's via, F2F sites from the F2F
+    via placer and F2B sites from the fold's legalized TSVs."""
+    fold = fold_place_3d(gb.netlist, process,
+                         make_partition(gb, FoldSpec("mincut")), bonding,
+                         PlacementConfig(seed=seed))
+    if bonding == "F2F":
+        sites = dict(place_f2f_vias(gb.netlist, fold.outline,
+                                    process).sites)
+    else:
+        sites = {v.net_id: (v.x, v.y) for v in fold.vias}
+    assert sites
+    return RouteContext(stack=process.metal_stack, max_metal=9,
+                        via=process.via_for(bonding), via_sites=sites,
+                        long_wire_um=process.long_wire_um)
 
 
 def test_optimization_closes_timing(library, process):
     gb = prepared(library)
-    route_fn = route_fn_for(process)
     timing = TimingConfig(CPU_CLOCK)
-    res = optimize_block(gb.netlist, process, timing, route_fn)
+    res = optimize_block(gb.netlist, process, timing, ctx_for(process))
     assert res.sta.wns_ps >= -20.0  # at worst a rounding sliver
     assert gb.netlist.validate() == []
 
@@ -35,16 +53,16 @@ def test_optimization_closes_timing(library, process):
 def test_power_recovery_beats_timing_only_flow(library, process):
     from repro.opt.flow import OptimizeConfig
     from repro.opt.sizing import SizingConfig
-    route_fn = route_fn_for(process)
+    ctx = ctx_for(process)
     # a flow whose power stage is disabled (downsizing margin too high
     # to ever fire) vs the default staged flow on the same block
     timing_only = prepared(library, "l2t", seed=22)
     res_t = optimize_block(
-        timing_only.netlist, process, TimingConfig(CPU_CLOCK), route_fn,
+        timing_only.netlist, process, TimingConfig(CPU_CLOCK), ctx,
         OptimizeConfig(sizing=SizingConfig(downsize_margin_ps=1e9)))
     full = prepared(library, "l2t", seed=22)
     res_f = optimize_block(full.netlist, process, TimingConfig(CPU_CLOCK),
-                           route_fn)
+                           ctx)
     p_t = analyze_power(timing_only.netlist, res_t.routing, process,
                         CPU_CLOCK, cts=res_t.cts)
     p_f = analyze_power(full.netlist, res_f.routing, process, CPU_CLOCK,
@@ -56,7 +74,7 @@ def test_power_recovery_beats_timing_only_flow(library, process):
 def test_counters_populated(library, process):
     gb = prepared(library, "l2t", seed=23)
     res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
-                         route_fn_for(process))
+                         ctx_for(process))
     assert res.downsized > 0
     assert res.buffers_added >= 0
     assert res.cts.n_sinks > 0
@@ -65,7 +83,7 @@ def test_counters_populated(library, process):
 def test_dual_vth_flag(library, process):
     gb = prepared(library, seed=24)
     res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
-                         route_fn_for(process),
+                         ctx_for(process),
                          OptimizeConfig(dual_vth=True))
     from repro.opt.dualvth import hvt_fraction
     assert res.hvt_swaps > 0
@@ -76,7 +94,7 @@ def test_dual_vth_flag(library, process):
 def test_rvt_only_run_has_no_swaps(library, process):
     gb = prepared(library, seed=25)
     res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
-                         route_fn_for(process),
+                         ctx_for(process),
                          OptimizeConfig(dual_vth=False))
     assert res.hvt_swaps == 0
     from repro.opt.dualvth import hvt_fraction
@@ -87,12 +105,12 @@ def test_tight_budget_raises_power(library, process):
     loose = prepared(library, "l2t", seed=26)
     res_loose = optimize_block(loose.netlist, process,
                                TimingConfig(CPU_CLOCK),
-                               route_fn_for(process))
+                               ctx_for(process))
     tight = prepared(library, "l2t", seed=26)
     res_tight = optimize_block(
         tight.netlist, process,
         TimingConfig(CPU_CLOCK, default_io_delay_ps=300.0),
-        route_fn_for(process))
+        ctx_for(process))
     p_loose = analyze_power(loose.netlist, res_loose.routing, process,
                             CPU_CLOCK, cts=res_loose.cts)
     p_tight = analyze_power(tight.netlist, res_tight.routing, process,
@@ -100,7 +118,7 @@ def test_tight_budget_raises_power(library, process):
     # the paper's mechanism: tighter I/O budgets block downsizing
     assert p_tight.total_uw > p_loose.total_uw * 0.98
 
-# --- incremental core: parity, counters, true-slack mode --------------
+# --- live-edit session: parity, counters -------------------------------
 
 
 def masters_equal(a, b):
@@ -117,31 +135,44 @@ def masters_equal(a, b):
     return True
 
 
-def test_incremental_matches_full_recompute(library, process):
-    """The escape hatch and the incremental core agree bit-for-bit."""
-    route_fn = route_fn_for(process)
+@pytest.mark.parametrize("bonding", [None, "F2F", "F2B"],
+                         ids=["2d", "F2F", "F2B"])
+def test_incremental_matches_full_recompute(library, process, bonding):
+    """The escape hatch and the incremental core agree bit-for-bit, on
+    a 2D block and on min-cut folds whose crossing nets route through
+    F2F or F2B via sites."""
+    if bonding is None:
+        inc = prepared(library, "l2t", seed=27)
+        full = prepared(library, "l2t", seed=27)
+        ctx_i = ctx_f = ctx_for(process)
+    else:
+        inc = fresh_block("l2t", library, seed=27)
+        full = fresh_block("l2t", library, seed=27)
+        ctx_i = folded_ctx(inc, process, bonding, seed=27)
+        ctx_f = folded_ctx(full, process, bonding, seed=27)
+        assert ctx_i == ctx_f
     timing = TimingConfig(CPU_CLOCK)
-    inc = prepared(library, "l2t", seed=27)
-    res_i = optimize_block(inc.netlist, process, timing, route_fn,
+    res_i = optimize_block(inc.netlist, process, timing, ctx_i,
                            OptimizeConfig(dual_vth=True))
-    full = prepared(library, "l2t", seed=27)
-    res_f = optimize_block(full.netlist, process, timing, route_fn,
+    res_f = optimize_block(full.netlist, process, timing, ctx_f,
                            OptimizeConfig(dual_vth=True,
                                           full_recompute=True))
     assert (res_i.buffers_added, res_i.upsized, res_i.downsized,
             res_i.hvt_swaps) == (res_f.buffers_added, res_f.upsized,
                                  res_f.downsized, res_f.hvt_swaps)
     assert masters_equal(inc.netlist, full.netlist)
+    assert list(res_i.sta.arrival) == list(res_f.sta.arrival)
     assert res_i.sta.arrival == res_f.sta.arrival
     assert res_i.sta.required == res_f.sta.required
     assert res_i.sta.slack == res_f.sta.slack
     assert res_i.sta.wns_ps == res_f.sta.wns_ps
     assert res_i.sta.tns_ps == res_f.sta.tns_ps
+    assert list(res_i.routing.nets) == list(res_f.routing.nets)
     wl_i = sum(n.length_um for n in res_i.routing.nets.values())
     wl_f = sum(n.length_um for n in res_f.routing.nets.values())
     assert wl_i == wl_f
-    # the whole point: the incremental loop barely ever re-routes
-    assert res_i.full_reroutes < res_f.full_reroutes
+    # the whole point: the incremental loop routes the block only once
+    assert res_i.full_reroutes == 1 < res_f.full_reroutes
 
 
 def test_incremental_reuse_counters_visible(library, process):
@@ -152,33 +183,6 @@ def test_incremental_reuse_counters_visible(library, process):
     before_nets = m.counter(CTR_ROUTE_NETS_REEXTRACTED).value
     gb = prepared(library, seed=28)
     res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
-                         route_fn_for(process))
+                         ctx_for(process))
     assert m.counter(CTR_ROUTE_NETS_REEXTRACTED).value > before_nets
     assert m.counter(CTR_OPT_FULL_REROUTES).value >= res.full_reroutes > 0
-
-
-def test_true_slack_mode_downsizes_and_stays_met(library, process):
-    """Exact per-move acceptance still recovers power, never ships a
-    violating move, and is a genuinely different policy from the
-    path-sharing heuristic (not silently the same code path)."""
-    route_fn = route_fn_for(process)
-    timing = TimingConfig(CPU_CLOCK)
-    heur = prepared(library, seed=29)
-    res_h = optimize_block(heur.netlist, process, timing, route_fn,
-                           OptimizeConfig(dual_vth=True))
-    true = prepared(library, seed=29)
-    res_t = optimize_block(true.netlist, process, timing, route_fn,
-                           OptimizeConfig(dual_vth=True,
-                                          true_slack=True))
-    assert res_t.downsized > 0
-    assert res_t.hvt_swaps > 0
-    assert res_t.sta.wns_ps >= -20.0
-    assert (res_t.downsized, res_t.hvt_swaps) != \
-        (res_h.downsized, res_h.hvt_swaps)
-    p_h = analyze_power(heur.netlist, res_h.routing, process, CPU_CLOCK,
-                        cts=res_h.cts)
-    p_t = analyze_power(true.netlist, res_t.routing, process, CPU_CLOCK,
-                        cts=res_t.cts)
-    # same ballpark: exact acceptance trades a few optimistic moves for
-    # the guarantee that every accepted move kept its margin
-    assert p_t.total_uw <= p_h.total_uw * 1.10
