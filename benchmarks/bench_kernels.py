@@ -158,17 +158,3 @@ def test_kernel_place_fold3d(benchmark, process):
                              "F2B", PlacementConfig(seed=1))
     benchmark.pedantic(run, rounds=3, iterations=1)
 
-
-def test_kernel_place_bistratal(benchmark, process):
-    """Fold placement with the analytical die-to-die z refinement."""
-    from repro.place import fm_bipartition, fold_place_3d
-
-    def run():
-        gb = generate_block(block_type_by_name("l2t"), process.library,
-                            seed=1)
-        part = fm_bipartition(gb.netlist, seed=0)
-        return fold_place_3d(gb.netlist, process, part.assignment,
-                             "F2B", PlacementConfig(seed=1),
-                             mode="bistratal")
-    res = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert res.hpwl_um > 0

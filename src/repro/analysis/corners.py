@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from ..core.flow import BlockDesign
 from ..power.analysis import analyze_power
-from ..tech.corners import CORNERS, corner_process
+from ..tech.corners import corner_process
 from ..tech.process import ProcessNode
 from ..timing.sta import TimingConfig, run_sta
 
@@ -38,8 +38,6 @@ def _corner_view(design: BlockDesign, process: ProcessNode):
         if inst.is_macro:
             continue
         saved[inst.id] = inst.master
-        # replace_master (not direct assignment) so the master-revision
-        # counter invalidates any cached timing-graph delay tables
         netlist.replace_master(inst.id, process.library.master(
             inst.master.name))
     try:

@@ -13,7 +13,7 @@ divergence) at run time.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .astutil import ImportMap, keyword_arg, qualname
 from .context import CodeContext

@@ -13,8 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from .astutil import (decorator_call, first_str_arg, keyword_arg,
-                      qualname)
+from .astutil import decorator_call, first_str_arg, keyword_arg
 from .context import CodeContext
 from .determinism import code_rule
 from .taint import walk_local

@@ -10,7 +10,7 @@ rules hold every call site to it.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Tuple
 
 from .astutil import literal_names
 from .context import CodeContext

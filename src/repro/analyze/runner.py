@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Union
 from ..lint.framework import LintConfig, LintReport, Waiver
 from ..lint.runner import assert_clean, run_rules
 from ..obs.metrics import metrics
-from .context import CodeContext, SourceError, context_for_file
+from .context import SourceError, context_for_file
 from .determinism import CODE_REGISTRY
 
 #: the committed self-analysis waiver file (shipped with the package)

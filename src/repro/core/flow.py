@@ -54,9 +54,6 @@ class FlowConfig:
         dual_vth: enable RVT->HVT swapping in the power stage.
         io_budget_ps: external delay at the block's ports (from the
             chip-level context; larger = tighter internal timing).
-        utilization: placement utilization target.
-        opt_rounds: staged-optimization iterations.
-        max_metal: routing-layer cap override (defaults per block type).
     """
 
     scale: float = 1.0
@@ -65,20 +62,12 @@ class FlowConfig:
     bonding: str = "F2B"
     dual_vth: bool = False
     io_budget_ps: float = 0.0
-    utilization: float = 0.70
-    opt_rounds: int = 2
-    max_metal: Optional[int] = None
     #: after optimization, run the capacity-tracked global router and
     #: re-time against the measured (not estimated) wirelengths
     detailed_route: bool = False
     #: run the static checker at stage boundaries and raise
     #: :class:`repro.lint.LintError` on any unwaived error
     assert_clean: bool = False
-    #: 3D die-assignment style: ``"fold"`` keeps the partitioner's
-    #: tiers (the paper's flow, default); ``"bistratal"`` refines the
-    #: movable cells analytically with the coupled-planes z solve
-    #: before placement (see docs/placement.md)
-    place_mode: str = "fold"
     #: run the incremental timing-closure ECO loop after optimization
     #: (estimator routing only -- incompatible with ``detailed_route``;
     #: see docs/eco.md)
@@ -139,8 +128,6 @@ def _routing_layers(block_type: BlockType, config: FlowConfig) -> int:
     F2F-folded block uses all nine on both tiers, since the F2F via sits
     on top of M9.
     """
-    if config.max_metal is not None:
-        return config.max_metal
     if block_type.max_metal >= 9:
         return 9
     if config.fold is not None and config.bonding.upper() == "F2F":
@@ -181,7 +168,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
     netlist = gb.netlist
     block_type = gb.block_type
     max_metal = _routing_layers(block_type, config)
-    pc = PlacementConfig(utilization=config.utilization, seed=config.seed)
+    pc = PlacementConfig(seed=config.seed)
     if config.eco is not None and config.detailed_route:
         raise ValueError(
             "FlowConfig.eco needs the estimator's routing; it cannot "
@@ -218,8 +205,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
                 }
             fold_result = fold_place_3d(netlist, process, assignment,
                                         config.bonding, pc,
-                                        region_of=region_of,
-                                        mode=config.place_mode)
+                                        region_of=region_of)
             outline = fold_result.outline
             tsv_area = fold_result.tsv_area_um2
             via = process.via_for(config.bonding)
@@ -245,7 +231,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
             netlist, outline,
             bonding=config.bonding if fold_result is not None else None,
             vias=fold_result.vias if fold_result is not None else None,
-            utilization=config.utilization),
+            utilization=pc.utilization),
             stage=f"{block_type.name}/place")
 
     route_ctx = RouteContext(stack=process.metal_stack,
@@ -258,8 +244,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
     with trace.span("flow.optimize", block=block_type.name) as sp_opt:
         fault_point("optimize")
         opt = optimize_block(netlist, process, timing, route_ctx,
-                             OptimizeConfig(rounds=config.opt_rounds,
-                                            dual_vth=config.dual_vth))
+                             OptimizeConfig(dual_vth=config.dual_vth))
     stage_times_ms["optimize"] = sp_opt.duration_ms
 
     eco_report: Optional[EcoClosureReport] = None

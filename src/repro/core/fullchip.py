@@ -48,6 +48,9 @@ DEFAULT_FOLDS: Dict[str, FoldSpec] = {
     "spc": second_level_spec(),
 }
 
+#: I/O budget bucket (ps) so identical blocks share one design run
+BUDGET_BUCKET_PS = 25.0
+
 #: over-the-block routing capacity left above a block (Section 6.1)
 OTB_NORMAL = 0.70     # block routes to M7; M8/M9 free above it
 OTB_BLOCKED = 0.30    # block uses all nine layers (SPC, F2F-folded);
@@ -62,10 +65,7 @@ class ChipConfig:
     scale: float = 1.0
     seed: int = 1
     dual_vth: bool = False
-    opt_rounds: int = 2
     folded_types: Tuple[str, ...] = FOLDED_TYPES
-    #: budget bucket (ps) so identical blocks share one design run
-    budget_bucket_ps: float = 25.0
     #: per-block-type minimum I/O budgets (ps), e.g. from a previous
     #: sign-off iteration (see core.chip_sta.build_signed_off_chip)
     budget_floor_ps: Tuple[Tuple[str, float], ...] = ()
@@ -235,8 +235,7 @@ def _build_chip(config: ChipConfig, process: ProcessNode,
                                        delay / 2.0)
         for tname, floor in config.budget_floor_ps:
             budget_of[tname] = max(budget_of.get(tname, 0.0), floor)
-        bucket = max(config.budget_bucket_ps, 1.0)
-        budget_of = {k: round(v / bucket) * bucket
+        budget_of = {k: round(v / BUDGET_BUCKET_PS) * BUDGET_BUCKET_PS
                      for k, v in budget_of.items()}
     phase_times_ms["budget"] = sp_budget.duration_ms
 
@@ -250,7 +249,6 @@ def _build_chip(config: ChipConfig, process: ProcessNode,
                             fold=fold, bonding=config.bonding,
                             dual_vth=config.dual_vth,
                             io_budget_ps=budget_of.get(bt.name, 0.0),
-                            opt_rounds=config.opt_rounds,
                             assert_clean=config.assert_clean)
             if cache is not None:
                 block_designs[bt.name] = cache.get_or_run(bt.name, fc,

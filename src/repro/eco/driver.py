@@ -6,8 +6,9 @@ the engine detects it is stuck): each round plans upsizes on the worst
 negative-slack cells plus repeater insertion on failing long nets,
 applies them, and re-times incrementally.  The loop fingerprints every
 planned move set -- planning the *same* set twice means the engine is
-undoing its own work (oscillation), and ``stall_rounds`` rounds without
-WNS improvement means the vocabulary is exhausted for this design.
+undoing its own work (oscillation), and :data:`STALL_ROUNDS` rounds
+without WNS improvement means the vocabulary is exhausted for this
+design.
 
 :func:`derive_design` is the scenario-sweep entry point: given a
 finished :class:`BlockDesign` and a *neighboring* flow config (same
@@ -29,14 +30,22 @@ from ..faults.inject import fault_point
 from ..obs import trace
 from ..obs.metrics import metrics
 from ..opt.buffering import BufferingConfig, plan_net_buffering
-from ..opt.dualvth import (DualVthConfig, plan_hvt_swaps,
-                           plan_rvt_restores)
+from ..opt.dualvth import plan_hvt_swaps, plan_rvt_restores
 from ..timing.sta import STAResult, TimingConfig
 from .moves import BufferInsert, EcoMove, Resize, VthSwap, move_key
 from .session import EcoError, EcoSession
 
 #: a planner maps (session, sta snapshot, config) to a move batch
 Planner = Callable[[EcoSession, STAResult, "EcoConfig"], List[EcoMove]]
+
+#: upsizes planned per round
+MAX_UPSIZES_PER_ROUND = 64
+#: nets repeatered per round
+MAX_BUFFER_NETS_PER_ROUND = 8
+#: drive strength of the repeaters the round planner inserts
+BUFFER_DRIVE = 4
+#: rounds without WNS improvement before declaring a stall
+STALL_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -46,15 +55,6 @@ class EcoConfig:
     #: stop once WNS is at least this (ps)
     target_wns_ps: float = 0.0
     max_rounds: int = 4
-    #: upsizes planned per round
-    max_moves_per_round: int = 64
-    #: nets repeatered per round
-    max_buffer_nets_per_round: int = 8
-    buffer_drive: int = 4
-    upsize: bool = True
-    buffer_insert: bool = True
-    #: rounds without WNS improvement before declaring a stall
-    stall_rounds: int = 2
     #: run the session with every incremental path disabled
     full_recompute: bool = False
 
@@ -76,7 +76,7 @@ class EcoClosureReport:
 
     ``status`` is one of ``"met"`` (target reached), ``"oscillating"``
     (a planned move set repeated), ``"stalled"`` (no WNS improvement
-    for ``stall_rounds`` rounds), ``"exhausted"`` (nothing left to
+    for :data:`STALL_ROUNDS` rounds), ``"exhausted"`` (nothing left to
     plan/apply) or ``"max_rounds"``.
     """
 
@@ -105,39 +105,33 @@ def plan_timing_moves(session: EcoSession, sta: STAResult,
     """
     lib = session.process.library
     moves: List[EcoMove] = []
-    if config.upsize:
-        cands = sorted(
-            (s, iid) for iid, s in sta.slack.items()
-            if s < config.target_wns_ps
-            and iid in session.netlist.instances)
-        for s, iid in cands:
-            if len(moves) >= config.max_moves_per_round:
-                break
-            inst = session.netlist.instances[iid]
-            if inst.is_macro:
-                continue
-            up = lib.upsize(inst.master)
-            if up is None:
-                continue
-            moves.append(Resize(inst_id=iid, drive=up.drive))
-    if config.buffer_insert:
-        bcfg = BufferingConfig(buffer_drive=config.buffer_drive)
-        picked = 0
-        for routed in session.routing.nets.values():
-            if picked >= config.max_buffer_nets_per_round:
-                break
-            net = session.netlist.nets.get(routed.net_id)
-            if net is None or net.is_clock or net.driver.is_port:
-                continue
-            if sta.slack.get(net.driver.inst,
-                             0.0) >= config.target_wns_ps:
-                continue
-            if plan_net_buffering(session.netlist, routed, lib,
-                                  bcfg) is None:
-                continue
-            moves.append(BufferInsert(net_id=net.id,
-                                      drive=config.buffer_drive))
-            picked += 1
+    cands = sorted(
+        (s, iid) for iid, s in sta.slack.items()
+        if s < config.target_wns_ps and iid in session.netlist.instances)
+    for s, iid in cands:
+        if len(moves) >= MAX_UPSIZES_PER_ROUND:
+            break
+        inst = session.netlist.instances[iid]
+        if inst.is_macro:
+            continue
+        up = lib.upsize(inst.master)
+        if up is None:
+            continue
+        moves.append(Resize(inst_id=iid, drive=up.drive))
+    bcfg = BufferingConfig(buffer_drive=BUFFER_DRIVE)
+    picked = 0
+    for routed in session.routing.nets.values():
+        if picked >= MAX_BUFFER_NETS_PER_ROUND:
+            break
+        net = session.netlist.nets.get(routed.net_id)
+        if net is None or net.is_clock or net.driver.is_port:
+            continue
+        if sta.slack.get(net.driver.inst, 0.0) >= config.target_wns_ps:
+            continue
+        if plan_net_buffering(session.netlist, routed, lib, bcfg) is None:
+            continue
+        moves.append(BufferInsert(net_id=net.id, drive=BUFFER_DRIVE))
+        picked += 1
     return moves
 
 
@@ -180,7 +174,7 @@ def close_timing(session: EcoSession,
                 break
             if after <= before:
                 stall += 1
-                if stall >= config.stall_rounds:
+                if stall >= STALL_ROUNDS:
                     status = "stalled"
                     break
             else:
@@ -244,7 +238,7 @@ def derive_design(base, config, process) -> Tuple[object,
         # replay the flow's power stage on the derived state
         for _chunk in range(3):
             swaps = plan_hvt_swaps(session.netlist, session.routing,
-                                   session.sta(), lib, DualVthConfig())
+                                   session.sta(), lib)
             if not swaps:
                 break
             session.apply([VthSwap(inst_id=iid, vth=m.vth)

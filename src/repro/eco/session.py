@@ -22,8 +22,10 @@ A session runs in one of two modes with *bit-identical* results:
   after each edit, and the clock tree replays untouched bisection
   subtrees from the :class:`repro.cts.incremental.IncrementalCTS`
   memo;
-* **full recompute** -- every edit triggers a whole-block re-route, a
-  fresh ``run_sta`` and a from-scratch CTS.
+* **full recompute** -- every edit triggers a whole-block re-route and
+  a fresh ``run_sta``.  The clock tree still comes from the same
+  :class:`~repro.cts.incremental.IncrementalCTS` memo, whose replay is
+  bit-exact with a from-scratch CTS.
 
 The parity harnesses (``tests/test_eco_properties.py`` for ECO
 batches, ``tests/test_opt_flow.py`` for the optimizer loop) hold the

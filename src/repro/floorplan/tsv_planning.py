@@ -62,10 +62,6 @@ class TsvPlan:
     def total_tsvs(self) -> int:
         return sum(a.n_wires for a in self.assignments)
 
-    @property
-    def total_detour_um(self) -> float:
-        return sum(a.detour_um * a.n_wires for a in self.assignments)
-
     def detour_of(self, bundle_key: Tuple[str, str]) -> float:
         """Average per-wire detour of one bundle (um)."""
         parts = [a for a in self.assignments

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..netlist.core import Netlist
 from ..place.grid import Rect
 from ..place.legalize import macro_rects_of
+from ..place.placer2d import UTILIZATION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.flow import BlockDesign
@@ -100,7 +101,7 @@ def context_for_block(design: "BlockDesign") -> LintContext:
         macro_rects=macro_rects_of(design.netlist),
         bonding=bonding,
         vias=vias,
-        utilization=design.config.utilization,
+        utilization=UTILIZATION,
         routing=design.routing,
         cts=design.cts,
         sta=design.sta,

@@ -139,29 +139,17 @@ class Net:
 
 
 class Netlist:
-    """A flat block netlist with incremental-edit support."""
+    """A flat block netlist with incremental-edit support.
 
-    #: class-level defaults so snapshots pickled before the revision
-    #: counters existed unpickle as revision 0
-    rev: int = 0
-    mrev: int = 0
+    Edits are not versioned: a view derived from the netlist, such as
+    the timing engine's net arrays, must be rebuilt after an edit.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.instances: Dict[int, Instance] = {}
         self.nets: Dict[int, Net] = {}
         self.ports: Dict[str, Port] = {}
-        #: connectivity revision; bumped by every mutation that changes
-        #: which endpoints exist or what a net connects, so derived flat
-        #: views (the routing layer's cached net arrays, see
-        #: :meth:`repro.route.estimate.RoutingResult.net_arrays`) can
-        #: cheaply detect staleness without re-walking the netlist
-        self.rev = 0
-        #: master revision; bumped by :meth:`replace_master` so cached
-        #: delay tables (the levelized timing graph) detect sizing/Vth
-        #: swaps.  Assigning ``inst.master`` directly bypasses this --
-        #: always go through :meth:`replace_master`.
-        self.mrev = 0
         self._next_inst = 0
         self._next_net = 0
         #: instance id -> set of net ids touching it
@@ -180,7 +168,6 @@ class Netlist:
         self.instances[inst.id] = inst
         self._inst_nets[inst.id] = set()
         self._next_inst += 1
-        self.rev += 1
         return inst
 
     def add_port(self, name: str, direction: str,
@@ -195,7 +182,6 @@ class Netlist:
                     clock_domain=clock_domain, false_path=false_path)
         self.ports[name] = port
         self._port_nets[name] = set()
-        self.rev += 1
         return port
 
     def add_net(self, name: str, driver: PinRef,
@@ -207,7 +193,6 @@ class Netlist:
                   clock_domain=clock_domain)
         self.nets[net.id] = net
         self._next_net += 1
-        self.rev += 1
         for ref in net.endpoints():
             self._index(ref, net.id)
         return net
@@ -233,7 +218,6 @@ class Netlist:
     def remove_net(self, net_id: int) -> None:
         """Delete a net; endpoints are left unconnected."""
         net = self.nets.pop(net_id)
-        self.rev += 1
         for ref in net.endpoints():
             if ref.is_port:
                 self._port_nets[ref.port].discard(net_id)
@@ -246,12 +230,10 @@ class Netlist:
             raise ValueError(f"instance {inst_id} still connected")
         self.instances.pop(inst_id)
         self._inst_nets.pop(inst_id, None)
-        self.rev += 1
 
     def add_sink(self, net_id: int, ref: PinRef) -> None:
         """Attach a new sink endpoint to an existing net."""
         self.nets[net_id].sinks.append(ref)
-        self.rev += 1
         self._index(ref, net_id)
 
     def remove_sink(self, net_id: int, ref: PinRef) -> None:
@@ -260,7 +242,6 @@ class Netlist:
         for i, s in enumerate(net.sinks):
             if s.key() == ref.key():
                 del net.sinks[i]
-                self.rev += 1
                 self._unindex(ref, net_id)
                 return
         raise ValueError(f"sink {ref} not on net {net.name}")
@@ -270,14 +251,12 @@ class Netlist:
         net = self.nets[net_id]
         old = net.driver
         net.driver = new_driver
-        self.rev += 1
         self._unindex(old, net_id)
         self._index(new_driver, net_id)
 
     def replace_master(self, inst_id: int, master: Master) -> None:
         """Swap an instance's library master (sizing / Vth assignment)."""
         self.instances[inst_id].master = master
-        self.mrev += 1
 
     def nets_of(self, inst_id: int) -> List[Net]:
         """All nets touching an instance."""

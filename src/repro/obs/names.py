@@ -33,7 +33,6 @@ SPAN_FLOW_PLACE = "flow.place"
 SPAN_FLOW_POWER = "flow.power"
 SPAN_OPT_POWER_STAGE = "opt.power_stage"
 SPAN_OPT_TIMING_STAGE = "opt.timing_stage"
-SPAN_PLACE_BISTRATAL = "place.bistratal"
 SPAN_PLACE_GLOBAL = "place.global"
 SPAN_PLACE_LEGALIZE = "place.legalize"
 SPAN_PLACE_PARTITION = "place.partition"
@@ -65,7 +64,6 @@ SPAN_NAMES = (
     SPAN_FLOW_POWER,
     SPAN_OPT_POWER_STAGE,
     SPAN_OPT_TIMING_STAGE,
-    SPAN_PLACE_BISTRATAL,
     SPAN_PLACE_GLOBAL,
     SPAN_PLACE_LEGALIZE,
     SPAN_PLACE_PARTITION,
@@ -104,6 +102,7 @@ CTR_OPT_FULL_REROUTES = "opt.full_reroutes"
 CTR_OPT_HVT_SWAPS = "opt.hvt_swaps"
 CTR_OPT_ROUNDS = "opt.rounds"
 CTR_PLACE_CELLS_LEGALIZED = "place.cells_legalized"
+CTR_PLACE_PARTITIONS_UNBALANCED = "place.partitions_unbalanced"
 CTR_PLACE_QP_SOLVES = "place.qp_solves"
 CTR_PLACE_SPREAD_CALLS = "place.spread_calls"
 CTR_ROUTE_NETS_EXTRACTED_BATCH = "route.nets_extracted_batch"
@@ -154,6 +153,7 @@ CTR_NAMES = (
     CTR_OPT_HVT_SWAPS,
     CTR_OPT_ROUNDS,
     CTR_PLACE_CELLS_LEGALIZED,
+    CTR_PLACE_PARTITIONS_UNBALANCED,
     CTR_PLACE_QP_SOLVES,
     CTR_PLACE_SPREAD_CALLS,
     CTR_ROUTE_NETS_EXTRACTED_BATCH,

@@ -28,13 +28,15 @@ from ..route.estimate import RoutedNet, RoutingResult
 from ..tech.cells import CellLibrary, CellMaster
 
 
+#: insert a chain when a sink path exceeds this multiple of L_opt
+LENGTH_TRIGGER = 1.8
+
+
 @dataclass
 class BufferingConfig:
     """Knobs for repeater insertion."""
 
     buffer_drive: int = 4
-    #: insert a chain when a sink path exceeds this multiple of L_opt
-    length_trigger: float = 1.8
     #: fanout-buffer when driver load exceeds this many fF
     cap_limit_ff: float = 140.0
     #: max sinks behind one fanout buffer
@@ -117,7 +119,7 @@ def plan_net_buffering(netlist: Netlist, routed: RoutedNet,
         return None
     spacing = optimal_spacing_um(buf, routed.r_per_um, routed.c_per_um)
     longest = max((s.path_len_um for s in routed.sinks), default=0.0)
-    if longest > config.length_trigger * spacing:
+    if longest > LENGTH_TRIGGER * spacing:
         dx, dy, die = _driver_position(netlist, net)
         cx, cy = _sink_centroid(netlist, net)
         dist = abs(cx - dx) + abs(cy - dy)

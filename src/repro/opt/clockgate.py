@@ -36,10 +36,6 @@ class ClockGatingResult:
     #: mean enable activity over the gated population
     mean_enable: float
 
-    @property
-    def gated_fraction(self) -> float:
-        return self.gated_flops / max(self.total_flops, 1)
-
 
 def flop_input_activity(netlist: Netlist,
                         signals: Optional[Dict[int, Tuple[float, float]]]

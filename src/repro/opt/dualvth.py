@@ -15,39 +15,30 @@ staged loop can commit whole chunks through the live-edit session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..netlist.core import Netlist
 from ..route.estimate import RoutingResult
 from ..tech.cells import VTH_HVT, VTH_RVT, CellLibrary
 from ..timing.load import driven_load
 from ..timing.sta import STAResult
-from .sizing import Move, apply_moves
+from .sizing import MAX_MOVES_PER_PASS, Move, apply_moves
 
-
-@dataclass
-class DualVthConfig:
-    """Knobs for Vth assignment."""
-
-    #: keep at least this much slack after a swap (ps)
-    margin_ps: float = 10.0
-    #: see SizingConfig.path_sharing_factor
-    path_sharing_factor: float = 1.5
-    max_moves_per_pass: int = 100000
+#: keep at least this much slack after an HVT swap (ps)
+HVT_MARGIN_PS = 10.0
+#: the swap's counterpart of :data:`repro.opt.sizing.PATH_SHARING_FACTOR`
+HVT_PATH_SHARING_FACTOR = 1.5
 
 
 def plan_hvt_swaps(netlist: Netlist, routing: RoutingResult,
-                   sta: STAResult, library: CellLibrary,
-                   config: Optional[DualVthConfig] = None) -> List[Move]:
+                   sta: STAResult, library: CellLibrary) -> List[Move]:
     """Plan RVT->HVT swaps where slack absorbs the slowdown."""
-    config = config or DualVthConfig()
     moves: List[Move] = []
     candidates = sorted(
         (iid for iid, s in sta.slack.items() if iid in netlist.instances),
         key=lambda i: -sta.slack[i])
     for iid in candidates:
-        if len(moves) >= config.max_moves_per_pass:
+        if len(moves) >= MAX_MOVES_PER_PASS:
             break
         inst = netlist.instances[iid]
         if inst.is_macro or inst.master.vth != VTH_RVT:
@@ -55,8 +46,8 @@ def plan_hvt_swaps(netlist: Netlist, routing: RoutingResult,
         hvt = library.variant(inst.master, vth=VTH_HVT)
         load = driven_load(netlist, routing, iid)
         delta = hvt.delay_ps(load) - inst.master.delay_ps(load)
-        charged = max(delta, 0.0) * config.path_sharing_factor
-        if sta.slack_of(iid) - charged >= config.margin_ps:
+        charged = max(delta, 0.0) * HVT_PATH_SHARING_FACTOR
+        if sta.slack_of(iid) - charged >= HVT_MARGIN_PS:
             moves.append((iid, hvt))
     return moves
 
@@ -76,11 +67,10 @@ def plan_rvt_restores(netlist: Netlist, sta: STAResult,
 
 
 def assign_hvt(netlist: Netlist, routing: RoutingResult, sta: STAResult,
-               library: CellLibrary,
-               config: Optional[DualVthConfig] = None) -> int:
+               library: CellLibrary) -> int:
     """Swap RVT cells to HVT where slack permits; returns move count."""
     return apply_moves(netlist, plan_hvt_swaps(netlist, routing, sta,
-                                               library, config))
+                                               library))
 
 
 def restore_rvt_on_violations(netlist: Netlist, sta: STAResult,

@@ -34,20 +34,20 @@ from ..obs.metrics import metrics
 from ..route.estimate import RouteContext, RoutingResult
 from ..tech.process import ProcessNode
 from ..timing.sta import STAResult, TimingConfig
-from .buffering import BufferingConfig, plan_buffers
-from .dualvth import DualVthConfig, plan_hvt_swaps, plan_rvt_restores
+from .buffering import plan_buffers
+from .dualvth import plan_hvt_swaps, plan_rvt_restores
 from .sizing import SizingConfig, plan_downsizes, plan_upsizes
+
+#: timing-stage + power-stage rounds of the staged loop
+ROUNDS = 2
 
 
 @dataclass
 class OptimizeConfig:
     """Configuration of the staged optimization loop."""
 
-    rounds: int = 2
     dual_vth: bool = False
-    buffering: BufferingConfig = field(default_factory=BufferingConfig)
     sizing: SizingConfig = field(default_factory=SizingConfig)
-    dualvth: DualVthConfig = field(default_factory=DualVthConfig)
     #: run the session's full-recompute twin: full re-route + full STA
     #: after every transform chunk (decision-identical, much slower)
     full_recompute: bool = False
@@ -103,17 +103,16 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
         for _ in range(max_iter):
             sta = session.sta()
             added = session.commit_buffers(plan_buffers(
-                netlist, session.routing, lib, config.buffering))
+                netlist, session.routing, lib))
             if added:
                 buffers_added += added
                 sta = session.sta()
-            ups = session.swap_masters(plan_upsizes(netlist, sta, lib,
-                                                    config.sizing))
+            ups = session.swap_masters(plan_upsizes(netlist, sta, lib))
             upsized += ups
             if not (added or ups):
                 break
 
-    for _round in range(max(1, config.rounds)):
+    for _round in range(ROUNDS):
         with trace.span("opt.timing_stage", round=_round):
             timing_stage(max_iter=3)
 
@@ -125,8 +124,7 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
             if config.dual_vth:
                 for _chunk in range(3):
                     swaps = session.swap_masters(plan_hvt_swaps(
-                        netlist, session.routing, session.sta(), lib,
-                        config.dualvth))
+                        netlist, session.routing, session.sta(), lib))
                     if not swaps:
                         break
                     hvt_swaps += swaps
@@ -151,7 +149,7 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
     full_reroutes = 1 + session.stats["full_reroutes"]
     m = metrics()
     m.counter("opt.full_reroutes").inc(full_reroutes)
-    m.counter("opt.rounds").inc(max(1, config.rounds))
+    m.counter("opt.rounds").inc(ROUNDS)
     m.counter("opt.buffers_inserted").inc(buffers_added)
     m.counter("opt.cells_upsized").inc(upsized)
     m.counter("opt.cells_downsized").inc(downsized)

@@ -41,6 +41,16 @@ from ..timing.sta import STAResult
 #: a planned master change: (instance id, replacement master)
 Move = Tuple[int, CellMaster]
 
+#: upsize while slack is below this (ps)
+UPSIZE_TARGET_PS = 0.0
+#: multiple cells of one path downsize in a single pass and their delay
+#: penalties accumulate; each move is charged this many times its local
+#: delta so the shared path stays met (verified by the fresh STA
+#: between chunks)
+PATH_SHARING_FACTOR = 2.5
+#: cap on the moves one planner call returns
+MAX_MOVES_PER_PASS = 100000
+
 
 @dataclass
 class SizingConfig:
@@ -48,28 +58,19 @@ class SizingConfig:
 
     #: keep at least this much slack after a downsize (ps)
     downsize_margin_ps: float = 25.0
-    #: upsize while slack is below this (ps)
-    upsize_target_ps: float = 0.0
-    #: multiple cells of one path downsize in a single pass and their
-    #: delay penalties accumulate; each move is charged this many times
-    #: its local delta so the shared path stays met (verified by the
-    #: fresh STA between chunks)
-    path_sharing_factor: float = 2.5
-    max_moves_per_pass: int = 100000
 
 
-def plan_upsizes(netlist: Netlist, sta: STAResult, library: CellLibrary,
-                 config: Optional[SizingConfig] = None) -> List[Move]:
+def plan_upsizes(netlist: Netlist, sta: STAResult,
+                 library: CellLibrary) -> List[Move]:
     """Plan upsizes for cells on violating paths (worst slack first)."""
-    config = config or SizingConfig()
     moves: List[Move] = []
     # worst first so the most critical drivers strengthen earliest
     violators = sorted(
         (iid for iid, s in sta.slack.items()
-         if s < config.upsize_target_ps and iid in netlist.instances),
+         if s < UPSIZE_TARGET_PS and iid in netlist.instances),
         key=lambda i: sta.slack[i])
     for iid in violators:
-        if len(moves) >= config.max_moves_per_pass:
+        if len(moves) >= MAX_MOVES_PER_PASS:
             break
         inst = netlist.instances[iid]
         if inst.is_macro:
@@ -88,8 +89,8 @@ def plan_downsizes(netlist: Netlist, routing: RoutingResult,
 
     A move is planned when the local delay increase (drive resistance
     and intrinsic delay deltas at the current load), charged
-    ``path_sharing_factor`` times, fits inside the cell's slack minus
-    the guard margin.
+    :data:`PATH_SHARING_FACTOR` times, fits inside the cell's slack
+    minus the guard margin.
     """
     config = config or SizingConfig()
     moves: List[Move] = []
@@ -98,7 +99,7 @@ def plan_downsizes(netlist: Netlist, routing: RoutingResult,
          if s > config.downsize_margin_ps and iid in netlist.instances),
         key=lambda i: -sta.slack[i])
     for iid in candidates:
-        if len(moves) >= config.max_moves_per_pass:
+        if len(moves) >= MAX_MOVES_PER_PASS:
             break
         inst = netlist.instances[iid]
         if inst.is_macro:
@@ -108,7 +109,7 @@ def plan_downsizes(netlist: Netlist, routing: RoutingResult,
             continue
         load = driven_load(netlist, routing, iid)
         delta = (smaller.delay_ps(load) - inst.master.delay_ps(load))
-        charged = max(delta, 0.0) * config.path_sharing_factor
+        charged = max(delta, 0.0) * PATH_SHARING_FACTOR
         if sta.slack[iid] - charged >= config.downsize_margin_ps:
             moves.append((iid, smaller))
     return moves
@@ -122,11 +123,9 @@ def apply_moves(netlist: Netlist, moves: List[Move]) -> int:
 
 
 def fix_timing(netlist: Netlist, routing: RoutingResult, sta: STAResult,
-               library: CellLibrary,
-               config: Optional[SizingConfig] = None) -> int:
+               library: CellLibrary) -> int:
     """Upsize cells on violating paths; returns the number of moves."""
-    return apply_moves(netlist, plan_upsizes(netlist, sta, library,
-                                             config))
+    return apply_moves(netlist, plan_upsizes(netlist, sta, library))
 
 
 def recover_power(netlist: Netlist, routing: RoutingResult, sta: STAResult,

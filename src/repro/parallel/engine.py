@@ -212,10 +212,6 @@ class BenchReport:
         """Did every task produce a result (shape checks aside)?"""
         return all(r.status == "ok" for r in self.runs)
 
-    def completed_runs(self) -> List[ExperimentRun]:
-        """The runs that produced a result."""
-        return [r for r in self.runs if r.status == "ok"]
-
     def failed_runs(self) -> List[ExperimentRun]:
         """The runs that exhausted their attempts (failed or timed
         out)."""

@@ -17,8 +17,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..netlist.core import Netlist
+from ..netlist.core import Instance, Netlist
 from ..obs import trace
+from ..obs.metrics import metrics
 
 
 @dataclass
@@ -87,6 +88,69 @@ def _gain(side: int, nets: List[int], counts: Dict[int, List[int]]) -> int:
     return g
 
 
+def _rebalance_start(insts: List[Instance], assignment: Dict[int, int],
+                     area: Dict[int, float], locked: Set[int],
+                     net_members: Dict[int, List[int]],
+                     inst_nets: Dict[int, List[int]], hi: float) -> int:
+    """Move free cells off a side holding more than ``hi`` of the area.
+
+    FM passes keep balance but cannot restore it: a move toward balance
+    that cuts nets is rolled back with its pass.  So before the first
+    pass, while one side is over ``hi``, this moves its unlocked cells
+    to the other side, best FM gain first (first in instance order on a
+    tie), skipping any cell that would push the other side over ``hi``.
+    ``assignment`` and ``area`` are updated in place; a start already
+    inside the window is left untouched.
+
+    Returns:
+        The number of cells moved.
+    """
+    if max(area[0], area[1]) <= hi:
+        return 0
+    heavy = 0 if area[0] > hi else 1
+    light = 1 - heavy
+    counts: Dict[int, List[int]] = {}
+    for nid, members in net_members.items():
+        c = [0, 0]
+        for m in members:
+            c[assignment[m]] += 1
+        counts[nid] = c
+    rank: Dict[int, int] = {}
+    gains: Dict[int, int] = {}
+    heap: List[Tuple[int, int, int]] = []
+    for k, inst in enumerate(insts):
+        if inst.id in locked or assignment[inst.id] != heavy:
+            continue
+        rank[inst.id] = k
+        gains[inst.id] = _gain(heavy, inst_nets[inst.id], counts)
+        heap.append((-gains[inst.id], k, inst.id))
+    heapify(heap)
+    area_of = {inst.id: inst.area_um2 for inst in insts}
+    moved = 0
+    while heap and area[heavy] > hi:
+        neg_gain, _, iid = heappop(heap)
+        if assignment[iid] != heavy or gains[iid] != -neg_gain:
+            continue  # moved already, or a stale gain
+        a = area_of[iid]
+        if area[light] + a > hi:
+            continue  # the light side only grows: never feasible again
+        assignment[iid] = light
+        area[heavy] -= a
+        area[light] += a
+        moved += 1
+        for nid in inst_nets[iid]:
+            c = counts[nid]
+            c[heavy] -= 1
+            c[light] += 1
+            for t in net_members[nid]:
+                if t in gains and assignment[t] == heavy:
+                    g = _gain(heavy, inst_nets[t], counts)
+                    if g != gains[t]:
+                        gains[t] = g
+                        heappush(heap, (-g, rank[t], t))
+    return moved
+
+
 def fm_bipartition(netlist: Netlist,
                    initial: Optional[Dict[int, int]] = None,
                    locked: Optional[Set[int]] = None,
@@ -95,9 +159,11 @@ def fm_bipartition(netlist: Netlist,
                    seed: int = 0) -> PartitionResult:
     """Min-cut bipartition with area balance.
 
-    Each FM pass moves free cells one at a time, always the
-    balance-feasible cell with the largest ``(gain, jitter)`` (first in
-    instance order on a tie), then keeps the best prefix of its moves.
+    A start with one side over ``0.5 + tol`` of the area is first
+    brought inside the window by :func:`_rebalance_start`.  Each FM pass
+    then moves free cells one at a time, always the balance-feasible
+    cell with the largest ``(gain, jitter)`` (first in instance order on
+    a tie), then keeps the best prefix of its moves.
     The candidates sit in one lazy max-heap per ``(side, area)`` group:
     a move's feasibility depends only on those two, so the best move is
     the best heap top among the feasible groups, O(groups + log n) per
@@ -111,6 +177,9 @@ def fm_bipartition(netlist: Netlist,
             already a decent split for hierarchically local netlists.
         locked: instance ids that must keep their initial side.
         balance_tol: each side must hold within ``0.5 +/- tol`` of area.
+            A result still outside that window (locked cells, or macros
+            too large to split evenly) counts in the
+            ``place.partitions_unbalanced`` metric.
         max_passes: FM pass limit.
         seed: tie-break randomness.
 
@@ -160,6 +229,8 @@ def fm_bipartition(netlist: Netlist,
         area = {0: 0.0, 1: 0.0}
         for iid, side in assignment.items():
             area[side] += area_of[iid]
+        rebalanced = _rebalance_start(insts, assignment, area, locked,
+                                      net_members, inst_nets, hi)
 
         def flip(iid: int) -> None:
             s = assignment[iid]
@@ -246,43 +317,14 @@ def fm_bipartition(netlist: Netlist,
                 flip(iid)
             moves += best_k
 
-        cut = count_cut(netlist, assignment)
-        sp.set(passes=passes, moves=moves, cut=cut)
-    return PartitionResult(assignment=assignment, cut_nets=cut,
-                           area=_areas(netlist, assignment))
-
-
-def balanced_split(scores: np.ndarray, areas: np.ndarray,
-                   pre_area: tuple = (0.0, 0.0)) -> np.ndarray:
-    """Threshold continuous scores into two area-balanced sides.
-
-    The analytical (bistratal) die assignment solves a continuous
-    z in [0, 1] per movable cell and needs the discretization step: sort
-    by score (stable, so equal scores keep input order), then cut the
-    prefix whose side-0 area lands closest to half the total --
-    including ``pre_area``, the area already pinned to each side (macros
-    and other fixed objects).  Ties pick the smallest prefix.
-
-    Args:
-        scores: per-cell continuous side score (low -> side 0).
-        areas: per-cell areas.
-        pre_area: (side0, side1) area already committed.
-
-    Returns:
-        int array of 0/1 side assignments aligned with ``scores``.
-    """
-    n = len(scores)
-    side = np.ones(n, dtype=np.int64)
-    if n == 0:
-        return side
-    order = np.argsort(scores, kind="stable")
-    cum = np.cumsum(areas[order])
-    total = float(cum[-1]) + pre_area[0] + pre_area[1]
-    # area0[k] = side-0 area when the k lowest-score cells go to side 0
-    area0 = pre_area[0] + np.concatenate([[0.0], cum])
-    k = int(np.argmin(np.abs(area0 - total / 2)))
-    side[order[:k]] = 0
-    return side
+        result = PartitionResult(assignment=assignment,
+                                 cut_nets=count_cut(netlist, assignment),
+                                 area=_areas(netlist, assignment))
+        if max(result.area[0], result.area[1]) > hi:
+            metrics().counter("place.partitions_unbalanced").inc()
+        sp.set(passes=passes, moves=moves, cut=result.cut_nets,
+               rebalanced=rebalanced, balance=result.balance)
+    return result
 
 
 def partition_by_clusters(netlist: Netlist, die1_clusters: Iterable[int]

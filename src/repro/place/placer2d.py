@@ -24,21 +24,28 @@ from .quadratic import QPNet, QuadraticPlacer
 from .spreading import spread
 
 
+#: placement utilization target of the flow
+UTILIZATION = 0.70
+#: outline width / height
+ASPECT_RATIO = 1.0
+#: B2B reweighting rounds of the initial quadratic solve
+QP_ROUNDS = 2
+#: spread / anchored re-solve iterations of global placement
+SPREAD_ITERATIONS = 2
+#: first anchor pseudo-net strength (tripled every iteration)
+ANCHOR_STRENGTH = 0.0025
+#: nets above this degree get QP weight ``MAX_QP_DEGREE / degree``
+MAX_QP_DEGREE = 64
+
+
 @dataclass
 class PlacementConfig:
     """Knobs for the 2D placer."""
 
-    utilization: float = 0.70
-    aspect_ratio: float = 1.0
-    qp_rounds: int = 2
-    iterations: int = 2
-    anchor_strength: float = 0.0025
+    utilization: float = UTILIZATION
     seed: int = 0
-    place_ports: bool = True
     #: extra area (um^2) reserved in the outline, e.g. for TSV sites
     reserved_area_um2: float = 0.0
-    #: cap on QP net weight for very high fanout nets
-    max_qp_degree: int = 64
     #: carve macro areas out of the supply map (the paper's Section 4.2
     #: hole model); False reproduces the halo-prone baseline placers
     macro_holes: bool = True
@@ -68,7 +75,7 @@ def compute_outline(netlist: Netlist, config: PlacementConfig) -> Rect:
     macro_area = netlist.total_macro_area()
     area = (cell_area / config.utilization + macro_area * 1.08 +
             config.reserved_area_um2)
-    width = math.sqrt(area * config.aspect_ratio)
+    width = math.sqrt(area * ASPECT_RATIO)
     height = area / width
     return Rect(0.0, 0.0, width, height)
 
@@ -163,8 +170,8 @@ def place_ports(netlist: Netlist, outline: Rect) -> None:
     _spread(outs, ["right", "bottom"])
 
 
-def _build_qp_nets(netlist: Netlist, index_of: Dict[int, int],
-                   config: PlacementConfig) -> List[QPNet]:
+def _build_qp_nets(netlist: Netlist, index_of: Dict[int, int]
+                   ) -> List[QPNet]:
     nets: List[QPNet] = []
     for net in netlist.nets.values():
         if net.is_clock:
@@ -186,8 +193,7 @@ def _build_qp_nets(netlist: Netlist, index_of: Dict[int, int],
         degree = len(movable) + len(fixed)
         if degree < 2 or not movable:
             continue
-        weight = 1.0 if degree <= config.max_qp_degree else \
-            config.max_qp_degree / degree
+        weight = 1.0 if degree <= MAX_QP_DEGREE else MAX_QP_DEGREE / degree
         nets.append(QPNet(movable=movable, fixed=fixed, weight=weight))
     return nets
 
@@ -210,7 +216,7 @@ def hpwl(netlist: Netlist) -> float:
 
 
 def run_global_place(netlist: Netlist, movable: List, outline: Rect,
-                     config: PlacementConfig, rng: np.random.Generator,
+                     rng: np.random.Generator,
                      spread_fn) -> Tuple[np.ndarray, np.ndarray]:
     """Shared QP + spreading loop for the 2D and 3D placers.
 
@@ -219,7 +225,7 @@ def run_global_place(netlist: Netlist, movable: List, outline: Rect,
     """
     n = len(movable)
     index_of = {inst.id: k for k, inst in enumerate(movable)}
-    qp_nets = _build_qp_nets(netlist, index_of, config)
+    qp_nets = _build_qp_nets(netlist, index_of)
     placer = QuadraticPlacer(n, qp_nets)
     cx = 0.5 * (outline.x0 + outline.x1)
     cy = 0.5 * (outline.y0 + outline.y1)
@@ -228,13 +234,13 @@ def run_global_place(netlist: Netlist, movable: List, outline: Rect,
     areas = np.array([inst.area_um2 for inst in movable])
 
     with trace.span("place.global", cells=n, nets=len(qp_nets)):
-        xs, ys = placer.solve(xs, ys, rounds=config.qp_rounds)
-        anchor = config.anchor_strength
-        for it in range(config.iterations):
+        xs, ys = placer.solve(xs, ys, rounds=QP_ROUNDS)
+        anchor = ANCHOR_STRENGTH
+        for it in range(SPREAD_ITERATIONS):
             xs = np.clip(xs, outline.x0, outline.x1)
             ys = np.clip(ys, outline.y0, outline.y1)
             sx, sy = spread_fn(xs, ys, areas)
-            if it == config.iterations - 1:
+            if it == SPREAD_ITERATIONS - 1:
                 xs, ys = sx, sy
                 break
             xs, ys = placer.solve(sx, sy, anchors=(sx, sy, anchor),
@@ -269,8 +275,7 @@ def place_block_2d(netlist: Netlist, config: PlacementConfig,
     if outline is None:
         outline = compute_outline(netlist, config)
     macro_rects = place_macros(netlist, outline)
-    if config.place_ports:
-        place_ports(netlist, outline)
+    place_ports(netlist, outline)
 
     movable = [i for i in netlist.instances.values()
                if not i.is_macro and not i.fixed]
@@ -288,8 +293,7 @@ def place_block_2d(netlist: Netlist, config: PlacementConfig,
     def spread_fn(xs, ys, areas):
         return spread(grid, xs, ys, areas, rng)
 
-    xs, ys = run_global_place(netlist, movable, outline, config, rng,
-                              spread_fn)
+    xs, ys = run_global_place(netlist, movable, outline, rng, spread_fn)
     snap_to_rows(movable, xs, ys, outline)
     if config.full_legalize:
         from .legalize import legalize_cells

@@ -2,8 +2,9 @@
 
 Implements the paper's folding placement flow:
 
-1. assign every instance to one of the two tiers (natural or min-cut
-   partition, Section 4);
+1. assign every instance to the tier the partitioner gave it (natural
+   or min-cut partition, Section 4) -- the only die assignment; the
+   placer never revises it;
 2. place *all* cells jointly in the folded outline assuming an ideal 3D
    interconnect of zero size (exactly the first step of the paper's F2F
    flow, Fig. 4a) -- tiers share x/y space, so the quadratic solve sees
@@ -27,13 +28,10 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..netlist.core import Net, Netlist
-from ..obs import trace
 from ..tech.process import ProcessNode
 from .grid import DensityGrid, Rect, first_containing
-from .partition import balanced_split
-from .placer2d import (PlacementConfig, hpwl, place_macro_list, place_ports,
-                       run_global_place, snap_to_rows)
-from .quadratic import QPNet, QuadraticPlacer
+from .placer2d import (ASPECT_RATIO, PlacementConfig, hpwl, place_macro_list,
+                       place_ports, run_global_place, snap_to_rows)
 from .spreading import spread
 
 
@@ -66,12 +64,6 @@ class Fold3DResult:
     def footprint_um2(self) -> float:
         """Silicon footprint of one tier (both tiers share the outline)."""
         return self.outline.area
-
-    def via_of_net(self, net_id: int) -> Optional[ViaSite]:
-        for v in self.vias:
-            if v.net_id == net_id:
-                return v
-        return None
 
 
 def crossing_nets(netlist: Netlist) -> List[Net]:
@@ -168,8 +160,8 @@ class _ViaLegalizer:
 def fold_place_3d(netlist: Netlist, process: ProcessNode,
                   assignment: Dict[int, int], bonding: str,
                   config: Optional[PlacementConfig] = None,
-                  region_of: Optional[Dict[int, Optional[str]]] = None,
-                  mode: str = "fold") -> Fold3DResult:
+                  region_of: Optional[Dict[int, Optional[str]]] = None
+                  ) -> Fold3DResult:
     """Place a folded block on two tiers.
 
     Args:
@@ -184,13 +176,6 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
             (the paper's FUB floorplan, Section 4.5): a folded region's
             halves land in aligned rectangles of half the area, which is
             what actually shortens its internal wires.
-        mode: ``"fold"`` uses the partitioner's die assignment as-is
-            (the paper's flow); ``"bistratal"`` additionally refines the
-            movable cells' tiers analytically -- a continuous z per cell
-            minimizes the bistratal quadratic wirelength (the two tiers
-            as coupled planes, with a bonding-dependent via-cost anchor)
-            before an area-balanced rounding, following the analytical
-            die-to-die formulation of PAPERS.md.
 
     Returns:
         The fold placement result with legalized via sites.
@@ -198,14 +183,9 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
     config = config or PlacementConfig()
     rng = np.random.default_rng(config.seed)
     via = process.via_for(bonding)
-    if mode not in ("fold", "bistratal"):
-        raise ValueError(f"unknown fold placement mode: {mode!r}")
 
     for iid, die in assignment.items():
         netlist.instances[iid].die = die
-    if mode == "bistratal":
-        _bistratal_assign(netlist, config,
-                          via_penalty=1.0 if via.occupies_silicon else 0.25)
 
     cross = crossing_nets(netlist)
     n_signal_vias = len(cross)
@@ -223,7 +203,7 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
     base = max(die_area[0], die_area[1])
     tsv_area = n_signal_vias * via.area_um2 if via.occupies_silicon else 0.0
     area = base + tsv_area
-    width = math.sqrt(area * config.aspect_ratio)
+    width = math.sqrt(area * ASPECT_RATIO)
     outline = Rect(0.0, 0.0, width, area / width)
 
     # per-tier macro placement and density grids
@@ -242,9 +222,8 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
             grid.add_obstruction(rect)
         grids[die] = grid
 
-    if config.place_ports:
-        place_ports(netlist, outline)
-        _assign_port_dies(netlist)
+    place_ports(netlist, outline)
+    _assign_port_dies(netlist)
 
     movable = [i for i in netlist.instances.values()
                if not i.is_macro and not i.fixed]
@@ -333,7 +312,7 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
                     spread_die(xs, ys, areas, ox, oy, die)
             return ox, oy
 
-        xs, ys = run_global_place(netlist, movable, outline, config, rng,
+        xs, ys = run_global_place(netlist, movable, outline, rng,
                                   spread_fn)
         snap_to_rows(movable, xs, ys, outline)
 
@@ -355,68 +334,6 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
     return Fold3DResult(outline=outline, bonding=bonding.upper(), vias=vias,
                         n_vias=n_vias, tsv_area_um2=tsv_area,
                         die_area=die_area, grids=grids, hpwl_um=hpwl(netlist))
-
-
-def _bistratal_assign(netlist: Netlist, config: PlacementConfig,
-                      via_penalty: float) -> None:
-    """Analytical die-to-die refinement of the movable cells' tiers.
-
-    Treats the tier coordinate as a continuous z in [0, 1] and minimizes
-    the same B2B quadratic objective the x/y placer uses, with nets
-    coupling the two planes: macros and other fixed instances enter as
-    fixed endpoints at their assigned tier, so connectivity pulls each
-    movable cell toward the tier holding its neighbors.  An anchor
-    toward the seed partition models the via cost -- stronger for
-    silicon-consuming TSVs (``via_penalty`` 1.0) than for F2F pads
-    (0.25), which is exactly the asymmetry that lets F2F designs afford
-    more crossings.  The continuous solution is rounded by an
-    area-balanced threshold (:func:`~repro.place.partition.balanced_split`).
-
-    Macros and fixed instances keep their partitioner tiers; only
-    movable standard cells are refined, in place.
-    """
-    movable = [i for i in netlist.instances.values()
-               if not i.is_macro and not i.fixed]
-    if not movable:
-        return
-    index_of = {inst.id: k for k, inst in enumerate(movable)}
-    znets: List[QPNet] = []
-    for net in netlist.nets.values():
-        if net.is_clock:
-            continue
-        members: List[int] = []
-        fixed: List[Tuple[float, float]] = []
-        seen: Set[int] = set()
-        for ref in net.endpoints():
-            if ref.is_port:
-                continue  # ports get a tier only after assignment
-            inst = netlist.instances[ref.inst]
-            if inst.is_macro or inst.fixed:
-                z = float(inst.die)
-                fixed.append((z, z))
-            elif inst.id not in seen:
-                seen.add(inst.id)
-                members.append(index_of[inst.id])
-        degree = len(members) + len(fixed)
-        if degree < 2 or not members:
-            continue
-        weight = 1.0 if degree <= config.max_qp_degree else \
-            config.max_qp_degree / degree
-        znets.append(QPNet(movable=members, fixed=fixed, weight=weight))
-
-    with trace.span("place.bistratal", cells=len(movable),
-                    nets=len(znets)):
-        z0 = np.array([float(inst.die) for inst in movable])
-        placer = QuadraticPlacer(len(movable), znets)
-        z = placer.solve1d(z0, anchors=(z0, 0.02 * via_penalty), rounds=2)
-        pre = {0: 0.0, 1: 0.0}
-        for inst in netlist.instances.values():
-            if inst.is_macro or inst.fixed:
-                pre[inst.die] += inst.area_um2
-        areas = np.array([inst.area_um2 for inst in movable])
-        side = balanced_split(z, areas, pre_area=(pre[0], pre[1]))
-        for inst, die in zip(movable, side):
-            inst.die = int(die)
 
 
 def _assign_port_dies(netlist: Netlist) -> None:

@@ -141,23 +141,6 @@ class QuadraticPlacer:
             y = self._solve_axis(y, axis=1, anchors=anchors)
         return x, y
 
-    def solve1d(self, c0: np.ndarray,
-                anchors: Optional[Tuple[np.ndarray, float]] = None,
-                rounds: int = 1) -> np.ndarray:
-        """B2B solve along a single axis (the bistratal z solve).
-
-        Fixed endpoints contribute their x-slot coordinate; callers build
-        the :class:`QPNet` list with ``fixed=[(z, z)]`` entries.
-        """
-        c = c0.copy()
-        anch3 = None
-        if anchors is not None:
-            target, strength = anchors
-            anch3 = (target, target, strength)
-        for _ in range(max(1, rounds)):
-            c = self._solve_axis(c, axis=0, anchors=anch3)
-        return c
-
     def _solve_axis(self, coords: np.ndarray, axis: int,
                     anchors) -> np.ndarray:
         metrics().counter("place.qp_solves").inc()

@@ -15,7 +15,6 @@ This is the model's stand-in for detailed routing + RC extraction.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -195,17 +194,11 @@ class NetArrays:
     per-net driver loads are computed here once, vectorized, with the
     scalar properties' exact operation order (see ``docs/timing.md``).
 
-    Validity: the view is cached on the :class:`RoutingResult` it was
-    gathered from and keyed by ``(netlist, netlist.rev)`` -- any
-    net-topology mutation bumps ``rev`` and invalidates it, and the
-    routing result's own mutators (:meth:`RoutingResult.refresh_nets`,
-    :meth:`RoutingResult.update_instances`) drop it explicitly.  Code
-    that mutates ``RoutedNet`` objects by hand must go through those
-    mutators (everything in-repo does).
+    A view is a snapshot: it is gathered fresh for every timing graph
+    and never cached, so no netlist or routing edit can leave a stale
+    one behind.
     """
 
-    netlist_ref: "weakref.ref"
-    rev: int
     #: per net: id, driver endpoint, total driven cap
     net_ids: np.ndarray
     drv_inst: np.ndarray        # -1 for port-driven nets
@@ -224,17 +217,10 @@ class NetArrays:
     sink_ports: List[Optional[str]]
     sink_wd: np.ndarray         # sink_wire_delay_ps, vectorized
 
-    @property
-    def n_nets(self) -> int:
-        return int(self.net_ids.shape[0])
-
 
 def gather_net_arrays(netlist: Netlist, routing: "RoutingResult"
                       ) -> NetArrays:
-    """One pass over the routed nets into the flat array view.
-
-    Uncached; :meth:`RoutingResult.net_arrays` is the cached lookup.
-    """
+    """One pass over the routed nets into the flat array view."""
     net_ids: List[int] = []
     drv_inst: List[int] = []
     drv_is_port: List[bool] = []
@@ -321,7 +307,6 @@ def gather_net_arrays(netlist: Netlist, routing: "RoutingResult"
     total_cap = np.where(has_via_a, total + via_cap_a, total)
 
     return NetArrays(
-        netlist_ref=weakref.ref(netlist), rev=netlist.rev,
         net_ids=np.asarray(net_ids, dtype=np.int64),
         drv_inst=np.asarray(drv_inst, dtype=np.int64),
         drv_is_port=np.asarray(drv_is_port, dtype=bool),
@@ -340,31 +325,6 @@ class RoutingResult:
     """All routed nets of a block plus aggregate statistics."""
 
     nets: Dict[int, RoutedNet] = field(default_factory=dict)
-
-    # cached flat view for the array timing engines; a plain class
-    # attribute (deliberately unannotated, so it is NOT a dataclass
-    # field) keeping __eq__/repr/init semantics exactly as before
-    _net_arrays = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_net_arrays", None)
-        return state
-
-    def net_arrays(self, netlist: Netlist) -> NetArrays:
-        """The flat array view of this routing against ``netlist``.
-
-        Returns the cached view when it is still valid (same netlist
-        object, same net-topology revision, no intervening routing
-        mutation); re-gathers otherwise.
-        """
-        cached = self._net_arrays
-        if cached is not None and cached.rev == netlist.rev and \
-                cached.netlist_ref() is netlist:
-            return cached
-        arrays = gather_net_arrays(netlist, self)
-        self._net_arrays = arrays
-        return arrays
 
     @property
     def total_wirelength_um(self) -> float:
@@ -404,7 +364,6 @@ class RoutingResult:
         """
         from ..obs.metrics import metrics
 
-        self._net_arrays = None
         updated: List[int] = []
         for nid in sorted(set(net_ids)):
             net = netlist.nets.get(nid)
@@ -452,7 +411,6 @@ class RoutingResult:
         """
         from ..obs.metrics import metrics
 
-        self._net_arrays = None
         seen: set = set()
         dirty: List[Net] = []
         for iid in changed_inst_ids:

@@ -54,10 +54,6 @@ class GlobalRouter:
         j = int(np.clip((y - self.region.y0) / self.gh, 0, self.n - 1))
         return i, j
 
-    def gcell_center(self, i: int, j: int) -> Tuple[float, float]:
-        return (self.region.x0 + (i + 0.5) * self.gw,
-                self.region.y0 + (j + 0.5) * self.gh)
-
     def add_blockage(self, rect: Rect, remaining_fraction: float = 0.0) -> None:
         """Reduce capacity under a block.
 

@@ -10,7 +10,7 @@ far more, and the supply tracks the corner.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, List
+from typing import Dict
 
 from .cells import CellLibrary, CellMaster
 from .process import ProcessNode
@@ -73,7 +73,3 @@ def corner_process(base: ProcessNode, corner_name: str) -> ProcessNode:
                       name=f"{base.name}_{corner_name}",
                       vdd=base.vdd * corner.vdd_factor,
                       library=corner_library(base.library, corner_name))
-
-
-def corner_names() -> List[str]:
-    return list(CORNERS)

@@ -65,9 +65,6 @@ class ThermalResult:
     def tier_max(self, die: int) -> float:
         return float(self.temperature_c[die].max())
 
-    def tier_avg(self, die: int) -> float:
-        return float(self.temperature_c[die].mean())
-
 
 def _conductance_w_per_k(k: float, area_um2: float,
                          length_um: float) -> float:

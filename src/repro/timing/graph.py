@@ -41,15 +41,13 @@ instance missing from the netlist raises ``ValueError`` naming the
 cells or nets; setup STA additionally rejects routed sinks out of
 positional sync with the netlist (stale routing after surgery).
 
-Caching: the flat net view lives on the :class:`RoutingResult`
-(:meth:`~repro.route.estimate.RoutingResult.net_arrays`, keyed by the
-netlist's connectivity revision); the levelized graph with its delay
-tables is cached on that view keyed by the netlist's master revision,
-so a setup + hold + I/O-path sweep over one snapshot builds the graph
-once.  :class:`~repro.timing.incremental.IncrementalSTA` re-times after
-every edit on a graph it builds from
-:func:`~repro.route.estimate.gather_net_arrays` and drops afterwards,
-so a finished design does not keep one alive on its routing.
+Nothing is cached: :func:`graph_for` gathers the flat net view
+(:func:`~repro.route.estimate.gather_net_arrays`) and levelizes it on
+every call, and the caller drops the graph when its analysis returns.
+Setup STA, hold, the I/O paths and every
+:class:`~repro.timing.incremental.IncrementalSTA` re-time build their
+graph this one way, and a finished design keeps no graph alive on its
+routing.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ import numpy as np
 
 from ..netlist.core import Netlist
 from ..obs.metrics import metrics
-from ..route.estimate import NetArrays, RoutingResult
+from ..route.estimate import NetArrays, RoutingResult, gather_net_arrays
 from .sta import MACRO_SETUP_PS, SETUP_PS
 
 _NEG_INF = float("-inf")
@@ -81,8 +79,6 @@ class TimingGraph:
     """Levelized array form of one routed netlist snapshot."""
 
     def __init__(self, netlist: Netlist, arrays: NetArrays) -> None:
-        self.mrev = netlist.mrev
-
         insts = netlist.instances
         iids: List[int] = []
         mac: List[bool] = []
@@ -398,14 +394,9 @@ def _names(names: List[str], limit: int = 8) -> str:
 
 
 def graph_for(netlist: Netlist, routing: RoutingResult) -> TimingGraph:
-    """The cached levelized graph for a routed snapshot.
+    """A freshly built levelized graph for a routed snapshot.
 
     Raises:
         ValueError: on a combinational cycle or a dangling endpoint.
     """
-    arrays = routing.net_arrays(netlist)
-    g = getattr(arrays, "_graph", None)
-    if g is None or g.mrev != netlist.mrev:
-        g = TimingGraph(netlist, arrays)
-        arrays._graph = g
-    return g
+    return TimingGraph(netlist, gather_net_arrays(netlist, routing))

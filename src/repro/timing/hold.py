@@ -52,8 +52,8 @@ def run_hold_analysis(netlist: Netlist, routing: RoutingResult,
                       hold_ps: float = HOLD_PS) -> HoldResult:
     """Check every capture against ``hold + skew`` with min-delay paths.
 
-    A levelized min-arrival sweep over the cached
-    :class:`~repro.timing.graph.TimingGraph`.
+    A levelized min-arrival sweep over a
+    :class:`~repro.timing.graph.TimingGraph` built for this call.
 
     Raises:
         ValueError: on a combinational cycle or a dangling endpoint.

@@ -17,14 +17,14 @@ edits:
 * :meth:`IncrementalSTA.retarget` swaps the I/O timing context.
 
 After every edit the whole block is re-timed by :func:`sta_on_graph`,
-the body of :func:`run_sta`, on a freshly built
-:class:`~repro.timing.graph.TimingGraph`.  There is one timing engine:
+the body of :func:`run_sta`, on a graph from
+:func:`~repro.timing.graph.graph_for`, the one builder every timing
+analysis uses.  There is one timing engine:
 :meth:`IncrementalSTA.to_result` equals a from-scratch ``run_sta``
 bit-for-bit, dict orders included, and an edit that leaves a
 combinational cycle, a dangling endpoint or a stale routing raises the
 same ``ValueError``.  A re-time costs one full array sweep whatever
-the edit's size, so callers batch their edits.  The graph is not cached
-on the routing view, so a finished design does not keep one alive.
+the edit's size, so callers batch their edits.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from typing import Sequence, Tuple
 
 from ..netlist.core import Netlist
 from ..obs.metrics import metrics
-from ..route.estimate import RoutingResult, gather_net_arrays
+from ..route.estimate import RoutingResult
 from ..tech.cells import CellMaster
 from ..tech.process import ProcessNode
-from .graph import TimingGraph
+from .graph import graph_for
 from .sta import STAResult, TimingConfig, run_sta, sta_on_graph
 
 INF = float("inf")
@@ -82,11 +82,8 @@ class IncrementalSTA:
         return view
 
     def _retime(self) -> None:
-        # not graph_for: its cache would keep a graph alive on the
-        # routing of every finished design (+8% peak RSS on table5)
-        g = TimingGraph(self.netlist,
-                        gather_net_arrays(self.netlist, self.routing))
-        self._result = sta_on_graph(g, self.netlist, self.process,
+        self._result = sta_on_graph(graph_for(self.netlist, self.routing),
+                                    self.netlist, self.process,
                                     self.config)
 
     # -- ECO edits -----------------------------------------------------

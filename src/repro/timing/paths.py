@@ -164,9 +164,9 @@ def io_path_delays(netlist: Netlist, routing: RoutingResult,
     sign-off (``repro.core.chip_sta``) adds the inter-block wire between
     them.
 
-    Runs on the cached :class:`~repro.timing.graph.TimingGraph`: the
-    setup arrivals give ``t_out``, and a port-seeded forward max pass
-    gives ``t_in``.
+    Runs on a :class:`~repro.timing.graph.TimingGraph` built for this
+    call: the setup arrivals give ``t_out``, and a port-seeded forward
+    max pass gives ``t_in``.
 
     Raises:
         ValueError: on a combinational cycle or a dangling endpoint.

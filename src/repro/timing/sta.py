@@ -78,8 +78,9 @@ def run_sta(netlist: Netlist, routing: RoutingResult, process: ProcessNode,
     """Run forward/backward STA on a routed block.
 
     Returns per-instance-output slacks.  Instances not on any constrained
-    path keep infinite slack.  Runs on the cached levelized
-    :class:`~repro.timing.graph.TimingGraph`; the result -- values and
+    path keep infinite slack.  Runs on a levelized
+    :class:`~repro.timing.graph.TimingGraph` built for this call by
+    :func:`~repro.timing.graph.graph_for`; the result -- values and
     dict orders -- is bit-identical to the per-node Kahn walk kept as a
     test oracle.
 
@@ -98,7 +99,7 @@ def sta_on_graph(g: TimingGraph, netlist: Netlist, process: ProcessNode,
     """:func:`run_sta`'s sweep on an already built timing graph.
 
     :class:`~repro.timing.incremental.IncrementalSTA` re-times through
-    this with a graph it builds without caching it on the routing.
+    this.
 
     Raises:
         ValueError: if ``g`` holds a routing whose sinks no longer match

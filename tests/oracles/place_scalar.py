@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.netlist.core import Instance, Netlist
 from repro.place.grid import GEOM_TOL_UM, DensityGrid, Rect
-from repro.place.partition import PartitionResult, _areas, count_cut
+from repro.place.partition import (PartitionResult, _areas,
+                                   _rebalance_start, count_cut)
 from repro.tech.cells import CELL_HEIGHT_UM
 
 
@@ -379,6 +380,9 @@ def fm_bipartition(netlist: Netlist,
         return counts
 
     area = _areas(netlist, assignment)
+    # the shared start pre-pass: it fixes the start, not the move scan
+    _rebalance_start(insts, assignment, area, locked, net_members,
+                     inst_nets, hi)
 
     for _ in range(max_passes):
         counts = {nid: side_counts(nid) for nid in net_members}

@@ -1,5 +1,6 @@
 """API-surface hygiene: exports resolve, and public items are documented."""
 
+import dataclasses
 import importlib
 import inspect
 
@@ -64,6 +65,36 @@ def test_service_surface_is_pinned():
     assert set(service.__all__) == expected
     for name in expected:
         assert getattr(service, name, None) is not None, name
+
+
+#: every option of the flow's config objects; a new knob is a test edit
+CONFIG_FIELDS = {
+    "repro.core.flow:FlowConfig": (
+        "scale", "seed", "fold", "bonding", "dual_vth", "io_budget_ps",
+        "detailed_route", "assert_clean", "eco"),
+    "repro.core.fullchip:ChipConfig": (
+        "style", "scale", "seed", "dual_vth", "folded_types",
+        "budget_floor_ps", "assert_clean"),
+    "repro.place.placer2d:PlacementConfig": (
+        "utilization", "seed", "reserved_area_um2", "macro_holes",
+        "full_legalize"),
+    "repro.opt.flow:OptimizeConfig": (
+        "dual_vth", "sizing", "full_recompute"),
+    "repro.opt.buffering:BufferingConfig": (
+        "buffer_drive", "cap_limit_ff", "group_size",
+        "max_new_buffers_per_pass"),
+    "repro.opt.sizing:SizingConfig": ("downsize_margin_ps",),
+    "repro.eco.driver:EcoConfig": (
+        "target_wns_ps", "max_rounds", "full_recompute"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CONFIG_FIELDS))
+def test_config_options_are_pinned(spec):
+    module, _, name = spec.partition(":")
+    cls = getattr(importlib.import_module(module), name)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == \
+        CONFIG_FIELDS[spec]
 
 
 def test_service_import_is_lazy():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.netlist.core import Netlist, PinRef
 from repro.place.grid import Rect
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.route.block_router import (BlockRouter, _mst_edges,

@@ -5,8 +5,6 @@ import json
 import pathlib
 import sys
 
-import pytest
-
 from repro.__main__ import main as cli_main
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.fullchip import (DEFAULT_FOLDS, ChipConfig, ChipDesign,
-                                 build_chip)
+from repro.core.fullchip import DEFAULT_FOLDS, ChipConfig, build_chip
 from repro.floorplan.t2_floorplans import FOLDED_TYPES
 
 SCALE = 0.5

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.coupling import coupling_power, coupling_study
 from repro.core.flow import FlowConfig, run_block_flow
-from repro.core.folding import FoldSpec
 from repro.tech.interconnect3d import (make_f2f_via, make_tsv,
                                        tsv_wire_coupling_ff)
 

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.cts.tree import CTSResult, clock_sinks, synthesize_clock_tree
+from repro.cts.tree import clock_sinks, synthesize_clock_tree
 from repro.netlist.core import INPUT, Netlist, PinRef
 from repro.place.placer2d import PlacementConfig, place_block_2d
-from repro.place.partition import fm_bipartition
-from repro.place.placer3d import fold_place_3d
 from tests.conftest import fresh_block
 
 

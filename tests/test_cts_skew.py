@@ -1,7 +1,5 @@
 """Tests for CTS skew and insertion-delay analysis."""
 
-import pytest
-
 from repro.cts.tree import synthesize_clock_tree
 from repro.netlist.core import INPUT, Netlist, PinRef
 from tests.conftest import fresh_block

@@ -9,7 +9,7 @@ from repro.designgen.logic import LogicSpec, generate_logic
 from repro.netlist.core import Netlist
 from repro.tech.cells import make_28nm_library
 from repro.tech.macros import sram_macro
-from repro.tech.process import CPU_CLOCK, IO_CLOCK
+from repro.tech.process import IO_CLOCK
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.designgen.rent import RentFit, measure_rent_exponent
+from repro.designgen.rent import measure_rent_exponent
 from tests.conftest import fresh_block
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.designgen.generate import generate_block
-from repro.designgen.t2 import (SPC_FOLDED_FUBS, SPC_FUBS, Bundle,
+from repro.designgen.t2 import (SPC_FOLDED_FUBS, SPC_FUBS,
                                 block_type_by_name, scaled_logic,
                                 t2_block_types, t2_bundles, t2_instances)
 from repro.tech.cells import make_28nm_library

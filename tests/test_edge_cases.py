@@ -1,12 +1,10 @@
 """Edge cases and failure injection across modules."""
 
-import numpy as np
 import pytest
 
 from repro.netlist.core import INPUT, Netlist, PinRef
 from repro.place.grid import Rect
 from repro.tech.cells import make_28nm_library
-from repro.tech.process import make_process
 
 
 @pytest.fixture(scope="module")

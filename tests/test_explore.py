@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.explore import (DesignPoint, ExplorationResult,
-                                explore_design_space, pareto_front)
+from repro.core.explore import DesignPoint, explore_design_space, pareto_front
 
 
 def point(style="2d", dvt=False, p=100.0, f=10.0, t=50.0):

@@ -5,7 +5,7 @@ import pytest
 from repro.core.fullchip import (_bundle_wire_stats, _estimate_dims,
                                  _fold_for, ChipConfig)
 from repro.designgen.t2 import t2_instances
-from repro.tech.process import CPU_CLOCK, IO_CLOCK
+from repro.tech.process import CPU_CLOCK
 
 
 class TestEstimateDims:

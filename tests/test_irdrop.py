@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.irdrop import (IrDropResult, PdnConfig,
-                                   analyze_chip_ir_drop, solve_ir_drop)
+from repro.analysis.irdrop import (PdnConfig, analyze_chip_ir_drop,
+                                   solve_ir_drop)
 from repro.place.grid import Rect
 
 

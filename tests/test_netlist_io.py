@@ -5,7 +5,6 @@ import re
 import pytest
 
 from repro.netlist.io import write_def, write_verilog
-from repro.place.grid import Rect
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from tests.conftest import fresh_block
 

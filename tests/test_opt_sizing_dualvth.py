@@ -3,11 +3,11 @@
 import pytest
 
 from repro.netlist.core import INPUT, Netlist, PinRef
-from repro.opt.dualvth import (DualVthConfig, assign_hvt, hvt_fraction,
+from repro.opt.dualvth import (assign_hvt, hvt_fraction,
                                restore_rvt_on_violations)
 from repro.opt.sizing import SizingConfig, fix_timing, recover_power
 from repro.route.estimate import route_block
-from repro.tech.cells import VTH_HVT, VTH_RVT, make_28nm_library
+from repro.tech.cells import VTH_HVT, VTH_RVT
 from repro.tech.process import CPU_CLOCK, make_process
 from repro.timing.sta import TimingConfig, run_sta
 

@@ -133,7 +133,7 @@ class TestFold3DParity:
             gb = fresh_block("ccx", library, seed=1)
             part = fm_bipartition(gb.netlist, seed=0)
             fold_place_3d(gb.netlist, process, part.assignment, "F2B",
-                          PlacementConfig(seed=1), mode="fold")
+                          PlacementConfig(seed=1))
             return {i.id: i.die for i in gb.netlist.instances.values()}
 
         vec = fold_dies()
@@ -142,43 +142,3 @@ class TestFold3DParity:
             ref = fold_dies()
         assert vec == ref
 
-
-class TestBistratalMode:
-    def run(self, library, process, bonding="F2B"):
-        gb = fresh_block("ccx", library, seed=1)
-        part = fm_bipartition(gb.netlist, seed=0)
-        res = fold_place_3d(gb.netlist, process, part.assignment,
-                            bonding, PlacementConfig(seed=1),
-                            mode="bistratal")
-        return res, gb.netlist
-
-    def test_valid_balanced_assignment(self, library, process):
-        res, nl = self.run(library, process)
-        area = {0: 0.0, 1: 0.0}
-        for inst in nl.instances.values():
-            assert inst.die in (0, 1)
-            area[inst.die] += inst.area_um2
-        balance = max(area.values()) / (area[0] + area[1])
-        assert balance <= 0.55
-        assert res.hpwl_um > 0
-
-    def test_deterministic(self, library, process):
-        _, nl1 = self.run(library, process)
-        _, nl2 = self.run(library, process)
-        d1 = {i.id: i.die for i in nl1.instances.values()}
-        d2 = {i.id: i.die for i in nl2.instances.values()}
-        assert d1 == d2
-
-    def test_f2f_admits_more_crossings(self, library, process):
-        # F2F bond points cost no silicon, so the z objective's weaker
-        # via penalty should tolerate at least as many crossings
-        res_f2b, _ = self.run(library, process, "F2B")
-        res_f2f, _ = self.run(library, process, "F2F")
-        assert len(res_f2f.vias) >= len(res_f2b.vias)
-
-    def test_unknown_mode_rejected(self, library, process):
-        gb = fresh_block("ncu", library, seed=1)
-        part = fm_bipartition(gb.netlist, seed=0)
-        with pytest.raises(ValueError, match="mode"):
-            fold_place_3d(gb.netlist, process, part.assignment, "F2B",
-                          PlacementConfig(seed=1), mode="stacked")

@@ -5,10 +5,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import folding
+from repro.core.flow import FlowConfig, run_block_flow
 from repro.core.folding import FoldSpec
 from repro.core.secondlevel import second_level_spec
 from repro.obs import trace
-from repro.obs.names import SPAN_PLACE_PARTITION
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.names import (CTR_PLACE_PARTITIONS_UNBALANCED,
+                             SPAN_PLACE_PARTITION)
 from repro.obs.trace import Tracer
 from repro.place.partition import (count_cut, fm_bipartition,
                                    partition_by_clusters)
@@ -71,6 +74,18 @@ def test_partition_by_clusters_assignment(library):
     for inst in gb.netlist.instances.values():
         expected = 1 if inst.cluster in clusters else 0
         assert assignment[inst.id] == expected
+
+
+def test_one_sided_start_is_rebalanced(process):
+    # ncu at this scale is one locality cluster, so the default start
+    # puts every cell on die 1; FM passes alone never move one back
+    folded = run_block_flow("ncu", FlowConfig(scale=0.05,
+                                              fold=FoldSpec("mincut"),
+                                              bonding="F2B"), process)
+    flat = run_block_flow("ncu", FlowConfig(scale=0.05), process)
+    assert {i.die for i in folded.netlist.instances.values()} == {0, 1}
+    assert folded.n_vias > 0
+    assert folded.footprint_um2 < flat.footprint_um2
 
 
 def test_fm_deterministic(library):
@@ -185,9 +200,29 @@ def test_partition_span_on_l2t_mincut(library):
     with trace.use_tracer(tracer):
         assignment = folding.make_partition(gb, FoldSpec(mode="mincut"))
     [span] = [s for s in tracer.spans if s.name == SPAN_PLACE_PARTITION]
-    assert set(span.attrs) == {"cells", "locked", "passes", "moves", "cut"}
+    assert set(span.attrs) == {"cells", "locked", "passes", "moves", "cut",
+                               "rebalanced", "balance"}
     assert span.attrs["cells"] == len(gb.netlist.instances)
     assert span.attrs["locked"] == 0
     assert 1 <= span.attrs["passes"] <= 6
     assert span.attrs["moves"] > 0
     assert span.attrs["cut"] == count_cut(gb.netlist, assignment)
+    # the cluster-halves start is already inside the window
+    assert span.attrs["rebalanced"] == 0
+    assert span.attrs["balance"] <= 0.6
+
+
+def test_unbalanceable_result_is_counted(library):
+    netlist = fresh_block("ncu", library, seed=5, scale=0.3).netlist
+    one_side = dict.fromkeys(netlist.instances, 1)
+    tracer, reg = Tracer(), MetricsRegistry()
+    with trace.use_tracer(tracer), use_registry(reg):
+        fm_bipartition(netlist, initial=one_side, locked=set(one_side))
+        part = fm_bipartition(netlist, initial=one_side)
+    locked_span, free_span = [s for s in tracer.spans
+                              if s.name == SPAN_PLACE_PARTITION]
+    assert locked_span.attrs["rebalanced"] == 0
+    assert free_span.attrs["rebalanced"] > 0
+    assert free_span.attrs["balance"] == part.balance <= 0.6
+    counters = reg.snapshot()["counters"]
+    assert counters[CTR_PLACE_PARTITIONS_UNBALANCED] == 1

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.place.placer2d import (PlacementConfig, compute_outline, hpwl,
-                                  place_block_2d, place_macros,
-                                  place_ports)
+                                  place_block_2d, place_macros)
 from tests.conftest import fresh_block
 
 

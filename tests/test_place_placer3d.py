@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.place.grid import Rect
 from repro.place.partition import fm_bipartition, partition_by_clusters
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.place.placer3d import (clock_crossings, crossing_nets,

@@ -7,7 +7,6 @@ from repro.power.activity import (_gate_output, apply_activity,
                                   propagate_activity)
 from repro.power.analysis import analyze_power
 from repro.route.estimate import route_block
-from repro.tech.cells import make_28nm_library
 from repro.tech.process import CPU_CLOCK, make_process
 
 

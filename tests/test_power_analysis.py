@@ -3,10 +3,9 @@
 import pytest
 
 from repro.cts.tree import CTSResult
-from repro.netlist.core import INPUT, Netlist, PinRef
+from repro.netlist.core import Netlist, PinRef
 from repro.power.analysis import MACRO_ACTIVITY, PowerReport, analyze_power
 from repro.route.estimate import route_block
-from repro.tech.cells import make_28nm_library
 from repro.tech.process import CPU_CLOCK, IO_CLOCK, make_process
 
 

@@ -1,10 +1,8 @@
 """Property-based tests (hypothesis) for core data structures/invariants."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.floorplan.seqpair import FPBlock, pack

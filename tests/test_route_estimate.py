@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.netlist.core import INPUT, OUTPUT, Netlist, PinRef
+from repro.netlist.core import INPUT, Netlist, PinRef
 from repro.route.estimate import (layer_class, route_block, route_net)
 from repro.tech.cells import make_28nm_library
 from repro.tech.layers import make_28nm_stack
-from repro.tech.interconnect3d import make_f2f_via, make_tsv
+from repro.tech.interconnect3d import make_tsv
 
 
 @pytest.fixture(scope="module")

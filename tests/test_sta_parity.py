@@ -11,9 +11,9 @@ consumers iterate them).
 
 Coverage: the five standard blocks in 2D, both bonding styles on a
 folded block (F2B via TSV sites, F2F via the via planner), SI derating
-from a detailed router's usage maps, the cache-invalidation seams
-(``rev`` / ``mrev``), hypothesis properties over timing configs and
-master swaps, the engine counters, and the inputs the engine rejects.
+from a detailed router's usage maps, hypothesis properties over timing
+configs and master swaps, the engine counters, and the inputs the engine
+rejects.
 """
 
 import dataclasses
@@ -31,7 +31,6 @@ from repro.place import PlacementConfig, fold_place_3d, place_block_2d
 from repro.route import route_block, route_net
 from repro.route.block_router import route_block_with_router
 from repro.timing import TimingConfig, run_sta
-from repro.timing.graph import graph_for
 from repro.timing.hold import run_hold_analysis
 from repro.timing.incremental import IncrementalSTA
 from repro.timing.paths import io_path_delays
@@ -184,39 +183,6 @@ class TestCopyAndCaches:
         assert {f.name for f in dataclasses.fields(dup)} == \
                {f.name for f in dataclasses.fields(routed)}
 
-    def test_net_arrays_cached_until_netlist_rev_bumps(self, library,
-                                                       process):
-        nl, routing = self.routed_ncu(library, process)
-        a1 = routing.net_arrays(nl)
-        assert routing.net_arrays(nl) is a1
-        buf = process.library.master("BUF_X1")
-        nl.add_instance("parity_pad", buf, x=1.0, y=1.0)
-        assert routing.net_arrays(nl) is not a1
-
-    def test_refresh_invalidates_net_arrays(self, library, process):
-        nl, routing = self.routed_ncu(library, process)
-        a1 = routing.net_arrays(nl)
-        some_inst = next(i.id for i in nl.cells)
-        routing.update_instances(nl, [some_inst])
-        assert routing.net_arrays(nl) is not a1
-
-    def test_graph_cached_until_master_rev_bumps(self, library,
-                                                 process):
-        nl, routing = self.routed_ncu(library, process)
-        g1 = graph_for(nl, routing)
-        assert graph_for(nl, routing) is g1
-        cell = next(c for c in nl.cells if not c.is_sequential)
-        swap = (process.library.downsize(cell.master) or
-                process.library.upsize(cell.master))
-        assert swap is not None
-        nl.replace_master(cell.id, swap)
-        g2 = graph_for(nl, routing)
-        assert g2 is not g1
-        # and the rebuilt graph still matches the scalar walk
-        cfg = TimingConfig("cpu_clk")
-        assert_sta_equal(run_sta(nl, routing, process, cfg),
-                         oracle.run_sta(nl, routing, process, cfg))
-
 
 @pytest.fixture(scope="module")
 def ncu_workload(library, process):
@@ -258,8 +224,8 @@ class TestProperties:
                           max_size=40))
     def test_master_swaps_stay_bit_exact(self, ncu_workload, process,
                                          picks):
-        # cumulative sizing swaps: every mrev bump must rebuild the
-        # cached graph into something that still mirrors the scalar walk
+        # cumulative sizing swaps: the graph built after them must still
+        # mirror the scalar walk
         nl, routing = ncu_workload
         lib = process.library
         cells = [c for c in nl.cells if not c.is_sequential]

@@ -4,8 +4,7 @@ import pytest
 
 from repro.tech.cells import (DRIVE_STRENGTHS, HVT_DELAY_FACTOR,
                               HVT_INTERNAL_FACTOR, HVT_LEAKAGE_FACTOR,
-                              VTH_HVT, VTH_RVT, CellLibrary,
-                              make_28nm_library)
+                              VTH_HVT, VTH_RVT, make_28nm_library)
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tech.layers import MetalLayer, MetalStack, make_28nm_stack
+from repro.tech.layers import make_28nm_stack
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ from repro.cts.tree import synthesize_clock_tree
 from repro.netlist.core import INPUT, Netlist, PinRef
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.route.estimate import route_block
-from repro.tech.cells import make_28nm_library
 from repro.tech.process import make_process
 from repro.timing.hold import fix_hold, run_hold_analysis
 from repro.timing.sta import HOLD_PS, TimingConfig

@@ -102,18 +102,6 @@ def test_noop_swap_is_stable(setup, process):
     assert_exact(inc, netlist, process, config)
 
 
-def test_retime_caches_no_graph_on_the_routing(setup, process):
-    """A finished design keeps its result, not a timing graph."""
-    netlist, routing, config = setup
-    inc = IncrementalSTA(netlist, routing, process, config)
-    cell = next(c for c in netlist.cells if not c.is_sequential)
-    hvt = process.library.variant(cell.master, vth="HVT")
-    inc.swap_masters([(cell.id, hvt)])
-    assert routing._net_arrays is None
-    inc.retarget(TimingConfig("cpu_clk", default_io_delay_ps=80.0))
-    assert routing._net_arrays is None
-
-
 def test_batched_swaps_match_exactly(setup, process):
     netlist, routing, config = setup
     inc = IncrementalSTA(netlist, routing, process, config)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.netlist.core import INPUT, OUTPUT, Netlist, PinRef
 from repro.route.estimate import route_block
-from repro.tech.cells import make_28nm_library
 from repro.tech.process import CPU_CLOCK, make_process
 from repro.timing.sta import (MACRO_SETUP_PS, SETUP_PS, TimingConfig,
                               run_sta)
