@@ -59,7 +59,8 @@ def test_kernel_route_detailed(benchmark, process, placed_l2t):
 
 def test_kernel_sta(benchmark, process, placed_l2t):
     """Forward/backward STA over the routed block (levelized array
-    engine; the first call builds and caches the TimingGraph)."""
+    engine; every call gathers, levelizes and sweeps a fresh
+    TimingGraph)."""
     gb, _, routing = placed_l2t
     benchmark(run_sta, gb.netlist, routing, process,
               TimingConfig("cpu_clk"))
@@ -119,8 +120,10 @@ def test_kernel_optimize_full_recompute(benchmark, process):
 
 
 def test_kernel_incremental_sta(benchmark, process):
-    """Batched ECO re-timing: ~1k master swaps, then one array re-time
-    of the whole block."""
+    """Batched ECO re-timing: ~1k master swaps, then one re-time of the
+    whole block -- the touched nets' rows of the view's arrays and the
+    graph's delays and wire-delay gathers are patched in place, then
+    one array sweep runs (no gather, no levelization)."""
     from repro.timing.incremental import IncrementalSTA
     gb = generate_block(block_type_by_name("l2t"), process.library,
                         seed=1)
@@ -144,6 +147,33 @@ def test_kernel_incremental_sta(benchmark, process):
         return inc.swap_masters(moves)
     applied = benchmark(run)
     assert applied >= 500
+
+
+def test_kernel_incremental_single_swaps(benchmark, process):
+    """Per-edit ECO re-timing: 50 one-cell HVT swaps on a routed l2t
+    view, one patch and one sweep each (the ``examples/eco_session.py``
+    pattern)."""
+    from repro.tech import VTH_HVT, VTH_RVT
+    from repro.timing.incremental import IncrementalSTA
+    gb = generate_block(block_type_by_name("l2t"), process.library,
+                        seed=1)
+    place_block_2d(gb.netlist, PlacementConfig(seed=1))
+    inc = IncrementalSTA(gb.netlist,
+                         route_block(gb.netlist, process.metal_stack),
+                         process, TimingConfig("cpu_clk"))
+    lib = process.library
+    cells = [c for c in gb.netlist.cells if not c.is_sequential][:50]
+
+    def run():
+        # each call flips the same 50 cells between RVT and HVT, so
+        # every round times 50 single-cell edits
+        applied = 0
+        for c in cells:
+            vth = VTH_RVT if c.master.vth == VTH_HVT else VTH_HVT
+            applied += inc.swap_masters(
+                [(c.id, lib.variant(c.master, vth=vth))])
+        return applied
+    assert benchmark(run) == 50
 
 
 def test_kernel_place_fold3d(benchmark, process):

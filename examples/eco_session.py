@@ -46,8 +46,9 @@ def main() -> None:
           f"WNS {design.sta.wns_ps:+.0f} ps")
 
     print("\nECO 1: opportunistic HVT swaps via incremental STA")
-    # every swap re-times the whole block, so one-cell edits are the
-    # slow way to use the view; batch edits where the policy allows
+    # a swap patches the view's timing graph in place and re-times the
+    # block with one sweep; batch edits where the policy allows to
+    # share that sweep
     inc = IncrementalSTA(design.netlist, design.routing, process, timing)
     t0 = time.time()
     swaps = tried = 0

@@ -237,8 +237,7 @@ def derive_design(base, config, process) -> Tuple[object,
     if config.dual_vth and not base.config.dual_vth:
         # replay the flow's power stage on the derived state
         for _chunk in range(3):
-            swaps = plan_hvt_swaps(session.netlist, session.routing,
-                                   session.sta(), lib)
+            swaps = plan_hvt_swaps(session.netlist, session.view, lib)
             if not swaps:
                 break
             session.apply([VthSwap(inst_id=iid, vth=m.vth)

@@ -16,16 +16,21 @@ A session runs in one of two modes with *bit-identical* results:
 
 * **incremental** (default) -- only the nets incident to an edit are
   re-routed (through the block's
-  :class:`repro.route.estimate.RouteContext`), the live
+  :class:`repro.route.estimate.RouteContext`), one live
   :class:`repro.timing.incremental.IncrementalSTA` view (adopted from
   the design's sign-off STA when one is given) re-times the block
-  after each edit, and the clock tree replays untouched bisection
-  subtrees from the :class:`repro.cts.incremental.IncrementalCTS`
-  memo;
+  after each edit -- master swaps patch its arrays in place -- and the
+  clock tree replays untouched bisection subtrees from the
+  :class:`repro.cts.incremental.IncrementalCTS` memo;
 * **full recompute** -- every edit triggers a whole-block re-route and
-  a fresh ``run_sta``.  The clock tree still comes from the same
+  drops the view; the next read builds a fresh one, which is a
+  from-scratch STA.  The clock tree still comes from the same
   :class:`~repro.cts.incremental.IncrementalCTS` memo, whose replay is
   bit-exact with a from-scratch CTS.
+
+Either way :attr:`EcoSession.view` is the current timing view, and
+the power planners (:mod:`repro.opt.sizing`, :mod:`repro.opt.dualvth`,
+:mod:`repro.opt.buffering`) read its arrays.
 
 The parity harnesses (``tests/test_eco_properties.py`` for ECO
 batches, ``tests/test_opt_flow.py`` for the optimizer loop) hold the
@@ -55,7 +60,7 @@ from ..route.estimate import RoutedNet, RouteContext, RoutingResult
 from ..tech.cells import CellMaster
 from ..tech.process import ProcessNode
 from ..timing.incremental import IncrementalSTA
-from ..timing.sta import STAResult, TimingConfig, run_sta
+from ..timing.sta import STAResult, TimingConfig
 from .moves import (BufferInsert, BufferRemove, Displace, EcoError,
                     EcoMove, Resize, VthSwap)
 
@@ -88,7 +93,10 @@ class EcoSession:
         sta_snapshot: the design's sign-off :class:`STAResult`; when
             given (incremental mode) the timing view adopts it
             instead of re-running STA -- ``sta_full_rebuilds`` stays at
-            zero.
+            zero.  ``stats["sta_full_rebuilds"]`` counts the views
+            built from scratch (every read after a whole-block re-route
+            in full-recompute mode); the ``sta.full_rebuilds`` metric
+            counts those of incremental sessions only.
         full_recompute: disable every incremental path (parity /
             baseline mode).
     """
@@ -116,16 +124,16 @@ class EcoSession:
             "nets_rerouted": 0, "full_reroutes": 0,
             "sta_full_rebuilds": 0,
         }
-        self._sta_cache: Optional[STAResult] = None
-        self.view: Optional[IncrementalSTA] = None
+        self._view: Optional[IncrementalSTA] = None
         if not full_recompute:
             if sta_snapshot is not None:
-                self.view = IncrementalSTA.from_snapshot(
+                self._view = IncrementalSTA.from_snapshot(
                     netlist, routing, process, timing, sta_snapshot)
             else:
-                self.view = IncrementalSTA(netlist, routing, process,
-                                           timing)
+                self._view = IncrementalSTA(netlist, routing, process,
+                                            timing)
                 self.stats["sta_full_rebuilds"] += 1
+                metrics().counter("sta.full_rebuilds").inc()
         self.cts = IncrementalCTS(netlist, process)
         metrics().counter("eco.sessions").inc()
 
@@ -170,15 +178,23 @@ class EcoSession:
 
     # -- timing / clock-tree views ------------------------------------
 
+    @property
+    def view(self) -> IncrementalSTA:
+        """The live timing view of the current state.
+
+        An incremental session opens with one (built or adopted) and
+        keeps it.  The full-recompute twin drops it at every
+        whole-block re-route and builds a fresh one on the next read.
+        """
+        if self._view is None:
+            self._view = IncrementalSTA(self.netlist, self.routing,
+                                        self.process, self.timing)
+            self.stats["sta_full_rebuilds"] += 1
+        return self._view
+
     def sta(self) -> STAResult:
         """A frozen STA snapshot of the current state."""
-        if self.view is not None:
-            return self.view.to_result()
-        if self._sta_cache is None:
-            self._sta_cache = run_sta(self.netlist, self.routing,
-                                      self.process, self.timing)
-            self.stats["sta_full_rebuilds"] += 1
-        return self._sta_cache
+        return self.view.to_result()
 
     def cts_result(self) -> CTSResult:
         """The current clock tree (memoized subtree rebuilds)."""
@@ -187,9 +203,10 @@ class EcoSession:
     def retarget(self, timing: TimingConfig) -> None:
         """Swap the I/O timing context (neighboring-scenario derive)."""
         self.timing = timing
-        if self.view is not None:
-            self.view.retarget(timing)
-        self._sta_cache = None
+        if self.full_recompute:
+            self._view = None
+        else:
+            self._view.retarget(timing)
 
     # -- edit primitives ----------------------------------------------
 
@@ -201,8 +218,8 @@ class EcoSession:
         """
         if not moves:
             return 0
-        if self.view is not None:
-            n = self.view.swap_masters(moves)
+        if not self.full_recompute:
+            n = self._view.swap_masters(moves)
         else:
             n = 0
             for iid, master in moves:
@@ -224,17 +241,17 @@ class EcoSession:
         :func:`~repro.opt.buffering.plan_net_buffering`.  The new
         buffers are legalized when the session has an outline, then
         only the nets around them are re-routed and the timing view
-        re-times once (the full-recompute twin re-routes the block).
+        rebuilds once (the full-recompute twin re-routes the block).
         """
         res = apply_buffer_plan(self.netlist, plans)
         if not res.added:
             return 0
         self._legalize([self.netlist.instances[i]
                         for i in res.new_inst_ids])
-        if self.view is not None:
+        if not self.full_recompute:
             self.routing.update_instances(
                 self.netlist, res.new_inst_ids, reroute=self._reroute)
-            self.view.patch_topology()
+            self._view.patch_topology()
         else:
             self._full_recompute_now()
         self.stats["buffers_added"] += res.added
@@ -363,7 +380,7 @@ class EcoSession:
         self.routing = self.ctx.route_block(self.netlist)
         self.stats["full_reroutes"] += 1
         self.stats["nets_rerouted"] += len(self.routing.nets)
-        self._sta_cache = None
+        self._view = None
 
     def _flush_swaps(self, swaps: List[EcoMove],
                      report: EcoApplyReport) -> None:
@@ -427,10 +444,10 @@ class EcoSession:
             out.id, PinRef(inst=drv.inst, port=drv.port, pin=drv.pin))
         self.netlist.remove_net(innet.id)
         self.netlist.remove_instance(iid)
-        if self.view is not None:
+        if not self.full_recompute:
             self.routing.refresh_nets(
                 self.netlist, [innet.id, out.id], reroute=self._reroute)
-            self.view.patch_topology()
+            self._view.patch_topology()
         else:
             self._full_recompute_now()
         self.cts.invalidate()
@@ -443,10 +460,10 @@ class EcoSession:
             self._legalize([inst])
         touched = sorted(n.id for n in self.netlist.nets_of(inst.id)
                          if not n.is_clock)
-        if self.view is not None:
+        if not self.full_recompute:
             self.routing.refresh_nets(self.netlist, touched,
                                       reroute=self._reroute)
-            self.view.apply_routing_update()
+            self._view.apply_routing_update()
         else:
             self._full_recompute_now()
         self.cts.invalidate()

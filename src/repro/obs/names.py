@@ -38,6 +38,7 @@ SPAN_PLACE_LEGALIZE = "place.legalize"
 SPAN_PLACE_PARTITION = "place.partition"
 SPAN_SERVICE_POINT = "service.point"
 SPAN_SERVICE_REQUEST = "service.request"
+SPAN_STA_RETIME = "sta.retime"
 SPAN_TASK_CRASH = "task.crash"
 SPAN_TASK_GAVE_UP = "task.gave_up"
 SPAN_TASK_RETRY = "task.retry"
@@ -69,6 +70,7 @@ SPAN_NAMES = (
     SPAN_PLACE_PARTITION,
     SPAN_SERVICE_POINT,
     SPAN_SERVICE_REQUEST,
+    SPAN_STA_RETIME,
     SPAN_TASK_CRASH,
     SPAN_TASK_GAVE_UP,
     SPAN_TASK_RETRY,
@@ -118,6 +120,7 @@ CTR_SERVICE_POINTS = "service.points"
 CTR_SERVICE_REQUESTS = "service.requests"
 CTR_SERVICE_RESULT_HITS = "service.result_hits"
 CTR_STA_FULL_REBUILDS = "sta.full_rebuilds"
+CTR_STA_GRAPH_BUILDS = "sta.graph_builds"
 CTR_STA_LEVELS = "sta.levels"
 CTR_STA_TOPOLOGY_PATCHES = "sta.topology_patches"
 CTR_STA_VECTOR_PASSES = "sta.vector_passes"
@@ -169,6 +172,7 @@ CTR_NAMES = (
     CTR_SERVICE_REQUESTS,
     CTR_SERVICE_RESULT_HITS,
     CTR_STA_FULL_REBUILDS,
+    CTR_STA_GRAPH_BUILDS,
     CTR_STA_LEVELS,
     CTR_STA_TOPOLOGY_PATCHES,
     CTR_STA_VECTOR_PASSES,

@@ -15,6 +15,11 @@ Buffer counts are a headline metric of the paper (Table 2: 3D cuts
 buffers by ~16%; Fig. 2: folding the CCX cuts them by 62.5%), and they
 emerge here from wirelength exactly as in the paper: shorter 3D wires
 simply need fewer repeaters.
+
+:func:`plan_net_buffering` decides one net; :func:`plan_buffers` runs
+it over a live :class:`~repro.timing.incremental.IncrementalSTA`
+view's nets, pre-filtered on the view's net arrays so only nets that
+can trigger reach the Python planner.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..netlist.core import Net, Netlist, PinRef
-from ..route.estimate import RoutedNet, RoutingResult
+from ..route.estimate import RoutedNet
 from ..tech.cells import CellLibrary, CellMaster
+from ..timing.incremental import IncrementalSTA
 
 
 #: insert a chain when a sink path exceeds this multiple of L_opt
@@ -150,25 +158,38 @@ def plan_net_buffering(netlist: Netlist, routed: RoutedNet,
     return None
 
 
-def plan_buffers(netlist: Netlist, routing: RoutingResult,
+def plan_buffers(netlist: Netlist, view: IncrementalSTA,
                  library: CellLibrary,
                  config: Optional[BufferingConfig] = None) -> List:
-    """Plan one buffering pass over all routed nets.
+    """Plan one buffering pass over the view's routed nets.
 
     The plan/apply counterpart of the sizing and dual-Vth passes:
-    decisions are taken against the frozen routing snapshot in net
-    order, capped at ``max_new_buffers_per_pass``, and committed
-    separately by :func:`apply_buffer_plan` -- the combined sequence
-    mutates the netlist identically to the old fused pass (same
-    instance and net ids, same order).
+    decisions are taken against the current routing in routing order
+    (which is netlist order: ids ascend, and a re-route only appends
+    fresh, higher-id nets), capped at ``max_new_buffers_per_pass``, and
+    committed separately by :func:`apply_buffer_plan`.
+
+    A net can only trigger when its longest sink path exceeds the
+    chain trigger or its total cap exceeds the fanout limit; the
+    view's arrays evaluate both with :func:`plan_net_buffering`'s own
+    float expressions, so the pre-filter is a superset of the exact
+    test and :func:`plan_net_buffering` runs on the survivors only.
     """
     config = config or BufferingConfig()
+    buf = library.buffer(config.buffer_drive)
+    arrays = view.arrays
+    # optimal_spacing_um, vectorized with the same operand order
+    spacing = np.sqrt(2.0 * buf.drive_res_kohm * buf.input_cap_ff /
+                      np.maximum(arrays.r_per * arrays.c_per, 1e-12))
+    hit = (arrays.longest > LENGTH_TRIGGER * spacing) | \
+        (arrays.total_cap > config.cap_limit_ff)
+    nets = view.routing.nets
     plans: List = []
     planned = 0
-    for routed in list(routing.nets.values()):
+    for nid in arrays.net_ids[hit].tolist():
         if planned >= config.max_new_buffers_per_pass:
             break
-        move = plan_net_buffering(netlist, routed, library, config)
+        move = plan_net_buffering(netlist, nets[nid], library, config)
         if move is not None:
             plans.append(move)
             planned += move.n_buffers
@@ -227,18 +248,6 @@ def apply_buffer_plan(netlist: Netlist, plans: List) -> BufferApplyResult:
             added += plan.n_buffers
     return BufferApplyResult(added=added, new_inst_ids=new_inst_ids,
                              touched_net_ids=touched)
-
-
-def insert_buffers(netlist: Netlist, routing: RoutingResult,
-                   library: CellLibrary,
-                   config: Optional[BufferingConfig] = None) -> int:
-    """One buffering pass over all routed nets; returns buffers added.
-
-    Thin wrapper over :func:`plan_buffers` + :func:`apply_buffer_plan`
-    (the historical fused API).  Re-route the block after calling this.
-    """
-    plans = plan_buffers(netlist, routing, library, config)
-    return apply_buffer_plan(netlist, plans).added
 
 
 def _driver_position(netlist: Netlist, net: Net) -> Tuple[float, float, int]:

@@ -7,22 +7,24 @@ carry more positive slack (shorter wires), they absorb more swaps -- the
 paper measures 87.8% HVT cells in 2D vs. 94.0% in the folded 3D design,
 and that ordering emerges here from the same mechanism.
 
-Like the sizing passes, each transform is a *planner* deciding moves
-against a frozen STA snapshot (loads priced by the shared
-:func:`repro.timing.load.driven_load` model) plus a thin applier, so the
-staged loop can commit whole chunks through the live-edit session.
+Like the sizing passes, each transform is a *planner* the staged loop
+commits in whole chunks through the live-edit session.
+:func:`plan_hvt_swaps` reads the session's live
+:class:`~repro.timing.incremental.IncrementalSTA` view -- its slack
+array and the graph's driver loads -- through the array planner it
+shares with downsizing (:func:`repro.opt.sizing.plan_master_swaps`);
+:func:`plan_rvt_restores` reads a frozen :class:`STAResult`.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from ..netlist.core import Netlist
-from ..route.estimate import RoutingResult
-from ..tech.cells import VTH_HVT, VTH_RVT, CellLibrary
-from ..timing.load import driven_load
+from ..tech.cells import VTH_HVT, VTH_RVT, CellLibrary, CellMaster
+from ..timing.incremental import IncrementalSTA
 from ..timing.sta import STAResult
-from .sizing import MAX_MOVES_PER_PASS, Move, apply_moves
+from .sizing import Move, apply_moves, plan_master_swaps
 
 #: keep at least this much slack after an HVT swap (ps)
 HVT_MARGIN_PS = 10.0
@@ -30,26 +32,17 @@ HVT_MARGIN_PS = 10.0
 HVT_PATH_SHARING_FACTOR = 1.5
 
 
-def plan_hvt_swaps(netlist: Netlist, routing: RoutingResult,
-                   sta: STAResult, library: CellLibrary) -> List[Move]:
+def plan_hvt_swaps(netlist: Netlist, view: IncrementalSTA,
+                   library: CellLibrary) -> List[Move]:
     """Plan RVT->HVT swaps where slack absorbs the slowdown."""
-    moves: List[Move] = []
-    candidates = sorted(
-        (iid for iid, s in sta.slack.items() if iid in netlist.instances),
-        key=lambda i: -sta.slack[i])
-    for iid in candidates:
-        if len(moves) >= MAX_MOVES_PER_PASS:
-            break
-        inst = netlist.instances[iid]
-        if inst.is_macro or inst.master.vth != VTH_RVT:
-            continue
-        hvt = library.variant(inst.master, vth=VTH_HVT)
-        load = driven_load(netlist, routing, iid)
-        delta = hvt.delay_ps(load) - inst.master.delay_ps(load)
-        charged = max(delta, 0.0) * HVT_PATH_SHARING_FACTOR
-        if sta.slack_of(iid) - charged >= HVT_MARGIN_PS:
-            moves.append((iid, hvt))
-    return moves
+
+    def hvt(master: CellMaster) -> Optional[CellMaster]:
+        if master.vth != VTH_RVT:
+            return None
+        return library.variant(master, vth=VTH_HVT)
+
+    return plan_master_swaps(view, hvt, float("-inf"),
+                             HVT_PATH_SHARING_FACTOR, HVT_MARGIN_PS)
 
 
 def plan_rvt_restores(netlist: Netlist, sta: STAResult,
@@ -64,13 +57,6 @@ def plan_rvt_restores(netlist: Netlist, sta: STAResult,
             continue
         moves.append((iid, library.variant(inst.master, vth=VTH_RVT)))
     return moves
-
-
-def assign_hvt(netlist: Netlist, routing: RoutingResult, sta: STAResult,
-               library: CellLibrary) -> int:
-    """Swap RVT cells to HVT where slack permits; returns move count."""
-    return apply_moves(netlist, plan_hvt_swaps(netlist, routing, sta,
-                                               library))
 
 
 def restore_rvt_on_violations(netlist: Netlist, sta: STAResult,

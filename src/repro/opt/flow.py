@@ -10,15 +10,20 @@ The block is routed once; the loop then runs on an
 :class:`repro.eco.session.EcoSession` over that routing, the same
 live-edit core the ECO engine uses.  Every planned chunk is committed
 through the session: master swaps refresh the touched nets'
-parasitics in place and re-time the block
+parasitics in place and patch the session's one timing graph before
+re-timing the block
 (:meth:`~repro.eco.session.EcoSession.swap_masters`), and buffer
 insertion re-routes only the nets around the new buffers
 (:meth:`~repro.eco.session.EcoSession.commit_buffers`).  Both
 reproduce a full re-route + re-STA bit-for-bit without the re-route.
+The buffering, downsizing and HVT planners read the session's live
+timing view (:attr:`~repro.eco.session.EcoSession.view`) -- its net
+arrays, slack array and driver loads -- instead of walking dicts.
 ``OptimizeConfig(full_recompute=True)`` runs the session's parity
-twin instead, which re-routes and re-times the whole block after
-every chunk; the two modes produce identical designs, and the
-``opt.full_reroutes`` metric counts the whole-block routes of either.
+twin instead, which re-routes the whole block after every chunk and
+hands the planners a freshly built view; the two modes produce
+identical designs, and the ``opt.full_reroutes`` metric counts the
+whole-block routes of either.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
         for _ in range(max_iter):
             sta = session.sta()
             added = session.commit_buffers(plan_buffers(
-                netlist, session.routing, lib))
+                netlist, session.view, lib))
             if added:
                 buffers_added += added
                 sta = session.sta()
@@ -124,7 +129,7 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
             if config.dual_vth:
                 for _chunk in range(3):
                     swaps = session.swap_masters(plan_hvt_swaps(
-                        netlist, session.routing, session.sta(), lib))
+                        netlist, session.view, lib))
                     if not swaps:
                         break
                     hvt_swaps += swaps
@@ -133,8 +138,7 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
 
             for _chunk in range(4):
                 downs = session.swap_masters(plan_downsizes(
-                    netlist, session.routing, session.sta(), lib,
-                    config.sizing))
+                    netlist, session.view, lib, config.sizing))
                 if not downs:
                     break
                 downsized += downs

@@ -6,36 +6,37 @@ design utilizes more smaller cells than the 2D thanks to better timing
 this change still meets the timing constraint during power optimization
 stages."
 
-Two passes over the STA result:
+Two planners decide master changes against the current timing:
 
-* :func:`fix_timing` upsizes drivers on negative-slack paths (timing
-  optimization, run first);
-* :func:`recover_power` downsizes cells whose slack exceeds a guard
+* :func:`plan_upsizes` upsizes drivers on negative-slack paths (timing
+  optimization, run first); it reads a frozen :class:`STAResult`;
+* :func:`plan_downsizes` downsizes cells whose slack exceeds a guard
   margin, accepting a move only if the locally-estimated delay increase
-  keeps the path met.  Smaller cells also present less input capacitance
-  upstream, so the estimate is conservative.
+  keeps the path met.  Smaller cells also present less input
+  capacitance upstream, so the estimate is conservative.
 
-Each pass is split into a *planner* (:func:`plan_upsizes`,
-:func:`plan_downsizes`) that decides the moves against a frozen STA
-snapshot, and a thin applier.  The staged loop commits the plans
-through the live-edit session (one batched re-time per chunk); the
-classic mutate-in-place entry points remain for direct callers and are
-decision-identical.
-
-Loads are priced through the shared :func:`repro.timing.load.driven_load`
-helper -- the same model STA uses, so the optimizer and the verifying
-timer can never disagree about what a move costs.
+The staged loop commits the plans through the live-edit session (one
+re-time per chunk).  :func:`plan_downsizes` reads the session's live
+:class:`~repro.timing.incremental.IncrementalSTA` view: its slack
+array and the timing graph's driver ``loads`` -- the very loads the
+STA priced, so the optimizer and the verifying timer can never
+disagree about what a move costs -- plus a per-master table of each
+replacement's delay model, as one masked, stably sorted array
+expression.  The per-candidate scalar loop it replaces is kept as a
+parity oracle in ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from ..netlist.core import Netlist
 from ..route.estimate import RoutingResult
 from ..tech.cells import CellLibrary, CellMaster
-from ..timing.load import driven_load
+from ..timing.incremental import IncrementalSTA
 from ..timing.sta import STAResult
 
 #: a planned master change: (instance id, replacement master)
@@ -82,8 +83,8 @@ def plan_upsizes(netlist: Netlist, sta: STAResult,
     return moves
 
 
-def plan_downsizes(netlist: Netlist, routing: RoutingResult,
-                   sta: STAResult, library: CellLibrary,
+def plan_downsizes(netlist: Netlist, view: IncrementalSTA,
+                   library: CellLibrary,
                    config: Optional[SizingConfig] = None) -> List[Move]:
     """Plan downsizes of comfortably-met cells (most slack first).
 
@@ -93,26 +94,58 @@ def plan_downsizes(netlist: Netlist, routing: RoutingResult,
     minus the guard margin.
     """
     config = config or SizingConfig()
-    moves: List[Move] = []
-    candidates = sorted(
-        (iid for iid, s in sta.slack.items()
-         if s > config.downsize_margin_ps and iid in netlist.instances),
-        key=lambda i: -sta.slack[i])
-    for iid in candidates:
-        if len(moves) >= MAX_MOVES_PER_PASS:
-            break
-        inst = netlist.instances[iid]
-        if inst.is_macro:
-            continue
-        smaller = library.downsize(inst.master)
-        if smaller is None:
-            continue
-        load = driven_load(netlist, routing, iid)
-        delta = (smaller.delay_ps(load) - inst.master.delay_ps(load))
-        charged = max(delta, 0.0) * PATH_SHARING_FACTOR
-        if sta.slack[iid] - charged >= config.downsize_margin_ps:
-            moves.append((iid, smaller))
-    return moves
+    margin = config.downsize_margin_ps
+    return plan_master_swaps(view, library.downsize, margin,
+                             PATH_SHARING_FACTOR, margin)
+
+
+def plan_master_swaps(view: IncrementalSTA,
+                      pick: Callable[[CellMaster], Optional[CellMaster]],
+                      above_ps: float, factor: float,
+                      margin_ps: float) -> List[Move]:
+    """The slack-absorbing swap planner shared by downsizing and HVT.
+
+    Candidates are the view's non-macro nodes with slack above
+    ``above_ps`` whose master has a replacement, ``pick(master)``.  A
+    candidate is kept when its slack minus ``factor`` times the local
+    delay increase at its current load still reaches ``margin_ps``.
+    Moves come most-slack-first, ties in :attr:`STAResult.slack` order,
+    capped at :data:`MAX_MOVES_PER_PASS`.
+
+    The delay delta keeps the scalar ``CellMaster.delay_ps`` operand
+    order, ``(intr' + res' * load) - (intr + res * load)``, and the
+    sort is stable, so the moves equal the per-candidate loop's.
+    """
+    g = view.graph
+    nodes, slack = view.slacks()
+    keep = (slack > above_ps) & ~g.is_macro[nodes]
+    nodes, slack = nodes[keep], slack[keep]
+    codes = g.mcode[nodes]
+    # per-master table: each replacement and its delay model (macros
+    # are masked above; the library has no variants of them)
+    n_codes = len(g.masters)
+    has = np.zeros(n_codes, dtype=bool)
+    rep_intr = np.zeros(n_codes, dtype=np.float64)
+    rep_res = np.zeros(n_codes, dtype=np.float64)
+    rep: List[Optional[CellMaster]] = [None] * n_codes
+    for c in np.unique(codes).tolist():
+        new = pick(g.masters[c])
+        if new is not None:
+            has[c] = True
+            rep_intr[c] = new.intrinsic_delay_ps
+            rep_res[c] = new.drive_res_kohm
+            rep[c] = new
+    ok = has[codes]
+    nodes, slack, codes = nodes[ok], slack[ok], codes[ok]
+    load = g.loads[nodes]
+    delta = (rep_intr[codes] + rep_res[codes] * load) - \
+        (g.intrinsic[nodes] + g.drive_res[nodes] * load)
+    charged = np.maximum(delta, 0.0) * factor
+    fit = slack - charged >= margin_ps
+    nodes, slack, codes = nodes[fit], slack[fit], codes[fit]
+    order = np.argsort(-slack, kind="stable")[:MAX_MOVES_PER_PASS]
+    return [(iid, rep[c]) for iid, c in
+            zip(g.iids[nodes[order]].tolist(), codes[order].tolist())]
 
 
 def apply_moves(netlist: Netlist, moves: List[Move]) -> int:
@@ -126,11 +159,3 @@ def fix_timing(netlist: Netlist, routing: RoutingResult, sta: STAResult,
                library: CellLibrary) -> int:
     """Upsize cells on violating paths; returns the number of moves."""
     return apply_moves(netlist, plan_upsizes(netlist, sta, library))
-
-
-def recover_power(netlist: Netlist, routing: RoutingResult, sta: STAResult,
-                  library: CellLibrary,
-                  config: Optional[SizingConfig] = None) -> int:
-    """Downsize comfortably-met cells; returns the number of moves."""
-    return apply_moves(netlist, plan_downsizes(netlist, routing, sta,
-                                               library, config))

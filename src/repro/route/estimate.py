@@ -16,7 +16,8 @@ This is the model's stand-in for detailed routing + RC extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -183,20 +184,33 @@ def route_net(netlist: Netlist, net: Net, stack: MetalStack,
                      driver_key=net.driver.key())
 
 
+def index_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenate ``[starts[i], ends[i])`` ranges into one index array."""
+    cnts = ends - starts
+    total = int(cnts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offs = np.repeat(np.cumsum(cnts) - cnts, cnts)
+    return np.repeat(starts, cnts) + np.arange(total, dtype=np.int64) - offs
+
+
 @dataclass
 class NetArrays:
     """Flat structure-of-arrays view of a routing snapshot.
 
-    One row per routed non-clock net (in netlist iteration order) plus
-    a CSR block of its sinks (in ``RoutedNet.sinks`` order).  The array
-    timing engines (:mod:`repro.timing.graph`) consume this instead of
-    walking ``RoutedNet`` objects; the per-sink Elmore wire delays and
-    per-net driver loads are computed here once, vectorized, with the
-    scalar properties' exact operation order (see ``docs/timing.md``).
+    One row per routed non-clock net (in netlist iteration order, so
+    net ids ascend) plus a CSR block of its sinks (in
+    ``RoutedNet.sinks`` order).  The array timing engines
+    (:mod:`repro.timing.graph`) consume this instead of walking
+    ``RoutedNet`` objects; the per-sink Elmore wire delays and per-net
+    driver loads are computed here, vectorized, with the scalar
+    properties' exact operation order (see ``docs/timing.md``).
 
-    A view is a snapshot: it is gathered fresh for every timing graph
-    and never cached, so no netlist or routing edit can leave a stale
-    one behind.
+    A view is a snapshot of the routing it was gathered from.  One-shot
+    analyses gather a fresh one and drop it; a live
+    :class:`~repro.timing.incremental.IncrementalSTA` keeps one for its
+    lifetime and brings it current after master swaps through
+    :meth:`refresh_pin_caps`, the only in-place edit.
     """
 
     #: per net: id, driver endpoint, total driven cap
@@ -209,13 +223,92 @@ class NetArrays:
     #: routed.sinks positionally identical to net.sinks (setup STA
     #: requires this and rejects stale-topology snapshots)
     matched: np.ndarray
+    #: per net: wire parasitics and via, as routed
+    r_per: np.ndarray
+    c_per: np.ndarray
+    wire_cap: np.ndarray
+    has_via: np.ndarray
+    via_res: np.ndarray
+    via_cap: np.ndarray
+    #: per net: longest driver-to-sink path (um), 0.0 without sinks
+    longest: np.ndarray
     #: CSR offsets: net row i owns sinks [sink_start[i], sink_start[i+1])
     sink_start: np.ndarray
     sink_net: np.ndarray        # owning net row per sink
     sink_inst: np.ndarray       # -1 for port sinks
     sink_is_port: np.ndarray
     sink_ports: List[Optional[str]]
+    sink_plen: np.ndarray
+    sink_cap: np.ndarray
+    sink_through: np.ndarray
     sink_wd: np.ndarray         # sink_wire_delay_ps, vectorized
+
+    def _sink_wd(self, rows: np.ndarray) -> np.ndarray:
+        """Elmore wire delays of the sink ``rows``.
+
+        Operation-for-operation the scalar
+        :meth:`RoutedNet.sink_wire_delay_ps`: ``r = r_per * len;
+        r * (c_per * len / 2 + cap)``, plus the via RC only for
+        through-via sinks of via nets.
+        """
+        seg = self.sink_net[rows]
+        plen = self.sink_plen[rows]
+        pcap = self.sink_cap[rows]
+        r_tot = self.r_per[seg] * plen
+        base = r_tot * (self.c_per[seg] * plen / 2.0 + pcap)
+        via_term = self.via_res[seg] * (self.via_cap[seg] / 2.0 + pcap)
+        return np.where(self.sink_through[rows] & self.has_via[seg],
+                        base + via_term, base)
+
+    def _total_cap(self, rows: np.ndarray) -> np.ndarray:
+        """Driven loads of the net ``rows``, exactly
+        :attr:`RoutedNet.total_cap_ff`.
+
+        The pin-cap sum accumulates sequentially in sink order:
+        ``np.bincount`` adds per-segment weights in flat element order,
+        like the scalar ``sum()``.
+        """
+        counts = self.sink_start[rows + 1] - self.sink_start[rows]
+        seg = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        pcap = self.sink_cap[index_ranges(self.sink_start[rows],
+                                          self.sink_start[rows + 1])]
+        pin_sum = np.bincount(seg, weights=pcap, minlength=len(rows)) \
+            if len(pcap) else np.zeros(len(rows), dtype=np.float64)
+        total = self.wire_cap[rows] + pin_sum
+        return np.where(self.has_via[rows], total + self.via_cap[rows],
+                        total)
+
+    def refresh_pin_caps(self, routing: "RoutingResult",
+                         net_ids: Sequence[int]) -> np.ndarray:
+        """Re-read the listed nets' sink pin caps after master swaps.
+
+        ``net_ids`` are the nets
+        :meth:`RoutingResult.update_instances` re-extracted (ascending,
+        all gathered here, their topology unchanged).  Rewrites their
+        sink caps, ``sink_wd`` and ``total_cap`` with the float
+        expressions of :func:`gather_net_arrays`, so the patched rows
+        equal a fresh gather bit for bit.
+
+        Returns the patched net rows.
+        """
+        ids = np.asarray(net_ids, dtype=np.int64)
+        rows = np.searchsorted(self.net_ids, ids)
+        if len(rows) and (int(rows.max()) >= len(self.net_ids) or
+                          bool((self.net_ids[rows] != ids).any())):
+            raise ValueError("refresh_pin_caps: net(s) missing from the "
+                             "gathered snapshot")
+        nets = routing.nets
+        caps = [sp.pin_cap_ff for nid in ids.tolist()
+                for sp in nets[nid].sinks]
+        sinks = index_ranges(self.sink_start[rows],
+                             self.sink_start[rows + 1])
+        if len(caps) != len(sinks):
+            raise ValueError("refresh_pin_caps: a net changed sinks "
+                             "since it was gathered")
+        self.sink_cap[sinks] = caps
+        self.sink_wd[sinks] = self._sink_wd(sinks)
+        self.total_cap[rows] = self._total_cap(rows)
+        return rows
 
 
 def gather_net_arrays(netlist: Netlist, routing: "RoutingResult"
@@ -278,46 +371,39 @@ def gather_net_arrays(netlist: Netlist, routing: "RoutingResult"
     n = len(net_ids)
     sink_start = np.asarray(starts, dtype=np.int64)
     counts = sink_start[1:] - sink_start[:-1]
-    seg = np.repeat(np.arange(n, dtype=np.int64), counts)
-
     plen = np.asarray(s_plen, dtype=np.float64)
-    pcap = np.asarray(s_cap, dtype=np.float64)
-    through = np.asarray(s_through, dtype=bool)
-    r_per_a = np.asarray(r_per, dtype=np.float64)
-    c_per_a = np.asarray(c_per, dtype=np.float64)
-    wire_cap_a = np.asarray(wire_cap, dtype=np.float64)
-    has_via_a = np.asarray(has_via, dtype=bool)
-    via_res_a = np.asarray(via_res, dtype=np.float64)
-    via_cap_a = np.asarray(via_cap, dtype=np.float64)
+    longest = np.zeros(n, dtype=np.float64)
+    full = counts > 0
+    if bool(full.any()):
+        longest[full] = np.maximum.reduceat(plen, sink_start[:-1][full])
 
-    # per-sink Elmore, operation-for-operation the scalar
-    # RoutedNet.sink_wire_delay_ps: r = r_per*len; r*(c_per*len/2 + cap),
-    # plus the via RC only for through-via sinks of via nets
-    r_tot = r_per_a[seg] * plen
-    base = r_tot * (c_per_a[seg] * plen / 2.0 + pcap)
-    via_term = via_res_a[seg] * (via_cap_a[seg] / 2.0 + pcap)
-    sink_wd = np.where(through & has_via_a[seg], base + via_term, base)
-
-    # per-net driven load, exactly RoutedNet.total_cap_ff: the pin-cap
-    # sum accumulates sequentially in sink order (np.bincount adds
-    # per-segment weights in flat element order, like the scalar sum())
-    pin_sum = np.bincount(seg, weights=pcap, minlength=n) \
-        if len(plen) else np.zeros(n, dtype=np.float64)
-    total = wire_cap_a + pin_sum
-    total_cap = np.where(has_via_a, total + via_cap_a, total)
-
-    return NetArrays(
+    arrays = NetArrays(
         net_ids=np.asarray(net_ids, dtype=np.int64),
         drv_inst=np.asarray(drv_inst, dtype=np.int64),
         drv_is_port=np.asarray(drv_is_port, dtype=bool),
         drv_ports=drv_ports,
         drv_pin=np.asarray(drv_pin, dtype=np.int64),
-        total_cap=total_cap,
+        total_cap=np.empty(0, dtype=np.float64),
         matched=np.asarray(matched, dtype=bool),
-        sink_start=sink_start, sink_net=seg,
+        r_per=np.asarray(r_per, dtype=np.float64),
+        c_per=np.asarray(c_per, dtype=np.float64),
+        wire_cap=np.asarray(wire_cap, dtype=np.float64),
+        has_via=np.asarray(has_via, dtype=bool),
+        via_res=np.asarray(via_res, dtype=np.float64),
+        via_cap=np.asarray(via_cap, dtype=np.float64),
+        longest=longest,
+        sink_start=sink_start,
+        sink_net=np.repeat(np.arange(n, dtype=np.int64), counts),
         sink_inst=np.asarray(s_inst, dtype=np.int64),
         sink_is_port=np.asarray(s_is_port, dtype=bool),
-        sink_ports=s_ports, sink_wd=sink_wd)
+        sink_ports=s_ports,
+        sink_plen=plen,
+        sink_cap=np.asarray(s_cap, dtype=np.float64),
+        sink_through=np.asarray(s_through, dtype=bool),
+        sink_wd=np.empty(0, dtype=np.float64))
+    arrays.sink_wd = arrays._sink_wd(np.arange(len(plen), dtype=np.int64))
+    arrays.total_cap = arrays._total_cap(np.arange(n, dtype=np.int64))
+    return arrays
 
 
 @dataclass

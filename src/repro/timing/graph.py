@@ -41,71 +41,69 @@ instance missing from the netlist raises ``ValueError`` naming the
 cells or nets; setup STA additionally rejects routed sinks out of
 positional sync with the netlist (stale routing after surgery).
 
-Nothing is cached: :func:`graph_for` gathers the flat net view
-(:func:`~repro.route.estimate.gather_net_arrays`) and levelizes it on
-every call, and the caller drops the graph when its analysis returns.
-Setup STA, hold, the I/O paths and every
-:class:`~repro.timing.incremental.IncrementalSTA` re-time build their
-graph this one way, and a finished design keeps no graph alive on its
-routing.
+One-shot analyses -- setup STA (:func:`~repro.timing.sta.run_sta`),
+hold and the I/O paths -- build their graph with :func:`graph_for`,
+which gathers the flat net view
+(:func:`~repro.route.estimate.gather_net_arrays`) and levelizes it,
+and drop it when they return.  A live
+:class:`~repro.timing.incremental.IncrementalSTA` keeps one graph and
+its net arrays for its whole lifetime instead: a master swap changes
+no structure, so :meth:`TimingGraph.patch_masters` re-derives the
+value arrays (cell delays, driver loads and every wire-delay gather)
+in place through the sink-row index maps kept from the build.  No
+graph is cached on a routing, so a finished design keeps none alive.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..netlist.core import Netlist
+from ..netlist.core import Master, Netlist
 from ..obs.metrics import metrics
-from ..route.estimate import NetArrays, RoutingResult, gather_net_arrays
+from ..route.estimate import (NetArrays, RoutingResult, gather_net_arrays,
+                              index_ranges)
+from ..tech.macros import MacroMaster
 from .sta import MACRO_SETUP_PS, SETUP_PS
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
 
 
-def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenate ``[starts[i], ends[i])`` ranges into one index array."""
-    cnts = ends - starts
-    total = int(cnts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offs = np.repeat(np.cumsum(cnts) - cnts, cnts)
-    return np.repeat(starts, cnts) + np.arange(total, dtype=np.int64) - offs
-
-
 class TimingGraph:
     """Levelized array form of one routed netlist snapshot."""
 
     def __init__(self, netlist: Netlist, arrays: NetArrays) -> None:
+        metrics().counter("sta.graph_builds").inc()
         insts = netlist.instances
+        #: the distinct masters, indexed by :attr:`mcode`
+        self.masters: List[Master] = []
+        self._rows: Dict[int, Tuple[bool, bool, float, float, int]] = {}
         iids: List[int] = []
         mac: List[bool] = []
         seq: List[bool] = []
         intr: List[float] = []
         res: List[float] = []
-        memo: Dict[int, Tuple[bool, bool, float, float]] = {}
+        code: List[int] = []
         for inst in insts.values():
-            m = inst.master
-            t = memo.get(id(m))
-            if t is None:
-                im = inst.is_macro
-                t = (im, (not im) and m.is_sequential,
-                     m.intrinsic_delay_ps, m.drive_res_kohm)
-                memo[id(m)] = t
+            t = self._master_row(inst.master)
             iids.append(inst.id)
             mac.append(t[0])
             seq.append(t[1])
             intr.append(t[2])
             res.append(t[3])
+            code.append(t[4])
 
         self.iids = np.asarray(iids, dtype=np.int64)
         V = self.V = len(iids)
         self.is_macro = np.asarray(mac, dtype=bool)
         self.is_seq = np.asarray(seq, dtype=bool)
-        intrinsic = np.asarray(intr, dtype=np.float64)
-        drive_res = np.asarray(res, dtype=np.float64)
+        #: per node: the current master's delay model and its index
+        #: into :attr:`masters` (the planners' per-master tables)
+        self.intrinsic = np.asarray(intr, dtype=np.float64)
+        self.drive_res = np.asarray(res, dtype=np.float64)
+        self.mcode = np.asarray(code, dtype=np.int64)
 
         # -- dense endpoint indices ------------------------------------
         # ids come from Netlist._next_inst in insertion order, so
@@ -143,21 +141,10 @@ class TimingGraph:
                            arrays.net_ids[~arrays.matched].tolist()]
 
         # -- driver loads and cell delays (ordered accumulation) -------
-        # predicate = net_loads_driver: non-clock (already filtered),
-        # instance driver, pin 0 or macro; the bincount adds
-        # total_cap_ff per driver sequentially in netlist net order,
-        # matching the scalar loops bit for bit
         mask_load = (~drvp) & ((arrays.drv_pin == 0) | mac_dd)
-        if V:
-            self.loads = np.bincount(dd[mask_load],
-                                     weights=arrays.total_cap[mask_load],
-                                     minlength=V)
-        else:
-            self.loads = np.zeros(0, dtype=np.float64)
-        # CellMaster.delay_ps: intrinsic + drive_res * load; macros
-        # launch with their intrinsic access time
-        self.delay = np.where(self.is_macro, intrinsic,
-                              intrinsic + drive_res * self.loads)
+        self.load_drv = dd[mask_load]
+        self.load_rows = np.flatnonzero(mask_load)
+        self._derive_delays(arrays)
 
         # -- edge groups over the flat sink rows -----------------------
         drvp_row = drvp[net_row]
@@ -166,15 +153,19 @@ class TimingGraph:
         tseq = nonport & seq_sd
         term = tmac | tseq
 
+        # each group keeps its sink rows, so a swap patch re-gathers
+        # the wire delays without re-deriving the masks
         m_comb = (~drvp_row) & nonport & ~term
         self.e_src = dd[net_row[m_comb]]
         self.e_dst = sd[m_comb]
-        self.e_wd = arrays.sink_wd[m_comb]
         e_idx = np.flatnonzero(m_comb)   # scalar succ-list append order
+        self.e_rows = e_idx
+        self.e_wd = arrays.sink_wd[e_idx]
 
         m_ti = (~drvp_row) & term
         self.t_i_drv = dd[net_row[m_ti]]
-        self.t_i_wd = arrays.sink_wd[m_ti]
+        self.t_i_rows = np.flatnonzero(m_ti)
+        self.t_i_wd = arrays.sink_wd[self.t_i_rows]
         self.t_i_macro = tmac[m_ti]
         self.t_i_sink_raw = s_raw[m_ti]  # hold capture instance ids
         # the I/O-path capture setup margin per entry (constant)
@@ -183,23 +174,20 @@ class TimingGraph:
 
         m_tp = (~drvp_row) & sp
         self.t_p_drv = dd[net_row[m_tp]]
-        self.t_p_wd = arrays.sink_wd[m_tp]
-        tp_rows = np.flatnonzero(m_tp)
-        tp_names = [arrays.sink_ports[i] for i in tp_rows.tolist()]
+        self.t_p_rows = np.flatnonzero(m_tp)
+        self.t_p_wd = arrays.sink_wd[self.t_p_rows]
+        tp_names = [arrays.sink_ports[i]
+                    for i in self.t_p_rows.tolist()]
         self.tp_names, self.t_p_name_idx = _intern(tp_names)
 
         m_pf = drvp_row & nonport & ~term
         self.pf_dst = sd[m_pf]
-        self.pf_wd = arrays.sink_wd[m_pf]
-        pf_rows = net_row[m_pf]
-        pf_names = [arrays.drv_ports[i] for i in pf_rows.tolist()]
+        self.pf_rows = np.flatnonzero(m_pf)
+        self.pf_wd = arrays.sink_wd[self.pf_rows]
+        pf_names = [arrays.drv_ports[i]
+                    for i in net_row[m_pf].tolist()]
         self.pf_names, self.pf_name_idx = _intern(pf_names)
-
-        # I/O-path port seeds: max(0, wire delays) per port-driven node
-        mb = np.full(V, _NEG_INF)
-        np.maximum.at(mb, self.pf_dst, self.pf_wd)
-        self.port_base = np.where(mb > _NEG_INF, np.maximum(mb, 0.0),
-                                  _NEG_INF)
+        self._derive_port_base()
 
         # hold capture emission order: drivers by first appearance,
         # entries per driver in append order (scalar dict iteration)
@@ -227,9 +215,10 @@ class TimingGraph:
         d_indptr = np.searchsorted(d_dst, np.arange(V + 1))
         d_src = self.e_src[d_ord]
         d_wd = self.e_wd[d_ord]
-        d_eidx = e_idx[d_ord]
+        d_eidx = e_idx[d_ord]           # = the in-edges' sink rows
         s_dst = self.e_dst[s_ord]
         s_wd = self.e_wd[s_ord]
+        s_rows = e_idx[s_ord]
 
         seed = self.is_macro | self.is_seq | (pred == 0)
         self.seed_mask = seed
@@ -243,11 +232,14 @@ class TimingGraph:
         self.fin: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
             (np.empty(0, np.int64), np.empty(0, np.float64),
              np.empty(0, np.int64))]
+        #: sink rows of each wave's ``fin`` / ``bout`` wire delays
+        self.fin_rows: List[np.ndarray] = [np.empty(0, np.int64)]
+        self.bout_rows: List[np.ndarray] = []
         remaining = pred.copy()
         done = seed.copy()
         frontier = w0
         while True:
-            rows = _ranges(s_indptr[frontier], s_indptr[frontier + 1])
+            rows = index_ranges(s_indptr[frontier], s_indptr[frontier + 1])
             if rows.size == 0:
                 break
             cnt = np.bincount(s_dst[rows], minlength=V)
@@ -257,7 +249,7 @@ class TimingGraph:
                 break
             # completion keys: lex-max over in-edges of
             # (pred completion position, edge construction index)
-            r2 = _ranges(d_indptr[new], d_indptr[new + 1])
+            r2 = index_ranges(d_indptr[new], d_indptr[new + 1])
             cnt2 = d_indptr[new + 1] - d_indptr[new]
             owner = np.repeat(np.arange(len(new), dtype=np.int64), cnt2)
             p = proc_pos[d_src[r2]]
@@ -274,10 +266,11 @@ class TimingGraph:
             done[new] = True
             waves.append(wave_nodes)
             # in-edge gather for the forward value pass, in wave order
-            r3 = _ranges(d_indptr[wave_nodes], d_indptr[wave_nodes + 1])
+            r3 = index_ranges(d_indptr[wave_nodes], d_indptr[wave_nodes + 1])
             cnt3 = d_indptr[wave_nodes + 1] - d_indptr[wave_nodes]
             starts3 = np.cumsum(cnt3) - cnt3
             self.fin.append((d_src[r3], d_wd[r3], starts3))
+            self.fin_rows.append(d_eidx[r3])
             frontier = wave_nodes
 
         if V and not bool(done.all()):
@@ -301,10 +294,109 @@ class TimingGraph:
         for nodes in waves:
             has = s_indptr[nodes + 1] > s_indptr[nodes]
             bn = nodes[has]
-            r4 = _ranges(s_indptr[bn], s_indptr[bn + 1])
+            r4 = index_ranges(s_indptr[bn], s_indptr[bn + 1])
             cnt4 = s_indptr[bn + 1] - s_indptr[bn]
             starts4 = np.cumsum(cnt4) - cnt4
             self.bout.append((bn, s_dst[r4], s_wd[r4], starts4))
+            self.bout_rows.append(s_rows[r4])
+
+    def _master_row(self, master: Master
+                    ) -> Tuple[bool, bool, float, float, int]:
+        """``(is_macro, is_seq, intrinsic, drive_res, code)`` of a master,
+        registering it in :attr:`masters` on first sight."""
+        t = self._rows.get(id(master))
+        if t is None:
+            im = isinstance(master, MacroMaster)
+            t = (im, (not im) and master.is_sequential,
+                 master.intrinsic_delay_ps, master.drive_res_kohm,
+                 len(self.masters))
+            self._rows[id(master)] = t
+            self.masters.append(master)
+        return t
+
+    def _derive_delays(self, arrays: NetArrays) -> None:
+        """Driver loads and cell delays from the current net caps.
+
+        The load predicate is: non-clock net (already filtered), an
+        instance driver, and pin 0 or a macro.  The bincount adds
+        ``total_cap`` per driver sequentially in netlist net order,
+        matching the scalar loops bit for bit.
+        """
+        if self.V:
+            self.loads = np.bincount(
+                self.load_drv, weights=arrays.total_cap[self.load_rows],
+                minlength=self.V)
+        else:
+            self.loads = np.zeros(0, dtype=np.float64)
+        # CellMaster.delay_ps: intrinsic + drive_res * load; macros
+        # launch with their intrinsic access time
+        self.delay = np.where(self.is_macro, self.intrinsic,
+                              self.intrinsic + self.drive_res * self.loads)
+
+    def _derive_port_base(self) -> None:
+        """I/O-path port seeds: max(0, wire delays) per port-driven node."""
+        mb = np.full(self.V, _NEG_INF)
+        np.maximum.at(mb, self.pf_dst, self.pf_wd)
+        self.port_base = np.where(mb > _NEG_INF, np.maximum(mb, 0.0),
+                                  _NEG_INF)
+
+    def swap_nodes(self, inst_ids: Sequence[int],
+                   masters: Sequence[Master]) -> Optional[np.ndarray]:
+        """The nodes of swapped instances, or ``None`` if the swap
+        changes structure.
+
+        A swap is structural when an instance is not a node of this
+        graph, or its new master moves it between the combinational,
+        sequential and macro classes (which re-seeds the levelization
+        and re-classifies its sinks); the caller then rebuilds.
+        """
+        ids = np.asarray(inst_ids, dtype=np.int64)
+        nodes = np.searchsorted(self.iids, ids)
+        if len(nodes) and (int(nodes.max()) >= self.V or
+                           bool((self.iids[nodes] != ids).any())):
+            return None
+        rows = [self._master_row(m) for m in masters]
+        if rows and (
+                bool((self.is_macro[nodes] !=
+                      np.asarray([r[0] for r in rows])).any()) or
+                bool((self.is_seq[nodes] !=
+                      np.asarray([r[1] for r in rows])).any())):
+            return None
+        return nodes
+
+    def patch_masters(self, arrays: NetArrays, nodes: np.ndarray,
+                      masters: Sequence[Master], rewired: bool) -> None:
+        """Re-derive the value arrays after master swaps, in place.
+
+        ``nodes`` come from :meth:`swap_nodes` and ``masters`` are their
+        new masters.  ``arrays`` must already hold the new pin caps of
+        every net the swaps touched
+        (:meth:`~repro.route.estimate.NetArrays.refresh_pin_caps`);
+        ``rewired`` says whether any net changed.  The swapped cells'
+        delay model is reset, loads and delays are recomputed with the
+        build's bincount, and every wire-delay gather -- the edge
+        groups, the port seeds and the per-wave ``fin`` / ``bout``
+        tuples -- is re-read through the sink rows kept from the build,
+        so the graph equals a fresh build of the swapped snapshot
+        bit for bit.
+        """
+        rows = [self._master_row(m) for m in masters]
+        self.intrinsic[nodes] = [r[2] for r in rows]
+        self.drive_res[nodes] = [r[3] for r in rows]
+        self.mcode[nodes] = [r[4] for r in rows]
+        self._derive_delays(arrays)
+        if not rewired:
+            return
+        wd = arrays.sink_wd
+        self.e_wd = wd[self.e_rows]
+        self.t_i_wd = wd[self.t_i_rows]
+        self.t_p_wd = wd[self.t_p_rows]
+        self.pf_wd = wd[self.pf_rows]
+        self._derive_port_base()
+        self.fin = [(src, wd[r], starts) for (src, _wd, starts), r
+                    in zip(self.fin, self.fin_rows)]
+        self.bout = [(bn, dst, wd[r], starts) for (bn, dst, _wd, starts), r
+                     in zip(self.bout, self.bout_rows)]
 
     def reject_stale(self) -> None:
         """Raise if any routed net's sinks are out of sync with the netlist.

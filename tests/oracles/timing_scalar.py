@@ -7,7 +7,10 @@ scalar (per-net dict / ``deque`` walk) engines so the parity harness
 (``tests/test_sta_parity.py``) can call both and compare them
 bit for bit: :func:`run_sta`, :func:`run_hold_analysis`,
 :func:`io_path_delays`, :func:`derate_routing` and :func:`route_block`
-mirror the same-named library functions.
+mirror the same-named library functions.  It also keeps the scalar
+driven-load model (:func:`net_loads_driver`, :func:`driven_load`) that
+the per-candidate planners in :mod:`tests.oracles.opt_scalar` price
+moves with; the library reads the timing graph's ``loads`` instead.
 
 The loops are kept verbatim from the pre-vectorization modules with
 two deliberate, documented changes (see ``docs/timing.md``):
@@ -34,7 +37,6 @@ from repro.netlist.core import Netlist, PinRef
 from repro.route.block_router import BlockRouter, _class_for
 from repro.route.estimate import RoutingResult, route_net
 from repro.tech.process import ProcessNode
-from repro.timing.load import net_loads_driver
 from repro.timing.si import SiConfig, SiReport, coupling_factor
 from repro.timing.sta import (HOLD_PS, MACRO_SETUP_PS, SETUP_PS, STAResult,
                               TimingConfig)
@@ -69,8 +71,8 @@ def run_sta(netlist: Netlist, routing: RoutingResult, process: ProcessNode,
     insts = netlist.instances
 
     # precompute every instance's driven load once (hot path); the
-    # which-nets-load-a-driver rule is shared with the incremental STA
-    # and the sizing engines via repro.timing.load
+    # which-nets-load-a-driver rule is net_loads_driver below, the
+    # predicate the array graph's load mask encodes
     _loads: Dict[int, float] = defaultdict(float)
     for net in netlist.nets.values():
         if not net_loads_driver(netlist, net):
@@ -468,3 +470,41 @@ def route_block(netlist: Netlist, stack, max_metal: int = 7,
             via=via if xy is not None else None, via_xy=xy,
             long_wire_um=long_wire_um, detour_factor=detour_factor)
     return result
+
+
+# ---------------------------------------------------------------------------
+# driven loads (the original repro.timing.load)
+# ---------------------------------------------------------------------------
+
+def net_loads_driver(netlist: Netlist, net) -> bool:
+    """True when ``net``'s total capacitance loads its driver's delay.
+
+    Clock nets are handled by CTS, port-driven nets have no driving
+    instance, and auxiliary (non-pin-0) outputs of standard cells carry
+    their own load -- but a macro's outputs all load the macro,
+    whichever pin they leave from.
+    """
+    drv = net.driver
+    if net.is_clock or drv.is_port:
+        return False
+    return drv.pin == 0 or netlist.instances[drv.inst].is_macro
+
+
+def driven_load(netlist: Netlist, routing: RoutingResult,
+                inst_id: int) -> float:
+    """Total routed capacitance loading ``inst_id``'s delay model (fF).
+
+    Sums ``total_cap_ff`` of the instance's load-bearing output nets in
+    ascending net id -- the accumulation order of the scalar
+    :func:`run_sta` and of the array graph's ``loads``.
+    """
+    total = 0.0
+    for net in sorted(netlist.nets_of(inst_id), key=lambda n: n.id):
+        if net.driver.is_port or net.driver.inst != inst_id:
+            continue
+        if not net_loads_driver(netlist, net):
+            continue
+        routed = routing.nets.get(net.id)
+        if routed is not None:
+            total += routed.total_cap_ff
+    return total

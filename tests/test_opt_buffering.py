@@ -3,11 +3,13 @@
 import pytest
 
 from repro.netlist.core import INPUT, Netlist, PinRef
-from repro.opt.buffering import (BufferingConfig, insert_buffers,
-                                 optimal_spacing_um)
+from repro.opt.buffering import (BufferingConfig, apply_buffer_plan,
+                                 optimal_spacing_um, plan_buffers)
 from repro.route.estimate import route_block
 from repro.tech.cells import make_28nm_library
 from repro.tech.layers import make_28nm_stack
+from repro.timing.incremental import IncrementalSTA
+from repro.timing.sta import TimingConfig
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +20,14 @@ def lib():
 @pytest.fixture(scope="module")
 def stack():
     return make_28nm_stack()
+
+
+def buffer_pass(nl, routing, lib, process, config=None):
+    """One buffering pass planned on a live view, then committed;
+    returns the buffers added."""
+    view = IncrementalSTA(nl, routing, process, TimingConfig("cpu_clk"))
+    return apply_buffer_plan(nl, plan_buffers(nl, view, lib,
+                                              config)).added
 
 
 def long_net(lib, length=2000.0):
@@ -48,10 +58,10 @@ def test_optimal_spacing_positive(lib, stack):
     assert 30.0 < sp < 400.0
 
 
-def test_long_net_gets_chain(lib, stack):
+def test_long_net_gets_chain(lib, stack, process):
     nl, net, a, b = long_net(lib)
     routing = route_block(nl, stack)
-    added = insert_buffers(nl, routing, lib)
+    added = buffer_pass(nl, routing, lib, process)
     assert added >= 3
     assert nl.num_buffers == 2 + added  # a and b are INVs (repeaters)
     assert nl.validate() == []
@@ -60,27 +70,27 @@ def test_long_net_gets_chain(lib, stack):
     assert nl.instances[net.driver.inst].master.function == "BUF"
 
 
-def test_chain_shortens_sink_paths(lib, stack):
+def test_chain_shortens_sink_paths(lib, stack, process):
     nl, net, a, b = long_net(lib)
     routing = route_block(nl, stack)
-    insert_buffers(nl, routing, lib)
+    buffer_pass(nl, routing, lib, process)
     rerouted = route_block(nl, stack)
     worst = max(max((s.path_len_um for s in r.sinks), default=0)
                 for r in rerouted.nets.values())
     assert worst < 2000.0
 
 
-def test_short_net_untouched(lib, stack):
+def test_short_net_untouched(lib, stack, process):
     nl, net, a, b = long_net(lib, length=30.0)
     routing = route_block(nl, stack)
-    assert insert_buffers(nl, routing, lib) == 0
+    assert buffer_pass(nl, routing, lib, process) == 0
     assert nl.num_cells == 2
 
 
-def test_fanout_net_gets_groups(lib, stack):
+def test_fanout_net_gets_groups(lib, stack, process):
     nl, net, a = fanout_net(lib)
     routing = route_block(nl, stack)
-    added = insert_buffers(nl, routing, lib,
+    added = buffer_pass(nl, routing, lib, process,
                            BufferingConfig(cap_limit_ff=30.0,
                                            group_size=8))
     assert added >= 4
@@ -90,10 +100,10 @@ def test_fanout_net_gets_groups(lib, stack):
     assert nl.validate() == []
 
 
-def test_fanout_groups_preserve_sink_count(lib, stack):
+def test_fanout_groups_preserve_sink_count(lib, stack, process):
     nl, net, a = fanout_net(lib, n_sinks=30)
     routing = route_block(nl, stack)
-    insert_buffers(nl, routing, lib,
+    buffer_pass(nl, routing, lib, process,
                    BufferingConfig(cap_limit_ff=30.0, group_size=10))
     # every original sink still driven by exactly one net
     sink_nets = 0
@@ -104,7 +114,7 @@ def test_fanout_groups_preserve_sink_count(lib, stack):
     assert sink_nets == 30
 
 
-def test_clock_nets_never_buffered(lib, stack):
+def test_clock_nets_never_buffered(lib, stack, process):
     nl = Netlist("clk")
     nl.add_port("clk", INPUT)
     sinks = [PinRef(inst=nl.add_instance(
@@ -112,10 +122,10 @@ def test_clock_nets_never_buffered(lib, stack):
         for i in range(10)]
     nl.add_net("clk", PinRef(port="clk"), sinks, is_clock=True)
     routing = route_block(nl, stack)
-    assert insert_buffers(nl, routing, lib) == 0
+    assert buffer_pass(nl, routing, lib, process) == 0
 
 
-def test_max_buffers_cap(lib, stack):
+def test_max_buffers_cap(lib, stack, process):
     nl = Netlist("many")
     for k in range(30):
         a = nl.add_instance(f"a{k}", lib.master("INV_X2"), x=0, y=k * 20)
@@ -123,7 +133,7 @@ def test_max_buffers_cap(lib, stack):
                             y=k * 20)
         nl.add_net(f"n{k}", PinRef(inst=a.id), [PinRef(inst=b.id, pin=0)])
     routing = route_block(nl, stack)
-    added = insert_buffers(nl, routing, lib,
+    added = buffer_pass(nl, routing, lib, process,
                            BufferingConfig(max_new_buffers_per_pass=10))
     assert added <= 10 + 8  # cap checked per net batch
 
@@ -133,7 +143,7 @@ def test_crossing_net_chain_stays_on_driver_die(lib, stack, process):
     b.die = 1
     routing = route_block(nl, stack, via=process.tsv,
                           via_sites={net.id: (1000.0, 0.0)})
-    insert_buffers(nl, routing, lib)
+    buffer_pass(nl, routing, lib, process)
     for inst in nl.instances.values():
         if inst.name.startswith("rep_"):
             assert inst.die == 0

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.core.folding import FoldSpec, make_partition
 from repro.opt.flow import OptimizeConfig, optimize_block
 from repro.place.placer2d import PlacementConfig, place_block_2d
-from repro.place.placer3d import fold_place_3d
 from repro.power.analysis import analyze_power
 from repro.route.estimate import RouteContext
-from repro.route.route3d import place_f2f_vias
 from repro.tech.process import CPU_CLOCK
 from repro.timing.sta import TimingConfig
-from tests.conftest import fresh_block
+from tests.conftest import folded_ctx, fresh_block
 
 
 def prepared(library, name="ncu", seed=21):
@@ -22,24 +19,6 @@ def prepared(library, name="ncu", seed=21):
 
 def ctx_for(process):
     return RouteContext(stack=process.metal_stack)
-
-
-def folded_ctx(gb, process, bonding, seed):
-    """Fold-place ``gb`` (min-cut) and build the flow's route context:
-    all nine metals, the bonding style's via, F2F sites from the F2F
-    via placer and F2B sites from the fold's legalized TSVs."""
-    fold = fold_place_3d(gb.netlist, process,
-                         make_partition(gb, FoldSpec("mincut")), bonding,
-                         PlacementConfig(seed=seed))
-    if bonding == "F2F":
-        sites = dict(place_f2f_vias(gb.netlist, fold.outline,
-                                    process).sites)
-    else:
-        sites = {v.net_id: (v.x, v.y) for v in fold.vias}
-    assert sites
-    return RouteContext(stack=process.metal_stack, max_metal=9,
-                        via=process.via_for(bonding), via_sites=sites,
-                        long_wire_um=process.long_wire_um)
 
 
 def test_optimization_closes_timing(library, process):
