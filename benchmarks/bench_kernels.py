@@ -85,38 +85,29 @@ def test_kernel_partition(benchmark, process):
 def test_kernel_optimize(benchmark, process):
     """Staged optimization loop on l2t (live-edit session: parasitics
     refreshed in place, one array re-time per move chunk)."""
+    from repro.obs.metrics import metrics
+    from repro.obs.names import CTR_OPT_FULL_REROUTES
     from repro.opt.flow import OptimizeConfig, optimize_block
+
+    deltas = []
 
     def run():
         gb = generate_block(block_type_by_name("l2t"), process.library,
                             seed=1)
         place_block_2d(gb.netlist, PlacementConfig(seed=1))
-        return optimize_block(
+        routes = metrics().counter(CTR_OPT_FULL_REROUTES)
+        before = routes.value
+        res = optimize_block(
             gb.netlist, process, TimingConfig("cpu_clk"),
             RouteContext(stack=process.metal_stack),
             OptimizeConfig(dual_vth=True))
+        deltas.append(routes.value - before)
+        return res
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     assert res.downsized > 0 and res.hvt_swaps > 0
     # buffer insertion re-routes per net: the initial route is the
     # only whole-block route
-    assert res.full_reroutes == 1
-
-
-def test_kernel_optimize_full_recompute(benchmark, process):
-    """Same loop on the session's full-recompute twin: a full re-route
-    and a full STA per move chunk."""
-    from repro.opt.flow import OptimizeConfig, optimize_block
-
-    def run():
-        gb = generate_block(block_type_by_name("l2t"), process.library,
-                            seed=1)
-        place_block_2d(gb.netlist, PlacementConfig(seed=1))
-        return optimize_block(
-            gb.netlist, process, TimingConfig("cpu_clk"),
-            RouteContext(stack=process.metal_stack),
-            OptimizeConfig(dual_vth=True, full_recompute=True))
-    res = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert res.full_reroutes > 4
+    assert deltas and set(deltas) == {1}
 
 
 def test_kernel_incremental_sta(benchmark, process):

@@ -452,8 +452,7 @@ def _cmd_eco(args) -> int:
     stats = report.session_stats
     if stats:
         print(f"reuse: {stats.get('nets_rerouted', 0)} nets rerouted, "
-              f"{stats.get('sta_full_rebuilds', 0)} full STA rebuilds, "
-              f"{stats.get('full_reroutes', 0)} full reroutes")
+              f"{stats.get('sta_full_rebuilds', 0)} full STA rebuilds")
     return 0 if report.status == "met" or args.best_effort else 1
 
 

@@ -254,8 +254,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
             fault_point("eco")
             session = EcoSession(
                 netlist, opt.routing, process, timing, route_ctx,
-                outline=outline, sta_snapshot=opt.sta,
-                full_recompute=config.eco.full_recompute)
+                outline=outline, sta_snapshot=opt.sta)
             eco_report = close_timing(session, config.eco)
             opt.routing = session.routing
             opt.sta = session.sta()

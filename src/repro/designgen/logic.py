@@ -105,7 +105,7 @@ def _cluster_neighbors(cluster: int, n_clusters: int, rng: np.random.Generator,
     delta = int(rng.integers(1, spread + 1)) * hop
     if rng.random() < 0.5:
         delta = -delta
-    return int(np.clip(cluster + delta, 0, n_clusters - 1))
+    return min(max(cluster + delta, 0), n_clusters - 1)
 
 
 def generate_logic(name: str, spec: LogicSpec, library: CellLibrary,

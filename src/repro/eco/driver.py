@@ -55,8 +55,6 @@ class EcoConfig:
     #: stop once WNS is at least this (ps)
     target_wns_ps: float = 0.0
     max_rounds: int = 4
-    #: run the session with every incremental path disabled
-    full_recompute: bool = False
 
 
 @dataclass
@@ -224,9 +222,7 @@ def derive_design(base, config, process) -> Tuple[object,
                 f"scenarios may differ only in {_DERIVABLE}")
 
     eco_cfg = config.eco or EcoConfig()
-    session = EcoSession.from_design(
-        base, process, clone=True,
-        full_recompute=eco_cfg.full_recompute)
+    session = EcoSession.from_design(base, process, clone=True)
     if config.io_budget_ps != base.config.io_budget_ps:
         session.retarget(TimingConfig(
             clock_domain=session.timing.clock_domain,

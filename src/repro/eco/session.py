@@ -12,30 +12,25 @@ of the code base, with two kinds of caller:
   design (:meth:`EcoSession.from_design`) and applies typed
   :mod:`repro.eco.moves` batches through :meth:`EcoSession.apply`.
 
-A session runs in one of two modes with *bit-identical* results:
-
-* **incremental** (default) -- only the nets incident to an edit are
-  re-routed (through the block's
-  :class:`repro.route.estimate.RouteContext`), one live
-  :class:`repro.timing.incremental.IncrementalSTA` view (adopted from
-  the design's sign-off STA when one is given) re-times the block
-  after each edit -- master swaps patch its arrays in place -- and the
-  clock tree replays untouched bisection subtrees from the
-  :class:`repro.cts.incremental.IncrementalCTS` memo;
-* **full recompute** -- every edit triggers a whole-block re-route and
-  drops the view; the next read builds a fresh one, which is a
-  from-scratch STA.  The clock tree still comes from the same
-  :class:`~repro.cts.incremental.IncrementalCTS` memo, whose replay is
-  bit-exact with a from-scratch CTS.
-
-Either way :attr:`EcoSession.view` is the current timing view, and
-the power planners (:mod:`repro.opt.sizing`, :mod:`repro.opt.dualvth`,
+Every edit is incremental.  Master swaps refresh the swapped cells'
+pin caps in place and patch the arrays of one live
+:class:`repro.timing.incremental.IncrementalSTA` view (adopted from the
+design's sign-off STA when one is given).  Structural edits -- buffer
+insertion, buffer removal, displacement -- re-route only the nets they
+touched (through the block's
+:class:`repro.route.estimate.RouteContext`) and re-time the view once.
+The clock tree replays untouched bisection subtrees from the
+:class:`repro.cts.incremental.IncrementalCTS` memo.
+:attr:`EcoSession.view` is the current timing view, and the power
+planners (:mod:`repro.opt.sizing`, :mod:`repro.opt.dualvth`,
 :mod:`repro.opt.buffering`) read its arrays.
 
 The parity harnesses (``tests/test_eco_properties.py`` for ECO
-batches, ``tests/test_opt_flow.py`` for the optimizer loop) hold the
-two modes byte-equal; ``tests/test_eco_engine.py`` holds the
-incremental mode to its reuse targets.
+batches, ``tests/test_opt_flow.py`` for the optimizer loop,
+``tests/test_eco_engine.py`` for the flow stage and scenario
+derivation) hold every session byte-equal to a full-recompute oracle,
+``tests/oracles/eco_full.py``, which re-routes the whole block after
+every edit and times every read on a view built from scratch.
 
 :meth:`EcoSession.apply` validates a batch up front against the
 pre-batch state and mutates nothing when validation rejects a move
@@ -78,7 +73,7 @@ class EcoApplyReport:
 
 
 class EcoSession:
-    """Edits a routed block in place, incrementally or fully.
+    """Edits a routed block in place, incrementally.
 
     Args:
         netlist: the block netlist (mutated in place -- clone first
@@ -91,29 +86,23 @@ class EcoSession:
             ``Displace(legalize=True)`` cells are row-legalized on
             their own die, around that die's cells and macros.
         sta_snapshot: the design's sign-off :class:`STAResult`; when
-            given (incremental mode) the timing view adopts it
-            instead of re-running STA -- ``sta_full_rebuilds`` stays at
-            zero.  ``stats["sta_full_rebuilds"]`` counts the views
-            built from scratch (every read after a whole-block re-route
-            in full-recompute mode); the ``sta.full_rebuilds`` metric
-            counts those of incremental sessions only.
-        full_recompute: disable every incremental path (parity /
-            baseline mode).
+            given, the timing view adopts it instead of re-running
+            STA.  Without one the session builds its view from scratch
+            when it opens, which ``stats["sta_full_rebuilds"]`` and the
+            ``sta.full_rebuilds`` metric count.
     """
 
     def __init__(self, netlist: Netlist, routing: RoutingResult,
                  process: ProcessNode, timing: TimingConfig,
                  route_ctx: RouteContext, *,
                  outline: Optional[Rect] = None,
-                 sta_snapshot: Optional[STAResult] = None,
-                 full_recompute: bool = False) -> None:
+                 sta_snapshot: Optional[STAResult] = None) -> None:
         self.netlist = netlist
         self.routing = routing
         self.process = process
         self.timing = timing
         self.ctx = route_ctx
         self.outline = outline
-        self.full_recompute = full_recompute
         #: deterministic session-local work tallies (the process-global
         #: metrics registry is disabled when tracing is off, so reuse
         #: assertions read these instead); ``legalize_failures`` joins
@@ -121,27 +110,22 @@ class EcoSession:
         self.stats: Dict[str, int] = {
             "moves_requested": 0, "moves_applied": 0, "swaps": 0,
             "buffers_added": 0, "buffers_removed": 0, "displaced": 0,
-            "nets_rerouted": 0, "full_reroutes": 0,
-            "sta_full_rebuilds": 0,
+            "nets_rerouted": 0, "sta_full_rebuilds": 0,
         }
-        self._view: Optional[IncrementalSTA] = None
-        if not full_recompute:
-            if sta_snapshot is not None:
-                self._view = IncrementalSTA.from_snapshot(
-                    netlist, routing, process, timing, sta_snapshot)
-            else:
-                self._view = IncrementalSTA(netlist, routing, process,
-                                            timing)
-                self.stats["sta_full_rebuilds"] += 1
-                metrics().counter("sta.full_rebuilds").inc()
+        if sta_snapshot is not None:
+            self._view = IncrementalSTA.from_snapshot(
+                netlist, routing, process, timing, sta_snapshot)
+        else:
+            self._view = IncrementalSTA(netlist, routing, process, timing)
+            self.stats["sta_full_rebuilds"] += 1
+            metrics().counter("sta.full_rebuilds").inc()
         self.cts = IncrementalCTS(netlist, process)
         metrics().counter("eco.sessions").inc()
 
     @classmethod
     def from_design(cls, design, process: ProcessNode, *,
                     timing: Optional[TimingConfig] = None,
-                    clone: bool = True,
-                    full_recompute: bool = False) -> "EcoSession":
+                    clone: bool = True) -> "EcoSession":
         """Open a session on a finished :class:`BlockDesign`.
 
         ``clone=True`` (default) deep-copies the netlist and routing so
@@ -173,23 +157,14 @@ class EcoSession:
         routing = design.routing.copy() if clone else design.routing
         return cls(netlist, routing, process, timing, ctx,
                    outline=design.outline,
-                   sta_snapshot=design.sta,
-                   full_recompute=full_recompute)
+                   sta_snapshot=design.sta)
 
     # -- timing / clock-tree views ------------------------------------
 
     @property
     def view(self) -> IncrementalSTA:
-        """The live timing view of the current state.
-
-        An incremental session opens with one (built or adopted) and
-        keeps it.  The full-recompute twin drops it at every
-        whole-block re-route and builds a fresh one on the next read.
-        """
-        if self._view is None:
-            self._view = IncrementalSTA(self.netlist, self.routing,
-                                        self.process, self.timing)
-            self.stats["sta_full_rebuilds"] += 1
+        """The live timing view of the current state: opened (built or
+        adopted) with the session and kept for its lifetime."""
         return self._view
 
     def sta(self) -> STAResult:
@@ -203,10 +178,7 @@ class EcoSession:
     def retarget(self, timing: TimingConfig) -> None:
         """Swap the I/O timing context (neighboring-scenario derive)."""
         self.timing = timing
-        if self.full_recompute:
-            self._view = None
-        else:
-            self._view.retarget(timing)
+        self._view.retarget(timing)
 
     # -- edit primitives ----------------------------------------------
 
@@ -218,17 +190,7 @@ class EcoSession:
         """
         if not moves:
             return 0
-        if not self.full_recompute:
-            n = self._view.swap_masters(moves)
-        else:
-            n = 0
-            for iid, master in moves:
-                if self.netlist.instances[iid].master is master:
-                    continue
-                self.netlist.replace_master(iid, master)
-                n += 1
-            if n:
-                self._full_recompute_now()
+        n = self._view.swap_masters(moves)
         if n:
             self.stats["swaps"] += n
             self.cts.invalidate()
@@ -241,19 +203,14 @@ class EcoSession:
         :func:`~repro.opt.buffering.plan_net_buffering`.  The new
         buffers are legalized when the session has an outline, then
         only the nets around them are re-routed and the timing view
-        rebuilds once (the full-recompute twin re-routes the block).
+        rebuilds once.
         """
         res = apply_buffer_plan(self.netlist, plans)
         if not res.added:
             return 0
         self._legalize([self.netlist.instances[i]
                         for i in res.new_inst_ids])
-        if not self.full_recompute:
-            self.routing.update_instances(
-                self.netlist, res.new_inst_ids, reroute=self._reroute)
-            self._view.patch_topology()
-        else:
-            self._full_recompute_now()
+        self._resync(res.touched_net_ids, surgery=True)
         self.stats["buffers_added"] += res.added
         self.cts.invalidate()
         return res.added
@@ -376,11 +333,19 @@ class EcoSession:
         self.stats["nets_rerouted"] += 1
         return self.ctx.route_net(self.netlist, net)
 
-    def _full_recompute_now(self) -> None:
-        self.routing = self.ctx.route_block(self.netlist)
-        self.stats["full_reroutes"] += 1
-        self.stats["nets_rerouted"] += len(self.routing.nets)
-        self._view = None
+    def _resync(self, net_ids: Iterable[int], *, surgery: bool) -> None:
+        """Bring routing and timing current after a structural edit.
+
+        Re-routes the listed nets (those that no longer exist leave the
+        routing view), then re-times the view: a topology patch after
+        netlist surgery, a routing update after a displacement.
+        """
+        self.routing.refresh_nets(self.netlist, net_ids,
+                                  reroute=self._reroute)
+        if surgery:
+            self._view.patch_topology()
+        else:
+            self._view.apply_routing_update()
 
     def _flush_swaps(self, swaps: List[EcoMove],
                      report: EcoApplyReport) -> None:
@@ -444,12 +409,7 @@ class EcoSession:
             out.id, PinRef(inst=drv.inst, port=drv.port, pin=drv.pin))
         self.netlist.remove_net(innet.id)
         self.netlist.remove_instance(iid)
-        if not self.full_recompute:
-            self.routing.refresh_nets(
-                self.netlist, [innet.id, out.id], reroute=self._reroute)
-            self._view.patch_topology()
-        else:
-            self._full_recompute_now()
+        self._resync([innet.id, out.id], surgery=True)
         self.cts.invalidate()
         return 1
 
@@ -458,13 +418,7 @@ class EcoSession:
         inst.x, inst.y = move.x, move.y
         if move.legalize:
             self._legalize([inst])
-        touched = sorted(n.id for n in self.netlist.nets_of(inst.id)
-                         if not n.is_clock)
-        if not self.full_recompute:
-            self.routing.refresh_nets(self.netlist, touched,
-                                      reroute=self._reroute)
-            self._view.apply_routing_update()
-        else:
-            self._full_recompute_now()
+        self._resync([n.id for n in self.netlist.nets_of(inst.id)],
+                     surgery=False)
         self.cts.invalidate()
         return 1

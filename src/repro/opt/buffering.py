@@ -202,9 +202,10 @@ def apply_buffer_plan(netlist: Netlist, plans: List) -> BufferApplyResult:
     Chain plans rewire the original net to be driven by the last buffer
     of the chain (preserving the net id, so 3D via bindings stay
     valid); fanout plans move the original net's sinks behind new leaf
-    nets.  Bring the routing view current afterwards -- incrementally
-    via ``RoutingResult.update_instances(new_inst_ids, reroute)`` or
-    with a full re-route.
+    nets.  Bring the routing view current afterwards: re-route the
+    result's ``touched_net_ids`` (``RoutingResult.refresh_nets``, as
+    :meth:`repro.eco.session.EcoSession.commit_buffers` does) or the
+    whole block.
     """
     added = 0
     new_inst_ids: List[int] = []

@@ -15,15 +15,14 @@ re-timing the block
 (:meth:`~repro.eco.session.EcoSession.swap_masters`), and buffer
 insertion re-routes only the nets around the new buffers
 (:meth:`~repro.eco.session.EcoSession.commit_buffers`).  Both
-reproduce a full re-route + re-STA bit-for-bit without the re-route.
-The buffering, downsizing and HVT planners read the session's live
-timing view (:attr:`~repro.eco.session.EcoSession.view`) -- its net
-arrays, slack array and driver loads -- instead of walking dicts.
-``OptimizeConfig(full_recompute=True)`` runs the session's parity
-twin instead, which re-routes the whole block after every chunk and
-hands the planners a freshly built view; the two modes produce
-identical designs, and the ``opt.full_reroutes`` metric counts the
-whole-block routes of either.
+reproduce a full re-route + re-STA bit-for-bit without the re-route;
+``tests/test_opt_flow.py`` holds the loop to a full-recompute oracle
+session.  The buffering, downsizing and HVT planners read the
+session's live timing view
+(:attr:`~repro.eco.session.EcoSession.view`) -- its net arrays, slack
+array and driver loads -- instead of walking dicts.  The
+``opt.full_reroutes`` metric counts the one whole-block route per
+call.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ class OptimizeConfig:
 
     dual_vth: bool = False
     sizing: SizingConfig = field(default_factory=SizingConfig)
-    #: run the session's full-recompute twin: full re-route + full STA
-    #: after every transform chunk (decision-identical, much slower)
-    full_recompute: bool = False
 
 
 @dataclass
@@ -69,9 +65,6 @@ class OptimizeResult:
     upsized: int
     downsized: int
     hvt_swaps: int
-    #: whole-block routes: the initial route, plus every chunk in
-    #: ``full_recompute`` mode
-    full_reroutes: int = 0
 
 
 def optimize_block(netlist: Netlist, process: ProcessNode,
@@ -94,8 +87,7 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
     config = config or OptimizeConfig()
     lib = process.library
     session = EcoSession(netlist, route_ctx.route_block(netlist), process,
-                         timing, route_ctx,
-                         full_recompute=config.full_recompute)
+                         timing, route_ctx)
 
     buffers_added = 0
     upsized = 0
@@ -150,9 +142,8 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
 
     sta = session.sta()
     cts = synthesize_clock_tree(netlist, process)
-    full_reroutes = 1 + session.stats["full_reroutes"]
     m = metrics()
-    m.counter("opt.full_reroutes").inc(full_reroutes)
+    m.counter("opt.full_reroutes").inc()
     m.counter("opt.rounds").inc(ROUNDS)
     m.counter("opt.buffers_inserted").inc(buffers_added)
     m.counter("opt.cells_upsized").inc(upsized)
@@ -161,5 +152,4 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
     m.histogram("opt.buffers_per_block").observe(buffers_added)
     return OptimizeResult(routing=session.routing, sta=sta, cts=cts,
                           buffers_added=buffers_added, upsized=upsized,
-                          downsized=downsized, hvt_swaps=hvt_swaps,
-                          full_reroutes=full_reroutes)
+                          downsized=downsized, hvt_swaps=hvt_swaps)

@@ -282,9 +282,9 @@ class NetArrays:
                          net_ids: Sequence[int]) -> np.ndarray:
         """Re-read the listed nets' sink pin caps after master swaps.
 
-        ``net_ids`` are the nets
-        :meth:`RoutingResult.update_instances` re-extracted (ascending,
-        all gathered here, their topology unchanged).  Rewrites their
+        ``net_ids`` are the nets whose caps
+        :meth:`RoutingResult.update_instances` moved (ascending, all
+        gathered here, their topology unchanged).  Rewrites their
         sink caps, ``sink_wd`` and ``total_cap`` with the float
         expressions of :func:`gather_net_arrays`, so the patched rows
         equal a fresh gather bit for bit.
@@ -438,13 +438,14 @@ class RoutingResult:
                      reroute: Callable[[Net], RoutedNet]) -> List[int]:
         """Force a from-scratch re-route of the listed nets.
 
-        The geometry-dirty counterpart of :meth:`update_instances`:
-        after a cell *moved* (ECO displacement, incremental
-        legalization) or a net's driver was rewired, the old tree is
-        invalid even though the endpoint set may still match, so the
-        listed nets are unconditionally re-routed.  Ids of nets that no
-        longer exist (buffer removal) are dropped from the view; clock
-        nets are skipped (CTS owns them).
+        The structural counterpart of :meth:`update_instances`, which
+        serves master swaps only: after a cell *moved* (ECO
+        displacement, incremental legalization) or netlist surgery
+        (buffer insertion or removal) added, rewired or regrouped a
+        net, the old tree is invalid even where the endpoint set still
+        matches, so the listed nets are unconditionally re-routed.
+        Ids of nets that no longer exist (buffer removal) are dropped
+        from the view; clock nets are skipped (CTS owns them).
 
         Returns the sorted ids of the nets actually re-routed.
         """
@@ -466,80 +467,73 @@ class RoutingResult:
         return updated
 
     def update_instances(self, netlist: Netlist,
-                         changed_inst_ids: Iterable[int],
-                         reroute: Optional[Callable[[Net], RoutedNet]]
-                         = None) -> List[int]:
-        """Re-extract only the nets incident to changed instances.
+                         changed_inst_ids: Iterable[int]) -> List[int]:
+        """Re-extract the nets of cells whose masters were swapped.
 
         The incremental counterpart of re-running :func:`route_block`
         after a batch of master swaps: with placement and net topology
         frozen, tree geometry (lengths, layer classes, via bindings) is
-        reused verbatim and only the electrical values that *can* move
-        -- sink pin capacitances, and with them each net's lumped cap
-        and per-sink Elmore delays -- are refreshed, to values
-        bit-identical with a from-scratch re-route.
+        reused verbatim and only the electrical values a swap *can*
+        move -- the pin caps of sinks on swapped cells, and with them
+        each net's lumped cap and per-sink Elmore delays -- are
+        refreshed, to values bit-identical with a from-scratch
+        re-route.
 
-        Nets whose endpoint set no longer matches the routed snapshot
-        (netlist surgery: buffer insertion, sink regrouping) fall back
-        to a from-scratch re-route via ``reroute``; without a
-        ``reroute`` callback such *dirty* nets raise ``ValueError`` so
-        a stale electrical model can never be read silently.
+        A swap cannot change topology, so a net whose driver or sinks
+        no longer match the routed snapshot (netlist surgery that was
+        not re-routed with :meth:`refresh_nets`) raises ``ValueError``
+        naming the net: a stale electrical model is never read
+        silently.
 
         Args:
             netlist: the (mutated) netlist the routing belongs to.
             changed_inst_ids: instances whose masters changed.
-            reroute: optional per-net fallback, e.g. a closure over
-                :func:`route_net` with the block's stack/via context.
 
         Returns:
-            Sorted ids of the nets whose parasitics were re-extracted
-            (including any re-routed dirty nets).
+            Sorted ids of the nets whose pin caps moved.
         """
         from ..obs.metrics import metrics
 
-        seen: set = set()
-        dirty: List[Net] = []
-        for iid in changed_inst_ids:
+        changed = set(changed_inst_ids)
+        nets: Dict[int, Net] = {}
+        for iid in changed:
             for net in netlist.nets_of(iid):
-                if net.is_clock or net.id in seen:
-                    continue
-                seen.add(net.id)
-                dirty.append(net)
-        # ascending net id: fresh nets append to the dict exactly where
-        # a from-scratch route_block would put them (order parity)
-        dirty.sort(key=lambda n: n.id)
+                if not net.is_clock:
+                    nets[net.id] = net
         updated: List[int] = []
-        rerouted = 0
-        for net in dirty:
-            routed = self.nets.get(net.id)
-            if routed is not None and \
-                    (routed.driver_key is None or
-                     routed.driver_key == net.driver.key()) and \
-                    [s.ref.key() for s in routed.sinks] == \
-                    [s.key() for s in net.sinks]:
-                # frozen topology: geometry reused, pin caps only
-                changed = False
-                for sp in routed.sinks:
+        for nid in sorted(nets):
+            net = nets[nid]
+            routed = self.nets.get(nid)
+            if routed is None or not _same_topology(routed, net):
+                raise ValueError(
+                    f"net {net.name!r} changed topology since it was "
+                    f"routed; re-route it before swapping masters")
+            moved = False
+            for sp in routed.sinks:
+                if sp.ref.inst in changed:
                     cap = netlist.endpoint_cap_ff(sp.ref)
                     if cap != sp.pin_cap_ff:
                         sp.pin_cap_ff = cap
-                        changed = True
-                if changed:
-                    updated.append(net.id)
-                continue
-            if reroute is None:
-                raise ValueError(
-                    f"net {net.name!r} changed topology; "
-                    f"update_instances needs a reroute fallback")
-            self.nets[net.id] = reroute(net)
-            rerouted += 1
-            updated.append(net.id)
-        m = metrics()
-        m.counter("route.nets_reextracted").inc(len(updated))
-        if rerouted:
-            m.counter("route.nets_rerouted").inc(rerouted)
-        updated.sort()
+                        moved = True
+            if moved:
+                updated.append(nid)
+        metrics().counter("route.nets_reextracted").inc(len(updated))
         return updated
+
+
+def _same_topology(routed: RoutedNet, net: Net) -> bool:
+    """The routed snapshot still has ``net``'s driver and sinks, in
+    order (identity first, endpoint keys otherwise)."""
+    if routed.driver_key is not None and \
+            routed.driver_key != net.driver.key():
+        return False
+    sinks = net.sinks
+    if len(routed.sinks) != len(sinks):
+        return False
+    for sp, ref in zip(routed.sinks, sinks):
+        if sp.ref is not ref and sp.ref.key() != ref.key():
+            return False
+    return True
 
 
 def route_block(netlist: Netlist, stack: MetalStack, max_metal: int = 7,

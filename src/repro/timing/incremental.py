@@ -10,7 +10,7 @@ netlist, routing view and timing context together with one
 applies the edits:
 
 * :meth:`IncrementalSTA.swap_masters` swaps a batch of masters and
-  refreshes only the touched nets' pin caps in place
+  refreshes the pin caps of sinks on the swapped cells in place
   (:meth:`repro.route.estimate.RoutingResult.update_instances`) -- the
   routed geometry is reused, not re-routed.  A swap changes no graph
   structure, so the view then patches the touched nets' rows of its
@@ -20,7 +20,9 @@ applies the edits:
   sweep;
 * :meth:`IncrementalSTA.apply_routing_update` and
   :meth:`IncrementalSTA.patch_topology` take a re-route or netlist
-  surgery the caller already brought into the routing view;
+  surgery the caller already brought into the routing view (the ECO
+  session re-routes the touched nets with
+  :meth:`~repro.route.estimate.RoutingResult.refresh_nets`);
 * :meth:`IncrementalSTA.retarget` swaps the I/O timing context.
 
 The last three rebuild the arrays and the graph with
@@ -197,8 +199,7 @@ class IncrementalSTA:
         """Re-time after the caller re-extracted or re-routed nets.
 
         Call after mutating the routing view directly, e.g. through
-        :meth:`RoutingResult.update_instances` or
-        :meth:`RoutingResult.refresh_nets`.
+        :meth:`RoutingResult.refresh_nets` after a displacement.
         """
         self._rebuild("routing")
 

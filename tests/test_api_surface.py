@@ -78,14 +78,12 @@ CONFIG_FIELDS = {
     "repro.place.placer2d:PlacementConfig": (
         "utilization", "seed", "reserved_area_um2", "macro_holes",
         "full_legalize"),
-    "repro.opt.flow:OptimizeConfig": (
-        "dual_vth", "sizing", "full_recompute"),
+    "repro.opt.flow:OptimizeConfig": ("dual_vth", "sizing"),
     "repro.opt.buffering:BufferingConfig": (
         "buffer_drive", "cap_limit_ff", "group_size",
         "max_new_buffers_per_pass"),
     "repro.opt.sizing:SizingConfig": ("downsize_margin_ps",),
-    "repro.eco.driver:EcoConfig": (
-        "target_wns_ps", "max_rounds", "full_recompute"),
+    "repro.eco.driver:EcoConfig": ("target_wns_ps", "max_rounds"),
 }
 
 

@@ -15,10 +15,12 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.export_json import block_to_dict
+from repro.core import flow as core_flow
 from repro.core.flow import FlowConfig, run_block_flow
 from repro.designgen import block_type_by_name, generate_block
 from repro.eco import (BufferInsert, Displace, EcoConfig, EcoSession,
                        derive_design)
+from repro.eco import driver as eco_driver
 from repro.obs.metrics import metrics
 from repro.obs.names import (CTR_ECO_DERIVED_DESIGNS,
                              CTR_ECO_LEGALIZE_FAILURES,
@@ -31,6 +33,7 @@ from repro.place import PlacementConfig, place_block_2d
 from repro.place.legalize import macro_rects_of
 from repro.route.estimate import RouteContext
 from repro.timing import TimingConfig
+from tests.oracles.eco_full import use_oracle
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +76,6 @@ class TestBufferInsertionStaysIncremental:
         assert m.counter(CTR_OPT_FULL_REROUTES).value == full_before
         assert m.counter(CTR_ROUTE_NETS_REEXTRACTED).value > \
             extracted_before
-        assert session.stats["full_reroutes"] == 0
         assert session.stats["sta_full_rebuilds"] == 0
 
     def test_optimizer_buffering_pays_one_initial_route_only(
@@ -90,7 +92,6 @@ class TestBufferInsertionStaysIncremental:
             OptimizeConfig(dual_vth=True))
         assert result.buffers_added > 0
         # exactly the initial route: buffer surgery patches per net now
-        assert result.full_reroutes == 1
         assert m.counter(CTR_OPT_FULL_REROUTES).value - full_before == 1
         assert m.counter(CTR_ROUTE_NETS_REEXTRACTED).value > \
             extracted_before
@@ -147,24 +148,22 @@ class TestLegalizationAroundMacros:
 
 class TestFlowEcoStage:
     def test_flow_eco_stage_is_bit_exact_vs_full_recompute(
-            self, process):
+            self, process, monkeypatch):
         cfg = FlowConfig(scale=0.12, seed=7, io_budget_ps=30.0,
                          eco=EcoConfig(target_wns_ps=305.0))
         inc = run_block_flow("l2t", cfg, process)
-        full = run_block_flow(
-            "l2t",
-            replace(cfg, eco=EcoConfig(target_wns_ps=305.0,
-                                       full_recompute=True)),
-            process)
+        with monkeypatch.context() as mp:
+            oracles = use_oracle(mp, core_flow)
+            full = run_block_flow("l2t", cfg, process)
+        assert len(oracles) == 1
+        assert oracles[0].stats["full_reroutes"] > 0
         assert inc.eco_report is not None
         assert inc.eco_report.status == "met"
         assert inc.eco_report.moves_applied > 0
         assert inc.eco_report.status == full.eco_report.status
         assert json.dumps(block_to_dict(inc), sort_keys=True) == \
             json.dumps(block_to_dict(full), sort_keys=True)
-        stats = inc.eco_report.session_stats
-        assert stats["full_reroutes"] == 0
-        assert stats["sta_full_rebuilds"] == 0
+        assert inc.eco_report.session_stats["sta_full_rebuilds"] == 0
 
     def test_flow_rejects_eco_with_detailed_route(self, process):
         cfg = FlowConfig(scale=0.12, seed=7, detailed_route=True,
@@ -175,11 +174,12 @@ class TestFlowEcoStage:
 
 class TestScenarioDerivation:
     def test_l2t_neighbor_matches_full_recompute_and_reuses_routing(
-            self, process):
+            self, process, monkeypatch):
         """l2t at scale 1: io budget 60 -> 90 ps plus dual-Vth, derived
-        incrementally and with every incremental path off."""
+        incrementally and on the full-recompute oracle."""
         config = FlowConfig(scale=1.0, seed=1, io_budget_ps=60.0)
-        neighbor = replace(config, io_budget_ps=90.0, dual_vth=True)
+        neighbor = replace(config, io_budget_ps=90.0, dual_vth=True,
+                           eco=EcoConfig())
         m = metrics()
         # nets_rerouted advances in the base flow's buffer surgery; the
         # derivations themselves re-route (next to) nothing
@@ -187,11 +187,11 @@ class TestScenarioDerivation:
                     CTR_ROUTE_NETS_REROUTED)
         before = {name: m.counter(name).value for name in counters}
         base = run_block_flow("l2t", config, process)
-        derived, rep_inc = derive_design(
-            base, replace(neighbor, eco=EcoConfig()), process)
-        full, rep_full = derive_design(
-            base, replace(neighbor, eco=EcoConfig(full_recompute=True)),
-            process)
+        derived, rep_inc = derive_design(base, neighbor, process)
+        with monkeypatch.context() as mp:
+            oracles = use_oracle(mp, eco_driver)
+            full, rep_full = derive_design(base, neighbor, process)
+        assert len(oracles) == 1
         assert json.dumps(block_to_dict(derived), sort_keys=True) == \
             json.dumps(block_to_dict(full), sort_keys=True)
         inc_rr = rep_inc.session_stats["nets_rerouted"]

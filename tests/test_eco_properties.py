@@ -3,8 +3,9 @@
 The central invariant: applying any random move batch through the
 incremental session produces *byte-identical* state -- netlist,
 routing (values and dict order), STA (values and dict order, TNS) and
-clock tree -- to (a) the same batch through a full-recompute session
-and (b) a from-scratch re-route + re-STA of the mutated netlist.
+clock tree -- to (a) the same batch through the full-recompute oracle
+session (``tests/oracles/eco_full.py``) and (b) a from-scratch
+re-route + re-STA of the mutated netlist.
 Hypothesis drives random batches over the whole move vocabulary;
 dedicated properties cover idempotent re-apply, the oscillation
 detector and validation atomicity.
@@ -18,8 +19,11 @@ from repro.core.flow import FlowConfig, run_block_flow
 from repro.eco import (BufferInsert, BufferRemove, Displace, EcoConfig,
                        EcoError, EcoSession, Resize, VthSwap,
                        close_timing)
+from repro.obs import trace
+from repro.obs.names import SPAN_STA_RETIME
 from repro.tech.cells import VTH_HVT, VTH_RVT
 from repro.timing.sta import run_sta
+from tests.oracles.eco_full import FullRecomputeSession
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::hypothesis.errors.NonInteractiveExampleWarning")
@@ -143,7 +147,7 @@ def test_random_batch_incremental_equals_full_and_scratch(
     """The tentpole invariant, over the full move vocabulary."""
     batch = draw_batch(data, base, process)
     inc = EcoSession.from_design(base, process)
-    full = EcoSession.from_design(base, process, full_recompute=True)
+    full = FullRecomputeSession.from_design(base, process)
     rep_i = inc.apply(batch)
     rep_f = full.apply(batch)
 
@@ -164,9 +168,22 @@ def test_random_batch_incremental_equals_full_and_scratch(
                           inc.timing)
     assert_sta_equal(scratch_sta, inc.sta())
 
-    # the incremental engine did strictly less routing work
-    assert inc.stats["full_reroutes"] == 0
+    # the incremental engine adopted the design's STA snapshot
     assert inc.stats["sta_full_rebuilds"] == 0
+
+
+def test_oracle_builds_its_view_instead_of_adopting(base, process):
+    """The full-recompute oracle ignores the design's STA snapshot: its
+    first read builds a view from scratch, where the session adopts."""
+    tracer = trace.Tracer()
+    inc = EcoSession.from_design(base, process)
+    full = FullRecomputeSession.from_design(base, process)
+    with trace.use_tracer(tracer):
+        assert_sta_equal(inc.sta(), base.sta)
+        assert tracer.spans == []
+        assert_sta_equal(full.sta(), base.sta)
+    assert [(sp.name, sp.attrs) for sp in tracer.spans] == \
+        [(SPAN_STA_RETIME, {"kind": "build"})]
 
 
 @settings(max_examples=15, deadline=None,

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.obs import trace
+from repro.obs.metrics import metrics
+from repro.obs.names import CTR_OPT_FULL_REROUTES, SPAN_STA_RETIME
+from repro.opt import flow as opt_flow
 from repro.opt.flow import OptimizeConfig, optimize_block
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.power.analysis import analyze_power
@@ -9,6 +13,8 @@ from repro.route.estimate import RouteContext
 from repro.tech.process import CPU_CLOCK
 from repro.timing.sta import TimingConfig
 from tests.conftest import folded_ctx, fresh_block
+from tests.oracles import timing_scalar
+from tests.oracles.eco_full import use_oracle
 
 
 def prepared(library, name="ncu", seed=21):
@@ -116,10 +122,11 @@ def masters_equal(a, b):
 
 @pytest.mark.parametrize("bonding", [None, "F2F", "F2B"],
                          ids=["2d", "F2F", "F2B"])
-def test_incremental_matches_full_recompute(library, process, bonding):
-    """The escape hatch and the incremental core agree bit-for-bit, on
-    a 2D block and on min-cut folds whose crossing nets route through
-    F2F or F2B via sites."""
+def test_incremental_matches_full_recompute(library, process, bonding,
+                                            monkeypatch):
+    """The incremental core and the full-recompute oracle agree
+    bit-for-bit, on a 2D block and on min-cut folds whose crossing nets
+    route through F2F or F2B via sites."""
     if bonding is None:
         inc = prepared(library, "l2t", seed=27)
         full = prepared(library, "l2t", seed=27)
@@ -131,11 +138,15 @@ def test_incremental_matches_full_recompute(library, process, bonding):
         ctx_f = folded_ctx(full, process, bonding, seed=27)
         assert ctx_i == ctx_f
     timing = TimingConfig(CPU_CLOCK)
+    m = metrics()
+    before = m.counter(CTR_OPT_FULL_REROUTES).value
     res_i = optimize_block(inc.netlist, process, timing, ctx_i,
                            OptimizeConfig(dual_vth=True))
-    res_f = optimize_block(full.netlist, process, timing, ctx_f,
-                           OptimizeConfig(dual_vth=True,
-                                          full_recompute=True))
+    assert m.counter(CTR_OPT_FULL_REROUTES).value - before == 1
+    with monkeypatch.context() as mp:
+        oracles = use_oracle(mp, opt_flow)
+        res_f = optimize_block(full.netlist, process, timing, ctx_f,
+                               OptimizeConfig(dual_vth=True))
     assert (res_i.buffers_added, res_i.upsized, res_i.downsized,
             res_i.hvt_swaps) == (res_f.buffers_added, res_f.upsized,
                                  res_f.downsized, res_f.hvt_swaps)
@@ -147,21 +158,54 @@ def test_incremental_matches_full_recompute(library, process, bonding):
     assert res_i.sta.wns_ps == res_f.sta.wns_ps
     assert res_i.sta.tns_ps == res_f.sta.tns_ps
     assert list(res_i.routing.nets) == list(res_f.routing.nets)
-    wl_i = sum(n.length_um for n in res_i.routing.nets.values())
-    wl_f = sum(n.length_um for n in res_f.routing.nets.values())
-    assert wl_i == wl_f
-    # the whole point: the incremental loop routes the block only once
-    assert res_i.full_reroutes == 1 < res_f.full_reroutes
+    assert res_i.routing == res_f.routing
+    # the oracle's end state is the scalar STA oracle's on its routing
+    # (on the folds, through-via sinks carry the via RC term)
+    ref = timing_scalar.run_sta(full.netlist, res_f.routing, process,
+                                timing)
+    assert list(ref.arrival) == list(res_f.sta.arrival)
+    assert ref == res_f.sta
+    # the whole point: the incremental loop routes the block only once,
+    # the oracle after every chunk
+    assert len(oracles) == 1 and oracles[0].stats["full_reroutes"] > 0
+
+
+def test_oracle_recomputes_every_edit(library, process, monkeypatch):
+    """The full-recompute oracle routes the whole block after each
+    edit and times every read on a view built from scratch: no swap
+    patch, topology patch, routing update or retarget reaches a live
+    view."""
+    gb = prepared(library, "l2t", seed=27)
+    routes = []
+    route_block = RouteContext.route_block
+
+    def counted(ctx, netlist):
+        routes.append(netlist)
+        return route_block(ctx, netlist)
+
+    monkeypatch.setattr(RouteContext, "route_block", counted)
+    tracer = trace.Tracer()
+    with monkeypatch.context() as mp, trace.use_tracer(tracer):
+        oracles = use_oracle(mp, opt_flow)
+        res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
+                             ctx_for(process),
+                             OptimizeConfig(dual_vth=True))
+    assert res.downsized > 0 and res.hvt_swaps > 0
+    stats = oracles[0].stats
+    assert len(routes) == 1 + stats["full_reroutes"] > 2
+    kinds = [sp.attrs["kind"] for sp in tracer.spans
+             if sp.name == SPAN_STA_RETIME]
+    assert set(kinds) == {"build"}
+    assert len(kinds) == stats["sta_full_rebuilds"] > 2
 
 
 def test_incremental_reuse_counters_visible(library, process):
-    from repro.obs.metrics import metrics
-    from repro.obs.names import (CTR_OPT_FULL_REROUTES,
-                                 CTR_ROUTE_NETS_REEXTRACTED)
+    from repro.obs.names import CTR_ROUTE_NETS_REEXTRACTED
     m = metrics()
     before_nets = m.counter(CTR_ROUTE_NETS_REEXTRACTED).value
+    before_routes = m.counter(CTR_OPT_FULL_REROUTES).value
     gb = prepared(library, seed=28)
-    res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
-                         ctx_for(process))
+    optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
+                   ctx_for(process))
     assert m.counter(CTR_ROUTE_NETS_REEXTRACTED).value > before_nets
-    assert m.counter(CTR_OPT_FULL_REROUTES).value >= res.full_reroutes > 0
+    assert m.counter(CTR_OPT_FULL_REROUTES).value - before_routes == 1

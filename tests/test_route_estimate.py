@@ -113,3 +113,43 @@ class TestRouteBlock:
         assert result.total_wirelength_um == pytest.approx(300.0)
         assert result.long_wire_count == 1
         assert result.of(net.id).net_id == net.id
+
+
+class TestUpdateInstances:
+    """Master swaps re-read only the pin caps of sinks on swapped
+    cells; a net rewired since it was routed raises, naming the net."""
+
+    @staticmethod
+    def fanout(lib):
+        nl = Netlist("fan")
+        cells = [nl.add_instance(name, lib.master("INV_X2"), x=40.0 * i)
+                 for i, name in enumerate("abcde")]
+        a, b, c = cells[:3]
+        net = nl.add_net("n", PinRef(inst=a.id), [PinRef(inst=b.id),
+                                                  PinRef(inst=c.id)])
+        return nl, net, cells
+
+    def test_swap_refreshes_the_swapped_sinks_cap(self, lib, stack):
+        nl, net, (a, b, *_) = self.fanout(lib)
+        routing = route_block(nl, stack)
+        nl.replace_master(a.id, lib.master("INV_X4"))
+        assert routing.update_instances(nl, [a.id]) == []
+        nl.replace_master(b.id, lib.master("INV_X4"))
+        assert routing.update_instances(nl, [b.id]) == [net.id]
+        assert routing.of(net.id).sinks[0].pin_cap_ff == \
+            lib.master("INV_X4").input_cap_ff
+        assert routing == route_block(nl, stack)
+
+    @pytest.mark.parametrize("rewire", ["driver", "sink"])
+    def test_rewired_net_raises_naming_it(self, lib, stack, rewire):
+        nl, net, (a, b, c, d, e) = self.fanout(lib)
+        routing = route_block(nl, stack)
+        if rewire == "driver":
+            nl.rewire_driver(net.id, PinRef(inst=d.id))
+        else:
+            # same sink count, one endpoint replaced
+            nl.remove_sink(net.id, PinRef(inst=c.id))
+            nl.add_sink(net.id, PinRef(inst=e.id))
+        nl.replace_master(b.id, lib.master("INV_X4"))
+        with pytest.raises(ValueError, match="net 'n' changed topology"):
+            routing.update_instances(nl, [b.id])
