@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields, is_datacla
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.bonding import bonding_power_sweep
-from ..core.flow import BlockDesign, FlowConfig, run_block_flow
+from ..core.flow import BlockDesign, FlowConfig, block_memo, run_block_flow
 from ..core.folding import FoldSpec, folding_candidates
 from ..core.fullchip import ChipConfig, build_chip
 from ..core.secondlevel import spc_folding_study
@@ -772,7 +772,8 @@ def run_experiment(experiment_id: str,
 
     The run is wrapped in an ``experiment`` span carrying the id, scale
     and seed; ``opts.trace=False`` suppresses span/metric recording for
-    the duration of the run.
+    the duration of the run.  Its flows share one
+    :class:`repro.core.flow.BlockMemo`, which dies with the run.
     """
     exp = REGISTRY.get(experiment_id)
     if exp is None:
@@ -787,12 +788,13 @@ def run_experiment(experiment_id: str,
           or seed is not None):
         raise TypeError("pass either an ExperimentOptions or legacy "
                         "keyword arguments, not both")
-    if not opts.trace:
-        with trace.disabled():
+    with block_memo():
+        if not opts.trace:
+            with trace.disabled():
+                return exp.fn(opts)
+        with trace.span("experiment", id=exp.id, scale=opts.scale,
+                        seed=opts.seed, cached=opts.cache is not None):
             return exp.fn(opts)
-    with trace.span("experiment", id=exp.id, scale=opts.scale,
-                    seed=opts.seed, cached=opts.cache is not None):
-        return exp.fn(opts)
 
 
 # ---------------------------------------------------------------------------

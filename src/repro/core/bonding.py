@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from ..designgen.generate import generate_block
-from ..designgen.t2 import block_type_by_name
 from ..tech.process import ProcessNode
-from .flow import BlockDesign, FlowConfig, run_block_flow
+from .flow import BlockDesign, FlowConfig, memo_block, run_block_flow
 from .folding import FoldSpec, partition_case_sweep
 
 
@@ -79,8 +77,7 @@ def bonding_power_sweep(block: str, process: ProcessNode,
     connection count).
     """
     base = base or FlowConfig()
-    gb = generate_block(block_type_by_name(block), process.library,
-                        seed=base.seed, scale=base.scale)
+    gb = memo_block(block, process.library, base.seed, base.scale)
     out: List[BondingComparison] = []
     for label, fold in partition_case_sweep(gb):
         out.append(compare_bonding(block, fold, process, base, label=label,

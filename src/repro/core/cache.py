@@ -47,10 +47,11 @@ from ..tech.process import ProcessNode
 from .flow import BlockDesign, FlowConfig, run_block_flow
 
 #: Version stamp baked into every disk-cache key.  Bump whenever the
-#: flow's numerics change (placement, routing, timing, power models):
-#: old entries then silently become misses instead of serving stale
-#: designs.
-CODE_VERSION = "2"
+#: flow's numerics change (placement, routing, timing, power models) or
+#: a cached object's pickled layout does (the slotted netlist records
+#: made "3"): old entries then silently become misses instead of
+#: serving stale designs.
+CODE_VERSION = "3"
 
 
 def process_fingerprint(process: ProcessNode) -> Dict[str, object]:

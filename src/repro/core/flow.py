@@ -14,12 +14,19 @@ whole model pipeline:
 and returns a :class:`BlockDesign` with every metric the paper tabulates:
 footprint, wirelength, cell/buffer counts, 3D via counts, long-wire
 statistics, HVT usage and the cell/net/leakage power split.
+
+Generation and unfolded 2D placement depend only on the block type, seed
+and scale, so a :class:`BlockMemo` does each once per run
+(:func:`block_memo` scopes one; ``run_experiment`` opens it) and every
+flow starts from its own clone of the pristine block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+import contextvars
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..cts.tree import CTSResult
 from ..designgen.generate import GeneratedBlock, generate_block
@@ -37,6 +44,7 @@ from ..place.placer3d import Fold3DResult, fold_place_3d
 from ..power.analysis import PowerReport, analyze_power
 from ..route.estimate import RouteContext, RoutingResult
 from ..route.route3d import place_f2f_vias
+from ..tech.cells import CellLibrary
 from ..tech.process import ProcessNode
 from ..timing.sta import STAResult, TimingConfig
 from .folding import FoldSpec, make_partition
@@ -135,9 +143,134 @@ def _routing_layers(block_type: BlockType, config: FlowConfig) -> int:
     return block_type.max_metal
 
 
+#: the Instance and Port fields :func:`place_block_2d` writes
+_PLACED_FIELDS = (("instances", ("x", "y", "die", "fixed")),
+                  ("ports", ("x", "y", "die")))
+
+
+@dataclass
+class _Placement2D:
+    """What :func:`place_block_2d` wrote into one block: one list of the
+    placer's values per written field, in the netlist's instance (port)
+    order."""
+
+    config: PlacementConfig
+    outline: Rect
+    values: Dict[Tuple[str, str], List[object]]
+
+    @classmethod
+    def record(cls, netlist: Netlist, config: PlacementConfig,
+               outline: Rect) -> "_Placement2D":
+        return cls(config, outline, {
+            (table, name): [getattr(obj, name) for obj in
+                            getattr(netlist, table).values()]
+            for table, names in _PLACED_FIELDS for name in names})
+
+    def restore(self, netlist: Netlist) -> Rect:
+        """Write the record into a clone of the recorded block."""
+        for (table, name), values in self.values.items():
+            for obj, value in zip(getattr(netlist, table).values(), values):
+                setattr(obj, name, value)
+        return replace(self.outline)
+
+
+class BlockMemo:
+    """Each block generated once and 2D-placed once, for one run.
+
+    Keyed on ``(block type, seed, scale)``; one memo serves one process
+    node.  Per key it keeps the pristine :class:`GeneratedBlock`, which
+    no flow edits, and, once an unfolded flow has placed a clone of it,
+    a record of what 2D placement wrote.  Every flow starts from its
+    own :meth:`Netlist.clone` (masters are shared by identity).
+    Scope one with :func:`block_memo`.
+    """
+
+    def __init__(self) -> None:
+        self._library: Optional[CellLibrary] = None
+        self._blocks: Dict[Tuple[str, int, float], GeneratedBlock] = {}
+        #: id of a pristine block -> its 2D placement, once recorded
+        self._placed: Dict[int, Optional[_Placement2D]] = {}
+
+    def pristine(self, block_type: BlockType, library: CellLibrary,
+                 seed: int, scale: float) -> Tuple[GeneratedBlock, bool]:
+        """The key's pristine block (generated on first request) and
+        whether it was reused.  Never edit it: clone its netlist."""
+        if self._library is None:
+            self._library = library
+        elif library is not self._library:
+            raise ValueError("a BlockMemo serves one process node; "
+                             "this request brings another cell library")
+        key = (block_type.name, seed, scale)
+        gb = self._blocks.get(key)
+        if gb is not None:
+            metrics().counter("flow.blocks_reused").inc()
+            return gb, True
+        gb = generate_block(block_type, library, seed=seed, scale=scale)
+        self._blocks[key] = gb
+        self._placed[id(gb)] = None
+        return gb, False
+
+    def place_2d(self, gb: GeneratedBlock, netlist: Netlist,
+                 config: PlacementConfig) -> Tuple[Rect, bool]:
+        """2D-place ``netlist``, a clone of ``gb.netlist``.
+
+        Replays the recorded placement when ``gb`` is one of this
+        memo's pristine blocks and was placed with ``config`` before;
+        otherwise places (and, for a pristine block, records).  Returns
+        the outline and whether the placement was reused.
+        """
+        placed = self._placed.get(id(gb))
+        if placed is not None and placed.config == config:
+            metrics().counter("flow.placements_reused").inc()
+            return placed.restore(netlist), True
+        outline = place_block_2d(netlist, config).outline
+        if id(gb) in self._placed:
+            self._placed[id(gb)] = _Placement2D.record(netlist, config,
+                                                      outline)
+        return outline, False
+
+
+#: the memo of the enclosing :func:`block_memo` scope
+_MEMO: contextvars.ContextVar[Optional[BlockMemo]] = \
+    contextvars.ContextVar("repro_block_memo", default=None)
+
+
+@contextmanager
+def block_memo() -> Iterator[BlockMemo]:
+    """Scope a :class:`BlockMemo` over the ``with`` block.
+
+    Inside an open scope this yields the active memo; otherwise it opens
+    a new one, which dies when the block exits.
+    """
+    memo = _MEMO.get()
+    if memo is not None:
+        yield memo
+        return
+    memo = BlockMemo()
+    token = _MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _MEMO.reset(token)
+
+
+def memo_block(block: str, library: CellLibrary, seed: int,
+               scale: float) -> GeneratedBlock:
+    """A private copy of one generated block, cloned from the active
+    memo's pristine block (outside any scope, from a memo that dies
+    with the call)."""
+    with block_memo() as memo:
+        gb, _ = memo.pristine(block_type_by_name(block), library, seed,
+                              scale)
+    return replace(gb, netlist=gb.netlist.clone())
+
+
 def run_block_flow(block: str, config: FlowConfig,
                    process: ProcessNode) -> BlockDesign:
     """Run the full design flow on one block type.
+
+    The block comes from the active :class:`BlockMemo` (outside any
+    :func:`block_memo` scope, from one that dies with the call).
 
     Args:
         block: T2 block type name (``"spc"``, ``"ccx"``, ...).
@@ -148,15 +281,17 @@ def run_block_flow(block: str, config: FlowConfig,
         The finished :class:`BlockDesign`.
     """
     block_type = block_type_by_name(block)
-    with trace.span("flow", block=block,
-                    folded=config.fold is not None,
-                    fold=config.fold.mode if config.fold else None,
-                    bonding=config.bonding if config.fold else None,
-                    scale=config.scale, seed=config.seed):
+    with block_memo() as memo, \
+            trace.span("flow", block=block,
+                       folded=config.fold is not None,
+                       fold=config.fold.mode if config.fold else None,
+                       bonding=config.bonding if config.fold else None,
+                       scale=config.scale, seed=config.seed):
         with trace.span("flow.generate", block=block) as sp_gen:
             fault_point("generate")
-            gb = generate_block(block_type, process.library,
-                                seed=config.seed, scale=config.scale)
+            gb, reused = memo.pristine(block_type, process.library,
+                                       config.seed, config.scale)
+            sp_gen.set(reused=reused)
         design = run_flow_on(gb, config, process)
     design.stage_times_ms["generate"] = sp_gen.duration_ms
     return design
@@ -164,15 +299,21 @@ def run_block_flow(block: str, config: FlowConfig,
 
 def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
                 process: ProcessNode) -> BlockDesign:
-    """Run the flow on an already-generated block (reusable netlists)."""
-    netlist = gb.netlist
-    block_type = gb.block_type
-    max_metal = _routing_layers(block_type, config)
-    pc = PlacementConfig(seed=config.seed)
+    """Run the flow on a clone of an already-generated block.
+
+    ``gb`` itself is never edited, so one block can start any number of
+    flows.  An unfolded flow on a pristine block of the active
+    :class:`BlockMemo` replays the memo's recorded 2D placement.
+    """
     if config.eco is not None and config.detailed_route:
         raise ValueError(
             "FlowConfig.eco needs the estimator's routing; it cannot "
             "run together with detailed_route=True")
+    netlist = gb.netlist.clone()
+    start = replace(gb, netlist=netlist)
+    block_type = gb.block_type
+    max_metal = _routing_layers(block_type, config)
+    pc = PlacementConfig(seed=config.seed)
 
     if config.assert_clean:
         # gate the incoming netlist before spending placement effort
@@ -189,12 +330,14 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
                     folded=config.fold is not None) as sp_place:
         fault_point("place")
         if config.fold is None:
-            placement = place_block_2d(netlist, pc)
-            outline = placement.outline
+            outline, reused = (_MEMO.get() or BlockMemo()).place_2d(
+                gb, netlist, pc)
+            sp_place.set(reused=reused)
             tsv_area = 0.0
             n_vias = 0
         else:
-            assignment = make_partition(gb, config.fold)
+            sp_place.set(reused=False)
+            assignment = make_partition(start, config.fold)
             region_of = None
             if config.fold.mode in ("fub_assign", "fub_fold"):
                 # FUBs are place-and-route regions of their own
@@ -321,7 +464,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
         cts=opt.cts,
         routing=opt.routing,
         fold_result=fold_result,
-        generated=gb,
+        generated=start,
         congestion=congestion,
         stage_times_ms=stage_times_ms,
         route_ctx=None if config.detailed_route else route_ctx,

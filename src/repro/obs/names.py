@@ -94,6 +94,8 @@ CTR_ECO_MOVES_APPLIED = "eco.moves_applied"
 CTR_ECO_ROUNDS = "eco.rounds"
 CTR_ECO_SESSIONS = "eco.sessions"
 CTR_FAULTS_INJECTED = "faults.injected"
+CTR_FLOW_BLOCKS_REUSED = "flow.blocks_reused"
+CTR_FLOW_PLACEMENTS_REUSED = "flow.placements_reused"
 CTR_FLOW_VIAS_F2F = "flow.vias.f2f"
 CTR_FLOW_VIAS_TSV = "flow.vias.tsv"
 CTR_LINT_RUNS = "lint.runs"
@@ -146,6 +148,8 @@ CTR_NAMES = (
     CTR_ECO_ROUNDS,
     CTR_ECO_SESSIONS,
     CTR_FAULTS_INJECTED,
+    CTR_FLOW_BLOCKS_REUSED,
+    CTR_FLOW_PLACEMENTS_REUSED,
     CTR_FLOW_VIAS_F2F,
     CTR_FLOW_VIAS_TSV,
     CTR_LINT_RUNS,

@@ -1,5 +1,8 @@
 """Tests for the netlist data model."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.netlist.core import INPUT, OUTPUT, Netlist, PinRef
@@ -172,6 +175,36 @@ def test_cell_width_from_area(lib):
     c = nl.add_instance("c", lib.master("NAND2_X4"))
     assert c.width_um == pytest.approx(c.area_um2 / CELL_HEIGHT_UM)
     assert c.height_um == CELL_HEIGHT_UM
+
+
+def _records(netlist):
+    return [*netlist.instances.values(), *netlist.ports.values(),
+            *netlist.nets.values(),
+            *(ref for net in netlist.nets.values()
+              for ref in net.endpoints())]
+
+
+@pytest.mark.parametrize("copy", [
+    Netlist.clone,
+    lambda nl: pickle.loads(pickle.dumps(nl, pickle.HIGHEST_PROTOCOL)),
+], ids=["clone", "pickle"])
+def test_copies_carry_every_field(simple, copy):
+    """Every field of every record reaches the copy, in its place: the
+    clone and the pickled form both build records positionally."""
+    nl, *_ = simple
+    nested = {"driver", "sinks"}  # a net's PinRefs, checked as records
+    originals = _records(nl)
+    for k, rec in enumerate(originals):
+        for f in dataclasses.fields(rec):
+            if f.name not in nested:
+                setattr(rec, f.name, (k, f.name))
+    copies = _records(copy(nl))
+    assert len(copies) == len(originals)
+    for rec, dup in zip(originals, copies):
+        assert type(dup) is type(rec) and dup is not rec
+        for f in dataclasses.fields(rec):
+            if f.name not in nested:
+                assert getattr(dup, f.name) == getattr(rec, f.name)
 
 
 class TestClone:
