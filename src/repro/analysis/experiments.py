@@ -42,6 +42,7 @@ from ..core.folding import FoldSpec, folding_candidates
 from ..core.fullchip import ChipConfig, build_chip
 from ..core.secondlevel import spc_folding_study
 from ..designgen.t2 import t2_block_types
+from ..memory import collector_paused
 from ..obs import trace
 from ..tech.process import ProcessNode, make_process
 from .report import MetricRow, design_metric_rows, format_table, relative
@@ -773,7 +774,11 @@ def run_experiment(experiment_id: str,
     The run is wrapped in an ``experiment`` span carrying the id, scale
     and seed; ``opts.trace=False`` suppresses span/metric recording for
     the duration of the run.  Its flows share one
-    :class:`repro.core.flow.BlockMemo`, which dies with the run.
+    :class:`repro.core.flow.BlockMemo`, which dies with the run.  The
+    whole run -- the memo, the runner, chip assembly and the design
+    cache's loads and stores -- runs with the cyclic collector paused
+    (:func:`repro.memory.collector_paused`): the flow makes no
+    reference cycles, so reference counting frees everything it drops.
     """
     exp = REGISTRY.get(experiment_id)
     if exp is None:
@@ -788,7 +793,7 @@ def run_experiment(experiment_id: str,
           or seed is not None):
         raise TypeError("pass either an ExperimentOptions or legacy "
                         "keyword arguments, not both")
-    with block_memo():
+    with collector_paused(), block_memo():
         if not opts.trace:
             with trace.disabled():
                 return exp.fn(opts)

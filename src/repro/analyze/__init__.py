@@ -14,7 +14,8 @@ properties the whole repro pipeline depends on:
 * **flow contracts** (``FLW``): ``@experiment`` runners thread
   ``seed=``/``cache``, results carry their registered id, frozen
   options stay frozen, every flow stage pairs its span with a
-  ``fault_point``;
+  ``fault_point``, no nested function calls itself by name (a
+  reference cycle in runs that pause the cyclic collector);
 * **observability hygiene** (``OBS``): span/metric names come from the
   generated registry (:mod:`repro.obs.names`).
 

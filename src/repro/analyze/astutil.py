@@ -75,9 +75,11 @@ class ImportMap:
 
 def scope_map(tree: ast.AST) -> Dict[ast.AST, str]:
     """Node -> enclosing scope qualname (``"<module>"`` at top level)."""
-    scopes: Dict[ast.AST, str] = {}
-
-    def visit(node: ast.AST, scope: str) -> None:
+    scopes: Dict[ast.AST, str] = {tree: "<module>"}
+    stack: List[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        scope = scopes[node]
         for child in ast.iter_child_nodes(node):
             child_scope = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -85,10 +87,7 @@ def scope_map(tree: ast.AST) -> Dict[ast.AST, str]:
                 child_scope = (child.name if scope == "<module>"
                                else f"{scope}.{child.name}")
             scopes[child] = child_scope
-            visit(child, child_scope)
-
-    scopes[tree] = "<module>"
-    visit(tree, "<module>")
+            stack.append(child)
     return scopes
 
 

@@ -5,7 +5,9 @@ have a contract that is easy to break silently: a runner that forgets
 to thread ``seed=`` still runs (with the default seed, corrupting
 sweeps); a flow stage without a ``fault_point`` is invisible to chaos
 tests; a mutated ``ExperimentOptions`` defeats the frozen-dataclass
-guarantee the cache key depends on.  These rules pin each contract.
+guarantee the cache key depends on; a nested function that calls
+itself by name leaves a reference cycle in a run that pauses the
+cyclic collector.  These rules pin each contract.
 """
 
 from __future__ import annotations
@@ -222,3 +224,42 @@ def flw005_stage_boundary(ctx: CodeContext) -> Iterator[Tuple[str, str]]:
                    f"inside any trace span; injected faults here are "
                    f"invisible to traces",
                    ctx.obj_of(node))
+
+
+# ---------------------------------------------------------------------------
+# FLW006: nested functions that name themselves
+# ---------------------------------------------------------------------------
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@code_rule("FLW006", "self-recursive nested function")
+def flw006_self_recursive_closure(ctx: CodeContext
+                                  ) -> Iterator[Tuple[str, str]]:
+    """A nested ``def`` whose body names the function itself (a
+    recursive call, most often) reads its own closure cell, and the
+    cell holds the function: a reference cycle that only the cyclic
+    collector frees.  Experiments run with that collector paused
+    (``repro.memory.collector_paused``), so everything the function
+    and its enclosing scope hold -- grids, index arrays, prefix tables
+    -- would stay alive until the run ends.  Walk an explicit stack or
+    recurse through a module-level function instead."""
+    assert ctx.tree is not None
+    for outer in ast.walk(ctx.tree):
+        if not isinstance(outer, _FUNCS):
+            continue
+        for fn in walk_local(outer):
+            if not isinstance(fn, _FUNCS):
+                continue
+            params = {a.arg for a in ast.walk(fn.args)
+                      if isinstance(a, ast.arg)}
+            if fn.name in params:
+                continue
+            if any(isinstance(n, ast.Name) and n.id == fn.name
+                   and isinstance(n.ctx, ast.Load)
+                   for stmt in fn.body for n in ast.walk(stmt)):
+                yield (f"{ctx.where(fn)}: nested function {fn.name}() "
+                       f"refers to its own name, a closure cycle only "
+                       f"the cyclic collector frees; use an explicit "
+                       f"stack or a module-level function",
+                       ctx.obj_of(fn))

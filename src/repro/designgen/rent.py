@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Set
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -78,27 +78,28 @@ def measure_rent_exponent(netlist: Netlist, min_gates: int = 24,
         The fitted Rent parameters and the raw sample points.
     """
     points: List[RentPoint] = []
-
-    def sample(members: List[int], depth: int) -> None:
+    all_cells = sorted(
+        (i for i in netlist.instances.values() if not i.is_macro),
+        key=lambda i: (i.cluster, i.id))
+    # depth-first over an explicit stack, first half on top: the fit
+    # takes the tree's nodes in pre-order
+    stack: List[Tuple[List[int], int]] = [([i.id for i in all_cells], 0)]
+    while stack:
+        members, depth = stack.pop()
         gates = len(members)
         if gates < 2:
-            return
+            continue
         points.append(RentPoint(gates=gates,
                                 terminals=_terminal_count(netlist,
                                                           set(members))))
         if gates < 2 * min_gates or depth >= max_depth:
-            return
+            continue
         # locality-preserving bisection: the generator's cluster tags are
         # its placement hierarchy, so contiguous halves approximate the
         # min-cut partitions classical Rent measurements use
         half = gates // 2
-        sample(members[:half], depth + 1)
-        sample(members[half:], depth + 1)
-
-    all_cells = sorted(
-        (i for i in netlist.instances.values() if not i.is_macro),
-        key=lambda i: (i.cluster, i.id))
-    sample([i.id for i in all_cells], 0)
+        stack.append((members[half:], depth + 1))
+        stack.append((members[:half], depth + 1))
 
     usable = [pt for pt in points if pt.terminals > 0 and pt.gates > 1]
     if len(usable) < 3:

@@ -20,11 +20,11 @@ builds (:class:`repro.core.flow.BlockMemo`).
 from __future__ import annotations
 
 import copyreg
-import gc
 import operator
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
+from ..memory import collector_paused
 from ..tech.cells import CELL_HEIGHT_UM, CellMaster
 from ..tech.macros import MacroMaster
 
@@ -313,9 +313,7 @@ class Netlist:
         # tens of thousands of acyclic records: pause the cyclic
         # collector, which would otherwise sweep them dozens of times
         # mid-copy (about half the copy's time)
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             other.instances = {
                 iid: Instance(i.id, i.name, i.master, i.x, i.y, i.die,
                               i.fixed, i.cluster, i.gated_activity)
@@ -334,9 +332,6 @@ class Netlist:
                          [PinRef(s.inst, s.port, s.pin) for s in n.sinks],
                          n.is_clock, n.clock_domain, n.activity)
                 for nid, n in self.nets.items()}
-        finally:
-            if collecting:
-                gc.enable()
         return other
 
     # -- queries -------------------------------------------------------------

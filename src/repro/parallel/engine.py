@@ -54,6 +54,7 @@ import json
 import multiprocessing
 import os
 import random
+import sys
 import time
 from collections import Counter
 from contextlib import ExitStack
@@ -350,6 +351,12 @@ def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
     first line either way, so injected faults (the ``task`` stage's
     included) still aggregate in the parent.  Crashes and hangs send
     nothing; the supervisor detects those from the outside.
+
+    After the message the worker ends with ``os._exit(0)``, as
+    multiprocessing's own fork start does: freeing the interpreter's
+    heap (every design the task built or loaded) would only delay the
+    supervisor's ``join`` and with it the next task's launch.  Its
+    disk-cache writes are complete files by then.
     """
     n_spans = len(trace.get_tracer().spans)
     metrics_before = metrics().snapshot()
@@ -380,6 +387,9 @@ def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
         pass
     finally:
         conn.close()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 @dataclass

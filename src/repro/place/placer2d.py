@@ -291,7 +291,7 @@ def place_block_2d(netlist: Netlist, config: PlacementConfig,
         return PlacementResult(outline, grid, hpwl(netlist), 0.0)
 
     def spread_fn(xs, ys, areas):
-        return spread(grid, xs, ys, areas, rng)
+        return spread(grid, xs, ys, areas)
 
     xs, ys = run_global_place(netlist, movable, outline, rng, spread_fn)
     snap_to_rows(movable, xs, ys, outline)

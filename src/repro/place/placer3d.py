@@ -234,7 +234,7 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
             mask = die_of == die
             if mask.any():
                 sx, sy = spread(grids[die], xs[mask], ys[mask],
-                                areas[mask], rng)
+                                areas[mask])
                 out_x[mask], out_y[mask] = sx, sy
 
         def spread_regions(xs, ys, areas, out_x, out_y) -> None:
@@ -299,8 +299,7 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
                     for m in grids[die].obstructions:
                         if m.overlaps(rect):
                             grid.add_obstruction(m)
-                    sx, sy = spread(grid, xs[arr], ys[arr], areas[arr],
-                                    rng)
+                    sx, sy = spread(grid, xs[arr], ys[arr], areas[arr])
                     out_x[arr], out_y[arr] = sx, sy
 
         def spread_fn(xs, ys, areas):

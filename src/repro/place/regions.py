@@ -38,14 +38,16 @@ def region_bisect(outline: Rect,
         region key -> rectangle.
     """
     out: Dict[str, Rect] = {}
-    work = [it for it in items if it[1] > 0]
-
-    def recurse(rect: Rect, group: List[RegionItem]) -> None:
+    # depth-first over an explicit stack, first half on top
+    stack: List[Tuple[Rect, List[RegionItem]]] = [
+        (outline, [it for it in items if it[1] > 0])]
+    while stack:
+        rect, group = stack.pop()
         if not group:
-            return
+            continue
         if len(group) == 1:
             out[group[0][0]] = rect
-            return
+            continue
         horizontal = rect.width >= rect.height
         group = sorted(group, key=lambda it: it[2] if horizontal else it[3])
         # choose the split index closest to half the area (first-wins
@@ -58,12 +60,10 @@ def region_bisect(outline: Rect,
         frac = sum(it[1] for it in left) / total
         if horizontal:
             mid = rect.x0 + frac * rect.width
-            recurse(Rect(rect.x0, rect.y0, mid, rect.y1), left)
-            recurse(Rect(mid, rect.y0, rect.x1, rect.y1), right)
+            stack.append((Rect(mid, rect.y0, rect.x1, rect.y1), right))
+            stack.append((Rect(rect.x0, rect.y0, mid, rect.y1), left))
         else:
             mid = rect.y0 + frac * rect.height
-            recurse(Rect(rect.x0, rect.y0, rect.x1, mid), left)
-            recurse(Rect(rect.x0, mid, rect.x1, rect.y1), right)
-
-    recurse(outline, list(work))
+            stack.append((Rect(rect.x0, mid, rect.x1, rect.y1), right))
+            stack.append((Rect(rect.x0, rect.y0, rect.x1, mid), left))
     return out

@@ -9,7 +9,7 @@ macros instead of piling against them.
 
 Two batched kernels carry the cost: region supply queries answer in
 O(1) from prefix-sum tables (:class:`_SupplyAccel`), and all leaf
-regions place their cells in one vectorized pass after the recursion
+regions place their cells in one vectorized pass after the bisection
 has only *partitioned* the index set.
 """
 
@@ -112,7 +112,7 @@ def _supply_in(grid: DensityGrid, rect: Rect) -> float:
 
 
 def spread(grid: DensityGrid, xs: np.ndarray, ys: np.ndarray,
-           areas: np.ndarray, rng: np.random.Generator,
+           areas: np.ndarray,
            leaf_cells: int = 6) -> Tuple[np.ndarray, np.ndarray]:
     """Spread cells into the grid's free area.
 
@@ -120,8 +120,7 @@ def spread(grid: DensityGrid, xs: np.ndarray, ys: np.ndarray,
         grid: density grid with macro holes already carved out.
         xs, ys: global-placement coordinates (not modified).
         areas: cell areas.
-        rng: randomness for intra-leaf jitter.
-        leaf_cells: stop recursing below this many cells per region.
+        leaf_cells: stop bisecting below this many cells per region.
 
     Returns:
         New (x, y) arrays with approximately legal density.
@@ -135,14 +134,18 @@ def spread(grid: DensityGrid, xs: np.ndarray, ys: np.ndarray,
     accel = _SupplyAccel(grid)
     leaves: List[Tuple[np.ndarray, float, float, float, float]] = []
 
-    # the recursion carries plain float bounds (no Rect allocation on
-    # the hot path) and only *partitions* the index set; the leaves
-    # place their cells afterwards in one batched pass
-    def recurse(idx: np.ndarray, x0: float, y0: float, x1: float,
-                y1: float, depth: int) -> None:
+    # depth-first bisection over an explicit stack, first half on top;
+    # regions carry plain float bounds (no Rect allocation on the hot
+    # path) and only *partition* the index set -- the leaves place
+    # their cells afterwards in one batched pass
+    region = grid.region
+    stack = [(np.arange(n), region.x0, region.y0, region.x1, region.y1,
+              0)]
+    while stack:
+        idx, x0, y0, x1, y1, depth = stack.pop()
         if len(idx) <= leaf_cells or depth > 40:
             leaves.append((idx, x0, y0, x1, y1))
-            return
+            continue
         if x1 - x0 >= y1 - y0:
             mid = 0.5 * (x0 + x1)
             coords = xs[idx]
@@ -158,18 +161,16 @@ def spread(grid: DensityGrid, xs: np.ndarray, ys: np.ndarray,
         total_supply = s1 + s2
         if total_supply <= 0:
             leaves.append((idx, x0, y0, x1, y1))
-            return
+            continue
         # split the cell list so area ratio tracks supply ratio
         order = idx[coords.argsort(kind="stable")]
         cum = areas[order].cumsum()
         target = cum[-1] * (s1 / total_supply)
         split = int(cum.searchsorted(target))
         split = max(0, min(len(order), split))
-        recurse(order[:split], *b1, depth + 1)
-        recurse(order[split:], *b2, depth + 1)
+        stack.append((order[split:], *b2, depth + 1))
+        stack.append((order[:split], *b1, depth + 1))
 
-    region = grid.region
-    recurse(np.arange(n), region.x0, region.y0, region.x1, region.y1, 0)
     _place_leaves(grid, leaves, xs, ys, out_x, out_y)
     return out_x, out_y
 

@@ -156,7 +156,7 @@ def supply_in(grid: DensityGrid, rect: Rect) -> float:
 
 
 def spread(grid: DensityGrid, xs: np.ndarray, ys: np.ndarray,
-           areas: np.ndarray, rng: np.random.Generator,
+           areas: np.ndarray,
            leaf_cells: int = 6) -> Tuple[np.ndarray, np.ndarray]:
     """Legacy recursive-bisection spreading (per-cell leaf loop)."""
     from repro.place.spreading import _nearest_free

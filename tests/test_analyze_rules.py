@@ -276,6 +276,28 @@ def test_flw005_span_fault_point_pairing():
                  "        fault_point('place')\n", "FLW005")
 
 
+def test_flw006_self_recursive_nested_function():
+    # the nested self-call closes over its own cell: a reference cycle
+    hits = assert_fires("def f(xs):\n"
+                        "    def walk(lo, hi):\n"
+                        "        if hi - lo > 1:\n"
+                        "            walk(lo, (lo + hi) // 2)\n"
+                        "    walk(0, len(xs))\n", "FLW006")
+    assert hits[0].obj == "repro/fake_mod.py::f.walk"
+    # the module-level recursive twin holds no closure cell
+    assert_clean("def walk(lo, hi):\n"
+                 "    if hi - lo > 1:\n"
+                 "        walk(lo, (lo + hi) // 2)\n"
+                 "def f(xs):\n"
+                 "    walk(0, len(xs))\n", "FLW006")
+    # a parameter that shadows the function's name is a local, not the
+    # closure cell
+    assert_clean("def f(xs):\n"
+                 "    def apply(apply):\n"
+                 "        return apply(xs)\n"
+                 "    return apply(len)\n", "FLW006")
+
+
 # ---------------------------------------------------------------------------
 # observability-hygiene deck
 # ---------------------------------------------------------------------------
@@ -331,7 +353,7 @@ def test_every_registered_rule_has_a_mutation_test():
 
 
 def test_deck_is_documented_and_consistent():
-    assert len(CODE_REGISTRY) == 20
+    assert len(CODE_REGISTRY) == 21
     for rule_id, rule in CODE_REGISTRY.items():
         assert rule.id == rule_id
         assert rule.severity == "error"

@@ -7,14 +7,15 @@ regression the engine was hardened for in the first place: a hung or
 crashed worker must never block result collection forever.
 """
 
+import multiprocessing
 import time
 
 import pytest
 
 from repro import faults
 from repro.faults import FaultPlan
-from repro.parallel.engine import (EngineError, explore_points,
-                                   run_experiments)
+from repro.parallel.engine import (MP_CONTEXT, EngineError, _child_main,
+                                   explore_points, run_experiments)
 
 IDS = ["fig6", "table4"]
 SCALE = 0.5
@@ -210,6 +211,60 @@ class TestParallelResilience:
         del want["fig6"]
         assert report.results_dict() == want
         assert _chaos_counters(report)["tasks.crashed"] == 2.0
+
+
+    def test_failed_attempt_is_no_crash(self, baseline):
+        """A worker whose task raised reports the error and exits
+        cleanly: the supervisor retries it as failed, not crashed."""
+        plan = FaultPlan.parse("raise task=fig6 stage=task attempt=1")
+        report = run_experiments(ids=IDS, scale=SCALE, parallel=2,
+                                 retries=1, fault_plan=plan)
+        assert report.completed()
+        counters = _chaos_counters(report)
+        assert counters["tasks.retried"] == 1.0
+        assert "tasks.crashed" not in counters
+        assert report.results_json() == baseline.results_json()
+
+
+def _one_worker(plan):
+    """Run one supervised worker on table1: its message (None when it
+    sent none) and its exit code."""
+    ctx = multiprocessing.get_context(MP_CONTEXT)
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_child_main,
+                       args=(child_conn, "experiment", 0,
+                             ("table1", 0.3, 1), 1, None, plan))
+    proc.start()
+    child_conn.close()
+    msg = None
+    try:
+        if parent_conn.poll(60):
+            msg = parent_conn.recv()
+    except EOFError:
+        pass
+    finally:
+        parent_conn.close()
+        proc.join(60)
+    return msg, proc.exitcode
+
+
+@pytest.mark.parametrize("fault, status", [
+    (None, "ok"),
+    ("raise task=table1 stage=task attempt=1", "error"),
+])
+def test_worker_exits_with_code_0_once_it_reported(fault, status):
+    msg, exitcode = _one_worker(FaultPlan.parse(fault) if fault else None)
+    assert msg is not None and msg[0] == status
+    if status == "ok":
+        assert msg[2].experiment_id == "table1"
+    assert exitcode == 0
+
+
+def test_crash_fault_still_reads_as_a_crash():
+    msg, exitcode = _one_worker(
+        FaultPlan.parse("crash task=table1 stage=task attempt=1"))
+    assert msg is None
+    assert exitcode == 3
 
 
 @pytest.mark.parametrize("parallel", [0, 2])

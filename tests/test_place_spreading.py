@@ -35,7 +35,7 @@ def test_spread_relieves_pileup(grid):
     ys = np.full(n, 50.0) + rng.normal(0, 0.5, n)
     areas = np.full(n, 20.0)  # total 8000 of 10000 supply
     before = grid.overflow(xs, ys, areas)
-    sx, sy = spread(grid, xs, ys, areas, rng)
+    sx, sy = spread(grid, xs, ys, areas)
     after = grid.overflow(sx, sy, areas)
     assert after < before / 3
 
@@ -45,7 +45,7 @@ def test_spread_keeps_cells_inside(grid):
     xs = rng.uniform(0, 100, 200)
     ys = rng.uniform(0, 100, 200)
     areas = np.full(200, 10.0)
-    sx, sy = spread(grid, xs, ys, areas, rng)
+    sx, sy = spread(grid, xs, ys, areas)
     assert (sx >= 0).all() and (sx <= 100).all()
     assert (sy >= 0).all() and (sy <= 100).all()
 
@@ -58,25 +58,23 @@ def test_spread_avoids_macro_holes(grid):
     xs = np.full(n, 50.0) + rng.normal(0, 2.0, n)
     ys = np.full(n, 50.0) + rng.normal(0, 2.0, n)
     areas = np.full(n, 15.0)
-    sx, sy = spread(grid, xs, ys, areas, rng)
+    sx, sy = spread(grid, xs, ys, areas)
     inside = sum(1 for x, y in zip(sx, sy)
                  if hole.contains(x, y))
     assert inside < 0.05 * n
 
 
 def test_spread_preserves_relative_order_roughly(grid):
-    rng = np.random.default_rng(3)
     xs = np.linspace(45, 55, 100)
     ys = np.full(100, 50.0)
     areas = np.full(100, 30.0)
-    sx, sy = spread(grid, xs, ys, areas, rng)
+    sx, sy = spread(grid, xs, ys, areas)
     # left half should stay mostly left of the right half
     assert np.median(sx[:50]) < np.median(sx[50:])
 
 
 def test_spread_empty_input(grid):
-    rng = np.random.default_rng(0)
-    sx, sy = spread(grid, np.array([]), np.array([]), np.array([]), rng)
+    sx, sy = spread(grid, np.array([]), np.array([]), np.array([]))
     assert len(sx) == 0
 
 

@@ -207,7 +207,7 @@ class TestPlaceKernelProperties:
         ys = rng.uniform(0, 80, n)
         areas = rng.uniform(1.0, 5.0, n)
         total = areas.sum()
-        sx, sy = spread(grid, xs, ys, areas, rng)
+        sx, sy = spread(grid, xs, ys, areas)
         # every cell is still accounted for, inside the outline
         assert len(sx) == len(sy) == n
         assert areas.sum() == total
