@@ -8,9 +8,10 @@ properties the whole repro pipeline depends on:
 * **determinism** (``DET``): process-global RNGs, hash/filesystem
   iteration order, wall-clock / identity / environment values leaking
   into cache keys or serialized results;
-* **concurrency** (``CON``): spawn-safety of everything handed to the
-  parallel engine -- importable worker callables, no shared-global
-  mutation in worker code, no fork-unsafe module-scope resources;
+* **concurrency** (``CON``): fork-server safety of everything handed
+  to the parallel engine -- importable worker callables, no
+  shared-global mutation in worker code, no fork-unsafe module-scope
+  resources (threads and executors included);
 * **flow contracts** (``FLW``): ``@experiment`` runners thread
   ``seed=``/``cache``, results carry their registered id, frozen
   options stay frozen, every flow stage pairs its span with a

@@ -1,13 +1,15 @@
-"""Concurrency deck (CON): spawn-safety of worker code.
+"""Concurrency deck (CON): fork-server safety of worker code.
 
-The parallel engine runs every task in a fresh ``spawn`` process: the
-child imports the module and unpickles ``(target, args)``.  That model
-makes three things illegal that work fine serially -- non-importable
-callables (lambdas, closures, bound methods), reliance on module
-globals mutated elsewhere, and resources captured at import time that
-do not survive a fork/spawn boundary.  These rules catch all three at
-review time instead of as a ``PicklingError`` (or silent state
-divergence) at run time.
+The parallel engine runs every task in a fresh process forked from
+multiprocessing's fork server, which has imported the engine (and with
+it every module the engine imports) and nothing else: the child
+unpickles ``(target, args)`` and runs.  That model makes three things
+illegal that work fine serially -- non-importable callables (lambdas,
+closures, bound methods), reliance on module globals mutated elsewhere,
+and resources created at import time: the server creates them once and
+every forked worker inherits a copy, and a thread never survives the
+fork.  These rules catch all three at review time instead of as a
+``PicklingError`` (or silent state divergence) at run time.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _unwrap_partial(node: ast.expr, imports: ImportMap) -> ast.expr:
 
 @code_rule("CON001", "lambda submitted as worker callable")
 def con001_lambda_worker(ctx: CodeContext) -> Iterator[Tuple[str, str]]:
-    """Lambdas cannot be pickled, so a spawn-based pool dies with a
+    """Lambdas cannot be pickled, so a process pool dies with a
     ``PicklingError`` the moment the task ships.  Define a module-level
     function instead."""
     assert ctx.imports is not None
@@ -82,7 +84,7 @@ def con001_lambda_worker(ctx: CodeContext) -> Iterator[Tuple[str, str]]:
         cb = _unwrap_partial(cb, ctx.imports)
         if isinstance(cb, ast.Lambda):
             yield (f"{ctx.where(cb)}: lambda passed as a worker "
-                   f"callable; spawn workers need an importable "
+                   f"callable; worker processes need an importable "
                    f"module-level function",
                    ctx.obj_of(cb))
 
@@ -90,7 +92,7 @@ def con001_lambda_worker(ctx: CodeContext) -> Iterator[Tuple[str, str]]:
 @code_rule("CON002", "closure submitted as worker callable")
 def con002_closure_worker(ctx: CodeContext) -> Iterator[Tuple[str, str]]:
     """A function defined inside another function captures its
-    enclosing frame and is not importable by a spawned child.  Hoist
+    enclosing frame and is not importable by a worker process.  Hoist
     the worker to module level and pass its inputs as task args."""
     assert ctx.imports is not None
     top, nested = _module_functions(ctx)
@@ -238,6 +240,9 @@ _FORK_UNSAFE_CALLS = frozenset({
     "open",
     "threading.Lock", "threading.RLock", "threading.Event",
     "threading.Condition", "threading.Semaphore",
+    "threading.Thread", "threading.Timer",
+    "concurrent.futures.ThreadPoolExecutor",
+    "concurrent.futures.ProcessPoolExecutor",
     "multiprocessing.Lock", "multiprocessing.RLock",
     "multiprocessing.Queue",
     "sqlite3.connect",
@@ -247,10 +252,12 @@ _FORK_UNSAFE_CALLS = frozenset({
 
 @code_rule("CON005", "fork-unsafe resource created at module scope")
 def con005_module_resource(ctx: CodeContext) -> Iterator[Tuple[str, str]]:
-    """File handles, locks, sockets and DB connections created at
-    import time are either duplicated (fork) or re-created with
-    different identity (spawn) in every worker; either way the parent's
-    and children's copies silently diverge.  Create them lazily inside
+    """File handles, locks, sockets, DB connections, threads and
+    executors created at import time are created once in the fork
+    server and duplicated into every worker forked from it (a lock
+    possibly held, a thread or an executor's threads gone), and
+    re-created with a different identity in the supervising process;
+    either way the copies silently diverge.  Create them lazily inside
     the owning function."""
     assert ctx.tree is not None and ctx.imports is not None
     for node in ctx.tree.body:

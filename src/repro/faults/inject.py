@@ -15,8 +15,10 @@ With no active plan both hooks reduce to one ``None`` check, so the
 production path is inert: zero ``faults.*`` metric increments, zero
 spans, byte-identical outputs.  A plan activates either through the
 ``REPRO_FAULTS`` environment variable (parsed lazily, once per
-process -- spawned workers inherit it) or programmatically via
-:func:`install` / :func:`installed`.
+process) or programmatically via :func:`install` /
+:func:`installed`.  Engine workers do not read it: each is forked from
+a fork server whose environment is that of its own start, so the
+supervisor ships its resolved plan with every task.
 
 Hooks fire *once* per (spec, task, attempt): a ``stage=*`` raise
 kills the first stage it meets and stays quiet afterwards, and a

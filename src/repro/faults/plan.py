@@ -20,7 +20,7 @@ Fields: ``task`` (default ``*``), ``stage`` (default ``*``),
 ``attempt`` (default ``1``; ``0`` fires on *every* attempt, making the
 fault unrecoverable), ``seconds`` (hang/slow duration).
 :meth:`FaultPlan.to_text` prints the same grammar back, so plans
-round-trip through the environment and across spawned workers.
+round-trip through the environment and into engine workers.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ SPAN_SERVICE_REQUEST = "service.request"
 SPAN_STA_RETIME = "sta.retime"
 SPAN_TASK_CRASH = "task.crash"
 SPAN_TASK_GAVE_UP = "task.gave_up"
+SPAN_TASK_LAUNCH = "task.launch"
 SPAN_TASK_RETRY = "task.retry"
 SPAN_TASK_TIMEOUT = "task.timeout"
 
@@ -73,6 +74,7 @@ SPAN_NAMES = (
     SPAN_STA_RETIME,
     SPAN_TASK_CRASH,
     SPAN_TASK_GAVE_UP,
+    SPAN_TASK_LAUNCH,
     SPAN_TASK_RETRY,
     SPAN_TASK_TIMEOUT,
 )

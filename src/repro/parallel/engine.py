@@ -8,7 +8,7 @@ exactly the long, restartable batch workloads where one bad task must
 not poison the run, it supervises those workers instead of trusting
 them:
 
-* every task runs in its own spawned worker process with worker-local
+* every task runs in its own fresh worker process with worker-local
   state (a fresh :class:`~repro.tech.process.ProcessNode` and
   :class:`~repro.core.cache.DesignCache`; pointing all workers at one
   shared ``cache_dir`` makes warm reruns near-free -- disk writes are
@@ -43,9 +43,16 @@ plan replays the identical fault sequence -- ``python -m repro chaos``
 drives exactly this path.  With no plan active the fault hooks are
 inert and the engine behaves (and serializes) exactly as before.
 
-The start method is ``spawn``: workers import a fresh interpreter
-instead of forking accumulated parent state, which keeps runs
-reproducible no matter what the parent process did before.
+The start method is ``forkserver``: the first launch starts
+multiprocessing's fork server, which imports this module once, and
+every task is a fork of that server.  The server has done nothing but
+import, so no state the supervising process accumulated reaches a task,
+which keeps runs reproducible no matter what the parent did before --
+and a task no longer pays the program's imports.  Supervised runs
+therefore need a POSIX platform; the serial path runs everywhere.  A
+forked worker inherits the environment of the server's start, not of
+the current run, so the supervisor ships its fault plan and its
+tracer's ``enabled`` flag with every task.
 """
 
 from __future__ import annotations
@@ -77,7 +84,10 @@ from ..tech.process import make_process
 _WORKER: Dict[str, Any] = {}
 
 #: multiprocessing start method of every supervised worker
-MP_CONTEXT = "spawn"
+MP_CONTEXT = "forkserver"
+# set at import, so the fork server imports the engine whichever code
+# in this process starts it first
+multiprocessing.set_forkserver_preload(["repro.parallel.engine"])
 #: base delay before a task's second attempt
 BACKOFF_S = 0.25
 #: exponential growth of the retry delay per attempt
@@ -341,9 +351,14 @@ def _obs_payload(n_spans: int, metrics_before: Dict,
 
 
 def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
-                cache_dir: Optional[str],
-                plan: Optional[FaultPlan]) -> None:
-    """Entry point of one supervised worker process (spawn target).
+                cache_dir: Optional[str], plan: Optional[FaultPlan],
+                trace_enabled: bool) -> None:
+    """Entry point of one supervised worker process (forked from the
+    fork server).
+
+    The worker records spans exactly when the supervisor's tracer does
+    (``trace_enabled``): its own tracer was built when the server
+    imported the engine, under that moment's ``REPRO_TRACE``.
 
     Sends exactly one message back: ``("ok", index, value, payload)``
     or ``("error", index, message, payload)`` -- the payload carries
@@ -358,6 +373,7 @@ def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
     supervisor's ``join`` and with it the next task's launch.  Its
     disk-cache writes are complete files by then.
     """
+    trace.get_tracer().enabled = trace_enabled
     n_spans = len(trace.get_tracer().spans)
     metrics_before = metrics().snapshot()
     cache_before = {k: 0.0 for k in _CACHE_FIELDS}
@@ -462,6 +478,7 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
     failures and never blocks on a dead worker.
     """
     ctx = multiprocessing.get_context(MP_CONTEXT)
+    trace_enabled = trace.get_tracer().enabled
     n = len(tasks)
     max_workers = max(1, min(parallel, n))
     #: (not_before monotonic, index, attempt)
@@ -512,8 +529,12 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
                 proc = ctx.Process(
                     target=_child_main,
                     args=(child_conn, kind, index, tasks[index], attempt,
-                          cache_dir, plan))
-                proc.start()
+                          cache_dir, plan, trace_enabled))
+                # a process's first launch also starts the fork server
+                with trace.span("task.launch",
+                                task=_task_label(kind, tasks[index]),
+                                attempt=attempt):
+                    proc.start()
                 child_conn.close()
                 deadline = (now + res.timeout_s
                             if res.timeout_s else None)
@@ -804,7 +825,7 @@ def run_serial_experiment(point: PointSpec, process=None, cache=None,
     """Run one sweep point in-process, with the retry/backoff loop.
 
     The cooperative twin of :func:`run_supervised_experiment`: no
-    worker process is spawned, so timeouts only preempt injected
+    worker process is started, so timeouts only preempt injected
     hangs, but a caller-owned ``process``/``cache`` pair amortizes
     across calls -- this is how the broker runs points at
     ``parallel`` <= 1, and is also handy for tests.  Never raises for task-level failures; the
@@ -826,9 +847,10 @@ def run_supervised_experiment(point: PointSpec,
                               ) -> ExperimentRun:
     """Run one sweep point under the full worker supervisor.
 
-    The point gets its own spawned worker process with hard-kill
-    timeouts, crash detection and retry-with-replacement -- exactly
-    one task through :func:`_supervise`.  This is how the broker runs
+    The point gets its own worker process, forked from the fork
+    server, with hard-kill timeouts, crash detection and
+    retry-with-replacement -- exactly one task through
+    :func:`_supervise`.  This is how the broker runs
     points at ``parallel`` > 1: it survives anything the point does,
     including a worker segfault.
     """

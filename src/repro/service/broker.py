@@ -13,8 +13,8 @@ run at once, each through one of the engine's single-point runners
 -- the same split and meaning as ``run_sweep`` and ``bench
 --parallel``: ``parallel`` <= 1 runs points one at a time in-process
 against a broker-owned design cache
-(:func:`~repro.parallel.engine.run_serial_experiment` -- no spawn
-cost, cooperative timeouts), ``parallel`` > 1 runs each point in its
+(:func:`~repro.parallel.engine.run_serial_experiment` -- no worker
+start, cooperative timeouts), ``parallel`` > 1 runs each point in its
 own supervised worker process
 (:func:`~repro.parallel.engine.run_supervised_experiment` -- hard
 timeouts, crash replacement).  Retries, backoff, timeouts and the

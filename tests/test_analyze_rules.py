@@ -189,6 +189,24 @@ def test_con005_module_scope_lock_fires_lazy_is_clean():
                  "    return lock\n", "CON005")
 
 
+@pytest.mark.parametrize("imports, call", [
+    ("import threading", "threading.Thread(target=print)"),
+    ("import threading", "threading.Timer(1.0, print)"),
+    ("from concurrent.futures import ThreadPoolExecutor",
+     "ThreadPoolExecutor(max_workers=2)"),
+    ("import concurrent.futures as cf", "cf.ProcessPoolExecutor()"),
+])
+def test_con005_module_scope_thread_or_executor_fires_lazy_is_clean(
+        imports, call):
+    """A thread or executor made at import time is made once in the
+    fork server, and no thread survives the fork into a worker."""
+    assert_fires(f"{imports}\nPOOL = {call}\n", "CON005")
+    assert_clean(f"{imports}\n"
+                 f"def f():\n"
+                 f"    pool = {call}\n"
+                 f"    return pool\n", "CON005")
+
+
 # ---------------------------------------------------------------------------
 # flow-contract deck
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def test_bench_serial_rerun_byte_equal(process):
 
 @pytest.mark.slow
 def test_bench_serial_vs_parallel_byte_equal(process, tmp_path):
-    """Fanning across spawn workers must not change a single byte."""
+    """Fanning across forked workers must not change a single byte."""
     ids = ["table1", "table4"]
     serial = run_experiments(ids=ids, scale=0.5, process=process)
     par = run_experiments(ids=ids, scale=0.5, parallel=2,

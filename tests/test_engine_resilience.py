@@ -8,12 +8,15 @@ crashed worker must never block result collection forever.
 """
 
 import multiprocessing
+import os
+import signal
 import time
 
 import pytest
 
 from repro import faults
 from repro.faults import FaultPlan
+from repro.obs import trace
 from repro.parallel.engine import (MP_CONTEXT, EngineError, _child_main,
                                    explore_points, run_experiments)
 
@@ -215,15 +218,39 @@ class TestParallelResilience:
 
     def test_failed_attempt_is_no_crash(self, baseline):
         """A worker whose task raised reports the error and exits
-        cleanly: the supervisor retries it as failed, not crashed."""
+        cleanly: the supervisor retries it as failed, not crashed.
+        Each attempt's worker start, the retry's included, is one
+        ``task.launch`` span."""
         plan = FaultPlan.parse("raise task=fig6 stage=task attempt=1")
-        report = run_experiments(ids=IDS, scale=SCALE, parallel=2,
-                                 retries=1, fault_plan=plan)
+        with trace.use_tracer(trace.Tracer()):
+            report = run_experiments(ids=IDS, scale=SCALE, parallel=2,
+                                     retries=1, fault_plan=plan)
         assert report.completed()
         counters = _chaos_counters(report)
         assert counters["tasks.retried"] == 1.0
         assert "tasks.crashed" not in counters
         assert report.results_json() == baseline.results_json()
+        launches = sorted((sp["attrs"]["task"], sp["attrs"]["attempt"])
+                          for sp in report.spans
+                          if sp["name"] == "task.launch")
+        assert launches == [("fig6", 1), ("fig6", 2), ("table4", 1)]
+
+    def test_a_dead_fork_server_is_replaced(self):
+        """A fork server killed between two runs costs the next run a
+        server start and nothing else: same bytes, no crashed task."""
+        from multiprocessing import forkserver
+        first = run_experiments(ids=IDS, scale=SCALE, parallel=2)
+        pid = forkserver._forkserver._forkserver_pid
+        assert pid is not None
+        os.kill(pid, signal.SIGKILL)
+        # wait for its death but leave it unreaped: noticing it is the
+        # next launch's job
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        second = run_experiments(ids=IDS, scale=SCALE, parallel=2)
+        assert forkserver._forkserver._forkserver_pid not in (None, pid)
+        assert second.completed()
+        assert second.results_json() == first.results_json()
+        assert "tasks.crashed" not in _chaos_counters(second)
 
 
 def _one_worker(plan):
@@ -233,7 +260,7 @@ def _one_worker(plan):
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_child_main,
                        args=(child_conn, "experiment", 0,
-                             ("table1", 0.3, 1), 1, None, plan))
+                             ("table1", 0.3, 1), 1, None, plan, True))
     proc.start()
     child_conn.close()
     msg = None

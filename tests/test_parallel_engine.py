@@ -1,11 +1,13 @@
 """Tests for the process-pool experiment engine."""
 
 import json
+import os
 
 import pytest
 
 from repro.analysis.experiments import REGISTRY
 from repro.core.explore import explore_design_space
+from repro.obs import trace
 from repro.parallel.engine import (explore_points, run_experiments,
                                    run_serial_experiment, run_sweep)
 from repro.service.schema import PointSpec, SweepRequest
@@ -123,6 +125,20 @@ def test_parallel_pool_matches_serial_and_reports_workers(process,
     workers = {d["worker"] for d in par.spans}
     assert len(workers) >= 2  # parent (bench span) + >=1 pool worker
     assert {d["name"] for d in par.spans} >= {"bench", "experiment"}
+
+
+def test_worker_tracing_follows_the_supervisor():
+    """Workers record spans exactly when the supervising process's
+    tracer does -- off after on and on after off in one process --
+    whatever ``REPRO_TRACE`` said when the fork server started."""
+    for enabled in (False, True, False):
+        with trace.use_tracer(trace.Tracer(enabled=enabled)):
+            report = run_experiments(ids=["table1", "fig6"], scale=0.3,
+                                     parallel=2)
+        assert report.completed()
+        worker_spans = [d for d in report.spans
+                        if d["worker"] != os.getpid()]
+        assert bool(worker_spans) is enabled
 
 
 @pytest.mark.slow

@@ -6,7 +6,7 @@ this interpreter, so test stub experiments registered here execute in
 it -- which lets the tests hold submitted work open on a
 :class:`threading.Event` and assert scheduling behaviour (coalescing,
 queueing, disconnects) deterministically instead of by timing.  The
-supervised ``parallel > 1`` path spawns real worker processes, so its
+supervised ``parallel > 1`` path starts real worker processes, so its
 test runs a real experiment.
 """
 
