@@ -6,12 +6,15 @@ regressions in the placer, router, STA or power engine show up in
 pytest-benchmark's statistics.
 """
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from repro.core.folding import make_partition
 from repro.core.secondlevel import second_level_spec
 from repro.designgen import block_type_by_name, generate_block
 from repro.place import PlacementConfig, place_block_2d
+from repro.place.quadratic import QuadraticPlacer, factor_b2b
 from repro.power import analyze_power
 from repro.route import route_block, route_block_detailed
 from repro.route.estimate import RouteContext
@@ -40,6 +43,27 @@ def test_kernel_place(benchmark, process):
                             seed=1)
         place_block_2d(gb.netlist, PlacementConfig(seed=1))
     benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+def test_kernel_qp_solve(benchmark, process, monkeypatch):
+    """One B2B axis solve on spc (~2.6k cells): symmetric-mode factor
+    and solve of the x system the 2D placer assembles first, timed from
+    the assembled matrix."""
+    systems = []
+    real = QuadraticPlacer._solve_axis
+
+    def record(placer, coords, axis, anchors):
+        systems.append(placer._assemble_axis(coords, axis, anchors))
+        return real(placer, coords, axis, anchors)
+
+    monkeypatch.setattr(QuadraticPlacer, "_solve_axis", record)
+    gb = generate_block(block_type_by_name("spc"), process.library,
+                        seed=1)
+    place_block_2d(gb.netlist, PlacementConfig(seed=1))
+    mat, rhs = systems[0]
+    x = benchmark(lambda: factor_b2b(mat).solve(rhs))
+    ref = spsolve(mat, rhs)
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_kernel_route_estimate(benchmark, process, placed_l2t):

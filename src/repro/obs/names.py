@@ -36,6 +36,7 @@ SPAN_OPT_TIMING_STAGE = "opt.timing_stage"
 SPAN_PLACE_GLOBAL = "place.global"
 SPAN_PLACE_LEGALIZE = "place.legalize"
 SPAN_PLACE_PARTITION = "place.partition"
+SPAN_PLACE_SOLVE = "place.solve"
 SPAN_SERVICE_POINT = "service.point"
 SPAN_SERVICE_REQUEST = "service.request"
 SPAN_STA_RETIME = "sta.retime"
@@ -69,6 +70,7 @@ SPAN_NAMES = (
     SPAN_PLACE_GLOBAL,
     SPAN_PLACE_LEGALIZE,
     SPAN_PLACE_PARTITION,
+    SPAN_PLACE_SOLVE,
     SPAN_SERVICE_POINT,
     SPAN_SERVICE_REQUEST,
     SPAN_STA_RETIME,

@@ -536,11 +536,14 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
                                 attempt=attempt):
                     proc.start()
                 child_conn.close()
-                deadline = (now + res.timeout_s
+                # the clock starts once this worker runs, so a launch
+                # that started the server shortens no later deadline
+                t0 = time.monotonic()
+                deadline = (t0 + res.timeout_s
                             if res.timeout_s else None)
                 live[index] = _Live(proc=proc, conn=parent_conn,
                                     attempt=attempt, deadline=deadline,
-                                    t0=now)
+                                    t0=t0)
             if not live:
                 # nothing running: sleep toward the earliest backoff
                 wake = min(p[0] for p in pending)

@@ -19,6 +19,11 @@ per-pin loop produced them, so both paths build bit-identical systems
 scipy's duplicate summation only depends on the per-coordinate emission
 order).  The legacy per-pin loop is kept as a test oracle for the parity
 harness.
+
+Each axis system is factored once in SuperLU's symmetric mode
+(:func:`factor_b2b`) and solved.  That is the only solve path: the
+oracle's general ``spsolve`` agrees with it to about 1e-10 um, which the
+parity harness's HPWL band covers.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.linalg import SuperLU, splu
 
+from ..obs import trace
 from ..obs.metrics import metrics
 
 
@@ -114,6 +120,21 @@ class _FlatNets:
         self.pair_net = np.repeat(np.arange(nn, dtype=np.int64), npair)
 
 
+def factor_b2b(mat: csr_matrix) -> SuperLU:
+    """SuperLU factorization of one assembled B2B system.
+
+    The matrix is exactly symmetric and diagonally dominant (every
+    diagonal holds its row's off-diagonal weights plus fixed-pin,
+    anchor and regularization terms), so diagonal pivots are stable:
+    the factorization runs in symmetric mode, orders on ``A + A^T`` and
+    never pivots off the diagonal (``perm_r == perm_c``).  On spc at
+    scale 2 the factor holds about a third of the entries that a
+    general COLAMD order with partial pivoting fills in.
+    """
+    return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 class QuadraticPlacer:
     """Minimizes B2B quadratic wirelength for movable points."""
 
@@ -145,10 +166,13 @@ class QuadraticPlacer:
                     anchors) -> np.ndarray:
         metrics().counter("place.qp_solves").inc()
         mat, rhs = self._assemble_axis(coords, axis, anchors)
-        return spsolve(mat, rhs)
+        with trace.span("place.solve", axis=axis, cells=self.n) as sp:
+            lu = factor_b2b(mat)
+            sp.set(fill=lu.nnz)
+            return lu.solve(rhs)
 
     def _assemble_axis(self, coords: np.ndarray, axis: int,
-                       anchors) -> Tuple[coo_matrix, np.ndarray]:
+                       anchors) -> Tuple[csr_matrix, np.ndarray]:
         """Batched one-shot build of the B2B system for one axis."""
         f = self._flat
         if f is None:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.folding import FoldSpec, make_partition
 from repro.designgen import block_type_by_name, generate_block
-from repro.place.placer2d import PlacementConfig
+from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.place.placer3d import fold_place_3d
+from repro.place.quadratic import QuadraticPlacer
 from repro.route.estimate import RouteContext
 from repro.route.route3d import place_f2f_vias
 from repro.tech import make_process
@@ -26,6 +27,28 @@ def fresh_block(name: str, library, seed: int = 1, scale: float = 1.0):
     """A newly generated block (never share: flows mutate netlists)."""
     return generate_block(block_type_by_name(name), library, seed=seed,
                           scale=scale)
+
+
+def qp_calls(name: str, library, seed: int = 1):
+    """Every B2B axis solve the 2D placer makes on a fresh block.
+
+    One ``(placer, coords, axis, anchors)`` per ``_solve_axis`` call, in
+    call order: the unanchored reweighting rounds, then the anchored
+    spreading solves, each on both axes.  Feed them to
+    ``placer._assemble_axis`` for the systems the flow factors.
+    """
+    calls = []
+    real = QuadraticPlacer._solve_axis
+
+    def record(placer, coords, axis, anchors):
+        calls.append((placer, coords.copy(), axis, anchors))
+        return real(placer, coords, axis, anchors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QuadraticPlacer, "_solve_axis", record)
+        place_block_2d(fresh_block(name, library, seed=seed).netlist,
+                       PlacementConfig(seed=seed))
+    return calls
 
 
 def folded_ctx(gb, process, bonding: str, seed: int) -> RouteContext:

@@ -235,6 +235,30 @@ class TestParallelResilience:
                           if sp["name"] == "task.launch")
         assert launches == [("fig6", 1), ("fig6", 2), ("table4", 1)]
 
+    def test_a_slow_first_launch_shortens_no_deadline(self, baseline,
+                                                      monkeypatch):
+        """Each worker's deadline runs from the end of its own
+        ``Process.start()``.  A first launch that outlasts
+        ``timeout_s``, as one that also starts the fork server can on a
+        loaded machine, must time out neither that task nor the one
+        launched after it in the same scheduling pass."""
+        timeout_s = 3.0
+        process_cls = multiprocessing.get_context(MP_CONTEXT).Process
+        real_start = process_cls.start
+        delays = [timeout_s + 0.5]
+
+        def slow_first_start(proc):
+            if delays:
+                time.sleep(delays.pop())
+            real_start(proc)
+
+        monkeypatch.setattr(process_cls, "start", slow_first_start)
+        report = run_experiments(ids=IDS, scale=SCALE, parallel=2,
+                                 timeout_s=timeout_s)
+        assert not delays
+        assert [run.status for run in report.runs] == ["ok", "ok"]
+        assert report.results_json() == baseline.results_json()
+
     def test_a_dead_fork_server_is_replaced(self):
         """A fork server killed between two runs costs the next run a
         server start and nothing else: same bytes, no crashed task."""

@@ -7,15 +7,18 @@ outcomes.  Whole-flow cases swap the oracle in with
 ``monkeypatch.setattr`` on every name the flow calls.
 
 Tolerance policy (see docs/placement.md): the quadratic assembly is
-bit-identical by construction, but the O(1) prefix-sum supply queries
-reorder float additions, so a spreading bisection split can flip at ULP
-level.  QoR comparisons therefore use a 2% HPWL band rather than exact
-coordinates; structural invariants (overlap-freedom, die assignment,
-determinism) are exact.
+bit-identical by construction (:class:`TestAssemblyParity`), but the
+library factors it in SuperLU's symmetric mode while the oracle keeps
+``spsolve``, so coordinates differ at about 1e-10 um; and the O(1)
+prefix-sum supply queries reorder float additions, so a spreading
+bisection split can flip at ULP level.  QoR comparisons therefore use a
+2% HPWL band rather than exact coordinates; structural invariants
+(overlap-freedom, die assignment, determinism) are exact.
 """
 
 import sys
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -26,7 +29,7 @@ from repro.place import (PlacementConfig, check_overlaps, fm_bipartition,
                          placer2d, spreading)
 from repro.place.legalize import overlapping_pairs
 from repro.place.quadratic import QuadraticPlacer
-from tests.conftest import fresh_block
+from tests.conftest import fresh_block, qp_calls
 from tests.oracles import place_scalar as oracle
 
 #: HPWL may drift this much between the two paths (ULP-level split flips)
@@ -99,6 +102,43 @@ class TestGlobalPlaceParity:
         assert counters.get(CTR_PLACE_QP_SOLVES, 0) > 0
         assert counters.get(CTR_PLACE_SPREAD_CALLS, 0) > 0
         assert counters.get(CTR_PLACE_CELLS_LEGALIZED, 0) > 0
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: exact, with no float tolerance."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestAssemblyParity:
+    """The batched B2B assembly builds the oracle's system bit for bit.
+
+    With a solver that differs from the oracle's, the HPWL band alone
+    would let an assembly regression through; this pins the assembly
+    on every system the 2D placer builds for a real block: both axes,
+    unanchored and anchored."""
+
+    @pytest.mark.parametrize("name", ["ncu", "l2t", "spc"])
+    def test_system_equals_the_oracle_and_its_transpose(self, library,
+                                                        name):
+        calls = qp_calls(name, library)
+        assert {(axis, anchors is not None)
+                for _, _, axis, anchors in calls} == {
+            (0, False), (1, False), (0, True), (1, True)}
+        for placer, coords, axis, anchors in calls:
+            mat, rhs = placer._assemble_axis(coords, axis, anchors)
+            ref, ref_rhs = oracle.assemble_axis(placer, coords, axis,
+                                                anchors)
+            for part in ("indptr", "indices", "data"):
+                assert same_bits(getattr(mat, part), getattr(ref, part))
+            assert same_bits(rhs, ref_rhs)
+            # exactly symmetric: the factorization's diagonal pivots
+            # rest on it
+            assert mat.has_canonical_format
+            trans = mat.T.tocsr()
+            trans.sort_indices()
+            for part in ("indptr", "indices", "data"):
+                assert same_bits(getattr(trans, part), getattr(mat, part))
 
 
 class TestLegalizeParity:
