@@ -16,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis.experiments import run_experiment
+from repro.analysis.experiments import ExperimentOptions, run_experiment
 from repro.core.cache import DesignCache
 from repro.tech import make_process
 
@@ -64,10 +64,9 @@ def run_and_check(benchmark, save_result, process, experiment_id,
     """Common benchmark body: run, save, assert the shape claims."""
     if cache is None:
         cache = _CACHE
-    result = benchmark.pedantic(
-        lambda: run_experiment(experiment_id, process=process,
-                               scale=scale, cache=cache),
-        rounds=1, iterations=1)
+    opts = ExperimentOptions(process=process, scale=scale, cache=cache)
+    result = benchmark.pedantic(lambda: run_experiment(experiment_id, opts),
+                                rounds=1, iterations=1)
     save_result(result)
     failed = [c for c in result.checks if not c.passed]
     assert not failed, "shape checks failed: " + "; ".join(

@@ -33,7 +33,7 @@ import time
 
 from repro.core.cache import DesignCache
 from repro.obs.metrics import metrics
-from repro.parallel.engine import run_serial_experiment
+from repro.parallel.engine import run_sweep_point
 from repro.service import Client, ServiceConfig, serve_background
 from repro.service.schema import PointResult, PointSpec, SweepRequest
 from repro.tech import make_process
@@ -70,7 +70,7 @@ def serial_control(points):
     cache = DesignCache()
     control = {}
     for point in points:
-        run = run_serial_experiment(point, process=process, cache=cache)
+        run = run_sweep_point(point, process=process, cache=cache)
         control[point] = PointResult.from_run(run, point,
                                               point.key(process))
     return control

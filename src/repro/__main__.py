@@ -311,12 +311,16 @@ def _chaos_serve(args, plan) -> int:
 
 def _cmd_serve(args) -> int:
     from .service.broker import ServiceConfig, serve
-    config = ServiceConfig(host=args.host, port=args.port,
-                           socket_path=args.socket,
-                           parallel=args.parallel,
-                           cache_dir=args.cache_dir,
-                           timeout_s=args.timeout or None,
-                           retries=args.retries)
+    try:
+        config = ServiceConfig(host=args.host, port=args.port,
+                               socket_path=args.socket,
+                               parallel=args.parallel,
+                               cache_dir=args.cache_dir,
+                               timeout_s=args.timeout or None,
+                               retries=args.retries)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     try:
         serve(config)
     except KeyboardInterrupt:

@@ -747,29 +747,19 @@ def _eco(opts: ExperimentOptions) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def run_experiment(experiment_id: str,
-                   opts: Optional[ExperimentOptions] = None,
-                   *,
-                   process: Optional[ProcessNode] = None,
-                   scale: Optional[float] = None, cache=None,
-                   seed: Optional[int] = None) -> ExperimentResult:
+                   opts: Optional[ExperimentOptions] = None
+                   ) -> ExperimentResult:
     """Run one registered experiment by id -- the single entry point.
 
     Args:
         experiment_id: key in :data:`REGISTRY`.
-        opts: the options bundle.  Building one explicitly is the
-            preferred API; the keyword arguments below survive for
-            pre-registry callers and fill in an options object when
-            ``opts`` is omitted.
-        process: technology node (default: :func:`make_process`).
-        scale: model-scale multiplier.
-        cache: optional :class:`repro.core.cache.DesignCache`.
-        seed: generation/placement seed threaded into every flow.
+        opts: the options bundle (default: :class:`ExperimentOptions`'
+            defaults).
 
     Raises:
         UnknownExperimentError: when the id is not registered (a
             :class:`KeyError` subclass whose message lists every valid
             id).
-        TypeError: when both ``opts`` and legacy keywords are given.
 
     The run is wrapped in an ``experiment`` span carrying the id, scale
     and seed; ``opts.trace=False`` suppresses span/metric recording for
@@ -784,15 +774,7 @@ def run_experiment(experiment_id: str,
     if exp is None:
         raise UnknownExperimentError(experiment_id)
     if opts is None:
-        opts = ExperimentOptions(
-            process=process,
-            scale=1.0 if scale is None else scale,
-            seed=1 if seed is None else seed,
-            cache=cache)
-    elif (process is not None or scale is not None or cache is not None
-          or seed is not None):
-        raise TypeError("pass either an ExperimentOptions or legacy "
-                        "keyword arguments, not both")
+        opts = ExperimentOptions()
     with collector_paused(), block_memo():
         if not opts.trace:
             with trace.disabled():

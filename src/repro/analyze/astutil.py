@@ -7,8 +7,9 @@ problems every deck shares:
   ``np.random.rand`` comparable against ``numpy.random.rand``
   (:class:`ImportMap` + :func:`qualname`);
 * *scope attribution* -- violations are reported against the enclosing
-  function/class (``repro/core/cache.py::disk_entries``), which stays
-  stable across edits, unlike line numbers (:func:`scope_map`);
+  function/class (``repro/core/cache.py::DesignCache.get_or_run``),
+  which stays stable across edits, unlike line numbers
+  (:func:`scope_map`);
 * *literal extraction* -- span/metric names appear as plain string
   constants, as ``IfExp`` branches of constants, or as f-strings with a
   literal prefix (:func:`literal_names`).

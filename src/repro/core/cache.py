@@ -133,16 +133,12 @@ class DesignCache:
         max_entries: in-memory entry cap (FIFO eviction).
         cache_dir: optional directory for the persistent tier; created
             on demand.  Safe to share between processes.
-        max_disk_entries: optional cap on on-disk entries; the oldest
-            (by mtime) are pruned after each store.
     """
 
     def __init__(self, max_entries: int = 256,
-                 cache_dir: Optional[Union[str, Path]] = None,
-                 max_disk_entries: Optional[int] = None) -> None:
+                 cache_dir: Optional[Union[str, Path]] = None) -> None:
         self._store: Dict[str, BlockDesign] = {}
         self.max_entries = max_entries
-        self.max_disk_entries = max_disk_entries
         self.cache_dir: Optional[Path] = \
             Path(cache_dir) if cache_dir is not None else None
         self.stats = CacheStats()
@@ -155,12 +151,6 @@ class DesignCache:
     def _path(self, key: str) -> Path:
         assert self.cache_dir is not None
         return self.cache_dir / f"{key}.pkl"
-
-    def disk_entries(self) -> int:
-        """Number of entries currently in the persistent tier."""
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*.pkl"))
 
     def _load_disk(self, key: str) -> Optional[BlockDesign]:
         if self.cache_dir is None:
@@ -214,33 +204,9 @@ class DesignCache:
                 raise
             self.stats.stores += 1
             metrics().counter("cache.stores").inc()
-            self._prune_disk()
         except OSError:
             # an unwritable cache directory degrades to memory-only
             pass
-
-    def _prune_disk(self) -> None:
-        if self.max_disk_entries is None or self.cache_dir is None:
-            return
-        entries = sorted(self.cache_dir.glob("*.pkl"),
-                         key=lambda p: p.stat().st_mtime)
-        while len(entries) > self.max_disk_entries:
-            victim = entries.pop(0)
-            try:
-                victim.unlink()
-                self.stats.evictions += 1
-            except OSError:
-                pass
-
-    def clear_disk(self) -> None:
-        """Delete every entry of the persistent tier."""
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return
-        for path in self.cache_dir.glob("*.pkl"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     # ---- the lookup ----------------------------------------------------
 
@@ -289,6 +255,6 @@ class DesignCache:
 
     def clear(self) -> None:
         """Drop the in-memory tier and reset the counters (the disk tier
-        survives; see :meth:`clear_disk`)."""
+        survives)."""
         self._store.clear()
         self.stats = CacheStats()

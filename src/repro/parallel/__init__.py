@@ -1,11 +1,9 @@
 """Parallel experiment execution and design-space fan-out."""
 
 from .engine import (BenchReport, EngineError, ExperimentRun,
-                     ResilienceConfig, explore_points, run_experiments,
-                     run_serial_experiment, run_supervised_experiment,
-                     run_sweep)
+                     ResilienceConfig, explore_points, run_sweep,
+                     run_sweep_point)
 
 __all__ = ["BenchReport", "EngineError", "ExperimentRun",
-           "ResilienceConfig", "explore_points", "run_experiments",
-           "run_serial_experiment", "run_supervised_experiment",
-           "run_sweep"]
+           "ResilienceConfig", "explore_points", "run_sweep",
+           "run_sweep_point"]

@@ -16,7 +16,7 @@ them:
 * result collection is timeout-aware: the supervisor multiplexes over
   worker pipes with bounded waits, so a *crashed* worker is detected
   by its exit code and a *hung* worker is killed at the per-task
-  ``timeout_s`` deadline -- neither can block :func:`run_experiments`
+  ``timeout_s`` deadline -- neither can block :func:`run_sweep`
   forever (the old ``pool.map`` collection could);
 * failed attempts are retried up to ``retries`` times with exponential
   backoff plus deterministic jitter (seeded per task/attempt, so a
@@ -29,12 +29,19 @@ them:
 * tasks carry an explicit ``(experiment id, scale, seed)`` triple, so
   scheduling order cannot influence the numbers: a parallel run is
   byte-identical (after key-sorted serialization) to the serial run;
-* observability survives the pool: each task ships back its recorded
-  spans, its metrics *delta* and its cache-stat delta; the parent
-  merges everything into one coherent timeline, and every retry,
-  timeout and crash is recorded as ``tasks.retried`` /
-  ``tasks.timed_out`` / ``tasks.crashed`` counters plus zero-length
-  marker spans.
+* observability survives the pool: each worker ships back its recorded
+  spans, its metrics *delta* and its cache stats; the parent merges
+  everything into one coherent timeline, and every retry, timeout and
+  crash is recorded as ``tasks.retried`` / ``tasks.timed_out`` /
+  ``tasks.crashed`` counters plus zero-length marker spans.
+
+Three entry points share one attempt path.  :func:`run_sweep` runs a
+:class:`~repro.service.schema.SweepRequest` into a
+:class:`BenchReport`; :func:`run_sweep_point` runs one point (the
+service broker's runner); :func:`explore_points` evaluates design-space
+grid points.  A point runs in-process at ``parallel`` <= 1 and in a
+supervised worker above; either way every failed attempt ends in
+:func:`_failed_attempt`, which records its retry or its give-up.
 
 Deterministic chaos testing plugs in through :mod:`repro.faults`: a
 :class:`~repro.faults.plan.FaultPlan` (from ``REPRO_FAULTS`` or passed
@@ -49,8 +56,8 @@ every task is a fork of that server.  The server has done nothing but
 import, so no state the supervising process accumulated reaches a task,
 which keeps runs reproducible no matter what the parent did before --
 and a task no longer pays the program's imports.  Supervised runs
-therefore need a POSIX platform; the serial path runs everywhere.  A
-forked worker inherits the environment of the server's start, not of
+therefore need a POSIX platform; the in-process path runs everywhere.
+A forked worker inherits the environment of the server's start, not of
 the current run, so the supervisor ships its fault plan and its
 tracer's ``enabled`` flag with every task.
 """
@@ -64,14 +71,14 @@ import random
 import sys
 import time
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, ContextManager, Dict, Iterable, List,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
-from ..analysis.experiments import (REGISTRY, ExperimentOptions,
-                                    result_to_dict, run_experiment)
+from ..analysis.experiments import REGISTRY, result_to_dict, run_experiment
 from ..core.cache import DesignCache
 from ..faults import inject as faults
 from ..faults.plan import FaultPlan
@@ -79,9 +86,6 @@ from ..obs import export, trace
 from ..obs.metrics import metrics
 from ..service.schema import PointSpec, SweepRequest
 from ..tech.process import make_process
-
-#: worker-local state built once per worker process
-_WORKER: Dict[str, Any] = {}
 
 #: multiprocessing start method of every supervised worker
 MP_CONTEXT = "forkserver"
@@ -99,28 +103,17 @@ JITTER = 0.25
 TERM_GRACE_S = 2.0
 
 
-def _init_worker(cache_dir: Optional[str]) -> None:
-    _WORKER["process"] = make_process()
-    _WORKER["cache"] = DesignCache(cache_dir=cache_dir)
-
-
 #: the additive CacheStats fields (``hit_rate`` is derived, recomputed
 #: after aggregation)
 _CACHE_FIELDS = ("hits", "disk_hits", "misses", "stores", "evictions",
                  "corrupt_drops")
 
 
-def _cache_delta(after: Dict[str, float],
-                 before: Dict[str, float]) -> Dict[str, float]:
-    """One task's contribution to a worker's cumulative cache stats."""
-    return {k: after.get(k, 0) - before.get(k, 0) for k in _CACHE_FIELDS}
-
-
-def _aggregate_cache(deltas: Iterable[Dict[str, float]]
+def _aggregate_cache(stats: Iterable[Dict[str, float]]
                      ) -> Dict[str, float]:
-    """Fold per-task cache-stat deltas into one stats dict."""
+    """Add cache-stat dicts up into one stats dict."""
     total: Dict[str, float] = {k: 0 for k in _CACHE_FIELDS}
-    for d in deltas:
+    for d in stats:
         for k in _CACHE_FIELDS:
             total[k] += d.get(k, 0)
     lookups = total["hits"] + total["disk_hits"] + total["misses"]
@@ -177,7 +170,9 @@ class ExperimentRun:
     ``status`` is ``"ok"`` (result present), ``"failed"`` (raised on
     every attempt) or ``"timeout"`` (killed at the deadline on every
     attempt); ``attempts`` counts how many attempts ran, and ``error``
-    carries the final attempt's failure message.
+    carries the final attempt's failure message.  ``wall_s`` is the
+    successful attempt's run time when ``status`` is ``"ok"``, else the
+    time all attempts took together (backoff waits excluded).
     """
 
     experiment_id: str
@@ -206,9 +201,9 @@ class BenchReport:
     scale: float
     seed: int
     #: aggregated across the whole run -- serial *and* parallel (worker
-    #: deltas are summed back; ``None`` only for empty runs)
+    #: stats are summed back; ``None`` only for empty runs)
     cache_stats: Optional[Dict[str, float]] = None
-    #: per-task cache-stat deltas, request order (parallel runs)
+    #: per-task cache stats, request order (parallel runs)
     worker_cache_stats: List[Dict[str, float]] = field(default_factory=list)
     #: every span recorded during the run (dict form; workers merged in)
     spans: List[Dict[str, Any]] = field(default_factory=list)
@@ -306,66 +301,169 @@ class BenchReport:
                                   meta=header)
 
 
-def _run_one(task: Tuple[str, float, int]) -> ExperimentRun:
-    """Worker body: run one experiment against worker-local state."""
-    experiment_id, scale, seed = task
+# ---------------------------------------------------------------------------
+# Tasks and their worker bodies
+# ---------------------------------------------------------------------------
+
+class _Task(NamedTuple):
+    """One unit of engine work."""
+
+    #: the id fault specs match and the task's spans carry
+    label: str
+    #: seeds the task's backoff jitter
+    seed: int
+    #: what the worker body runs
+    args: Any
+
+
+def _point_task(point: PointSpec) -> _Task:
+    return _Task(point.experiment_id, point.seed, point)
+
+
+def _run_one(point: PointSpec, process, cache) -> ExperimentRun:
+    """Worker body: run one experiment."""
     t0 = time.perf_counter()
-    result = run_experiment(experiment_id, ExperimentOptions(
-        process=_WORKER["process"], scale=scale, seed=seed,
-        cache=_WORKER["cache"]))
-    return ExperimentRun(experiment_id=experiment_id,
+    result = run_experiment(point.experiment_id,
+                            point.to_options(process, cache))
+    return ExperimentRun(experiment_id=point.experiment_id,
                          wall_s=time.perf_counter() - t0,
                          all_passed=result.all_passed,
                          result=result_to_dict(result))
 
 
-def _run_point(task: Tuple[str, bool, float, int]):
+def _run_point(task: Tuple[str, bool, float, int], process, cache):
     """Worker body: evaluate one design-space grid point."""
     from ..core.explore import evaluate_point
     style, dual_vth, scale, seed = task
-    return evaluate_point(_WORKER["process"], style, dual_vth,
-                          scale=scale, seed=seed,
-                          cache=_WORKER["cache"])
+    return evaluate_point(process, style, dual_vth, scale=scale,
+                          seed=seed, cache=cache)
 
 
-def _task_label(kind: str, task: Tuple) -> str:
-    """The task id fault specs and backoff jitter key on."""
-    if kind == "experiment":
-        return task[0]
-    style, dual_vth = task[0], task[1]
-    return f"{style}/{'dvt' if dual_vth else 'rvt'}"
+#: a worker body: ``body(task.args, process, cache)``
+_Body = Callable[[Any, Any, DesignCache], Any]
+#: a persistent design-cache directory (``None``: memory only)
+_CacheDir = Optional[Union[str, Path]]
+
+
+# ---------------------------------------------------------------------------
+# The attempt path, shared by the in-process loop and the supervisor
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Outcome:
+    """One task's attempts so far; its final state once finished."""
+
+    status: str = "ok"               # "ok" | "failed" | "timeout"
+    value: Any = None                # ExperimentRun or DesignPoint
+    attempts: int = 0
+    error: Optional[str] = None
+    #: time the attempts took together, backoff waits excluded
+    wall_s: float = 0.0
+    #: every observability payload the task's workers shipped, in
+    #: attempt order -- a failed-then-retried attempt's injected
+    #: faults still aggregate in the parent
+    payloads: List[Dict] = field(default_factory=list)
+
+
+def _record_timeout(task: _Task, attempt: int,
+                    res: ResilienceConfig) -> None:
+    """Count and mark an attempt cut at its deadline."""
+    metrics().counter("tasks.timed_out").inc()
+    with trace.span("task.timeout", task=task.label, attempt=attempt,
+                    timeout_s=res.timeout_s):
+        pass
+
+
+def _failed_attempt(task: _Task, o: _Outcome, status: str, error: str,
+                    res: ResilienceConfig) -> Optional[float]:
+    """Record that attempt ``o.attempts`` of ``task`` failed.
+
+    While attempts remain, the failure is a retry (``tasks.retried``,
+    a ``task.retry`` span) and the backoff delay before the next
+    attempt is returned; after the last one the task gives up
+    (``tasks.failed``, a ``task.gave_up`` span) and ``None`` is
+    returned.
+    """
+    o.status, o.error = status, error
+    if o.attempts < res.max_attempts:
+        metrics().counter("tasks.retried").inc()
+        delay = res.backoff_delay(task.label, o.attempts, task.seed)
+        with trace.span("task.retry", task=task.label, attempt=o.attempts,
+                        reason=status, backoff_s=round(delay, 4)):
+            pass
+        return delay
+    metrics().counter("tasks.failed").inc()
+    with trace.span("task.gave_up", task=task.label, attempt=o.attempts,
+                    reason=status):
+        pass
+    return None
+
+
+def _attempt_in_process(body: _Body, task: _Task, process, cache,
+                        res: ResilienceConfig) -> _Outcome:
+    """Run ``task`` in this process until an attempt succeeds or it
+    gives up.
+
+    Timeouts are cooperative here: the deadline is handed to the fault
+    hooks, so an injected hang raises
+    :class:`~repro.faults.inject.InjectedHang` once the budget is
+    spent (a genuinely slow healthy stage cannot be preempted without
+    a worker process -- use ``parallel`` for hard kills).
+    """
+    o = _Outcome()
+    while True:
+        o.attempts += 1
+        t0 = time.perf_counter()
+        deadline = (time.monotonic() + res.timeout_s
+                    if res.timeout_s else None)
+        try:
+            with faults.task_context(task.label, o.attempts, deadline):
+                faults.fault_point("task")
+                o.value = body(task.args, process, cache)
+            status, error = "ok", ""
+        except faults.InjectedHang as exc:
+            _record_timeout(task, o.attempts, res)
+            status, error = "timeout", str(exc)
+        except Exception as exc:
+            status, error = "failed", f"{type(exc).__name__}: {exc}"
+        o.wall_s += time.perf_counter() - t0
+        if status == "ok":
+            o.status, o.error = "ok", None
+            return o
+        delay = _failed_attempt(task, o, status, error, res)
+        if delay is None:
+            return o
+        time.sleep(delay)
 
 
 def _obs_payload(n_spans: int, metrics_before: Dict,
-                 cache_before: Dict[str, float]) -> Dict[str, Any]:
-    """This worker's observability delta since the given snapshots."""
+                 cache: DesignCache) -> Dict[str, Any]:
+    """This worker's observability since it started: its spans, its
+    metrics delta and its cache stats (the cache was built empty)."""
     tracer = trace.get_tracer()
-    cache = _WORKER.get("cache")
-    after = cache.stats.as_dict() if cache is not None else dict(
-        cache_before)
     return {
-        "cache": _cache_delta(after, cache_before),
+        "cache": cache.stats.as_dict(),
         "spans": [sp.to_dict() for sp in tracer.spans[n_spans:]],
         "metrics": metrics().diff(metrics_before),
     }
 
 
-def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
-                cache_dir: Optional[str], plan: Optional[FaultPlan],
+def _child_main(conn, body: _Body, task: _Task, attempt: int,
+                cache_dir: _CacheDir, plan: Optional[FaultPlan],
                 trace_enabled: bool) -> None:
     """Entry point of one supervised worker process (forked from the
-    fork server).
+    fork server): one attempt of ``task``.
 
     The worker records spans exactly when the supervisor's tracer does
     (``trace_enabled``): its own tracer was built when the server
     imported the engine, under that moment's ``REPRO_TRACE``.
 
-    Sends exactly one message back: ``("ok", index, value, payload)``
-    or ``("error", index, message, payload)`` -- the payload carries
-    the worker's spans/metrics/cache deltas since this function's
-    first line either way, so injected faults (the ``task`` stage's
-    included) still aggregate in the parent.  Crashes and hangs send
-    nothing; the supervisor detects those from the outside.
+    Sends exactly one message back: ``("ok", value, payload)`` or
+    ``("failed", message, payload)`` -- the payload carries the worker's
+    spans, metrics delta and cache stats since this function's first
+    line either way, so injected faults (the ``task`` stage's included)
+    still aggregate in the parent.  Crashes and hangs send nothing; the
+    supervisor detects those from the outside.
 
     After the message the worker ends with ``os._exit(0)``, as
     multiprocessing's own fork start does: freeing the interpreter's
@@ -376,29 +474,25 @@ def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
     trace.get_tracer().enabled = trace_enabled
     n_spans = len(trace.get_tracer().spans)
     metrics_before = metrics().snapshot()
-    cache_before = {k: 0.0 for k in _CACHE_FIELDS}
+    cache = DesignCache(cache_dir=cache_dir)
     try:
         # the supervisor's resolved plan is authoritative -- installing
         # None too keeps a control run inert even when the child
         # inherited a REPRO_FAULTS environment variable
         faults.install(plan)
-        _init_worker(cache_dir)
-        with faults.task_context(_task_label(kind, task), attempt):
+        process = make_process()
+        with faults.task_context(task.label, attempt):
             faults.fault_point("task")
-            value = (_run_one(task) if kind == "experiment"
-                     else _run_point(task))
-        msg = ("ok", index, value,
-               _obs_payload(n_spans, metrics_before, cache_before))
+            msg: Tuple[str, Any] = ("ok", body(task.args, process, cache))
     except faults.InjectedCrash:
         # die without a word: the supervisor must detect this from the
         # exit code alone and replace the worker
         conn.close()
         os._exit(3)
     except Exception as exc:
-        msg = ("error", index, f"{type(exc).__name__}: {exc}",
-               _obs_payload(n_spans, metrics_before, cache_before))
+        msg = ("failed", f"{type(exc).__name__}: {exc}")
     try:
-        conn.send(msg)
+        conn.send(msg + (_obs_payload(n_spans, metrics_before, cache),))
     except Exception:
         pass
     finally:
@@ -409,40 +503,11 @@ def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
 
 
 @dataclass
-class _Outcome:
-    """Final state of one supervised task."""
-
-    status: str                      # "ok" | "failed" | "timeout"
-    value: Any = None                # ExperimentRun or DesignPoint
-    #: every observability delta the task's attempts shipped, in
-    #: attempt order -- a failed-then-retried attempt's injected
-    #: faults still aggregate in the parent
-    payloads: List[Dict] = field(default_factory=list)
-    attempts: int = 1
-    error: Optional[str] = None
-    wall_s: float = 0.0
-
-
-def _outcome_run(experiment_id: str, o: _Outcome) -> ExperimentRun:
-    """The :class:`ExperimentRun` one supervised experiment task
-    reports: the worker's run on success, a result-less degraded run
-    otherwise."""
-    if o.status == "ok":
-        run = o.value
-        run.attempts = o.attempts
-        return run
-    return ExperimentRun(experiment_id=experiment_id, wall_s=o.wall_s,
-                         all_passed=False, result={}, status=o.status,
-                         attempts=o.attempts, error=o.error)
-
-
-@dataclass
 class _Live:
     """One in-flight worker process."""
 
     proc: Any
     conn: Any
-    attempt: int
     deadline: Optional[float]
     t0: float
 
@@ -463,77 +528,51 @@ def _stop_worker(lv: _Live) -> None:
         pass
 
 
-def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
-               cache_dir: Optional[str], res: ResilienceConfig,
-               seed: int,
-               plan: Optional[FaultPlan]) -> Dict[int, _Outcome]:
+def _supervise(body: _Body, tasks: Sequence[_Task], parallel: int,
+               cache_dir: _CacheDir, res: ResilienceConfig
+               ) -> Tuple[List[_Outcome], List[Dict[str, Any]],
+                          List[Dict[str, float]]]:
     """Run every task in its own worker process, resiliently.
 
     The scheduler keeps at most ``parallel`` workers alive, collects
     results by multiplexing over their pipes with bounded waits, kills
     workers that outlive the per-task deadline, detects crashed
     workers by exit code, and reschedules failed attempts (with
-    backoff) until ``res.max_attempts`` is exhausted.  Always returns
-    one :class:`_Outcome` per task; never raises for task-level
-    failures and never blocks on a dead worker.
+    backoff) until ``res.max_attempts`` is exhausted.  Every worker
+    runs ``body`` under the active fault plan.  Never raises for
+    task-level failures and never blocks on a dead worker.
+
+    Returns one :class:`_Outcome` per task, in task order, after
+    folding the workers' payloads into this process (:func:`_fold`):
+    their spans and each task's cache stats come back alongside.
     """
     ctx = multiprocessing.get_context(MP_CONTEXT)
+    plan = faults.active_plan()
     trace_enabled = trace.get_tracer().enabled
-    n = len(tasks)
-    max_workers = max(1, min(parallel, n))
-    #: (not_before monotonic, index, attempt)
-    pending: List[Tuple[float, int, int]] = [(0.0, i, 1)
-                                             for i in range(n)]
+    outs = [_Outcome() for _ in tasks]
+    unfinished = len(tasks)
+    max_workers = max(1, min(parallel, len(tasks)))
+    #: (not_before monotonic, index) of every attempt awaiting launch
+    pending: List[Tuple[float, int]] = [(0.0, i) for i in range(len(tasks))]
     live: Dict[int, _Live] = {}
-    out: Dict[int, _Outcome] = {}
-    #: wall-clock accumulated by earlier (failed) attempts, per task
-    spent: Dict[int, float] = {}
-    #: observability payloads shipped by earlier attempts, per task
-    shipped: Dict[int, List[Dict]] = {}
-
-    def finish_failure(index: int, attempt: int, status: str,
-                       error: str, elapsed: float,
-                       payload: Optional[Dict]) -> None:
-        """Retry a failed attempt or record the final outcome."""
-        label = _task_label(kind, tasks[index])
-        spent[index] = spent.get(index, 0.0) + elapsed
-        if payload is not None:
-            shipped.setdefault(index, []).append(payload)
-        if attempt < res.max_attempts:
-            metrics().counter("tasks.retried").inc()
-            delay = res.backoff_delay(label, attempt, seed)
-            with trace.span("task.retry", task=label, attempt=attempt,
-                            reason=status, backoff_s=round(delay, 4)):
-                pass
-            pending.append((time.monotonic() + delay, index,
-                            attempt + 1))
-        else:
-            metrics().counter("tasks.failed").inc()
-            with trace.span("task.gave_up", task=label, attempt=attempt,
-                            reason=status):
-                pass
-            out[index] = _Outcome(status=status,
-                                  payloads=shipped.get(index, []),
-                                  attempts=attempt, error=error,
-                                  wall_s=spent[index])
-
     try:
-        while len(out) < n:
+        while unfinished:
             now = time.monotonic()
             # launch every ready pending task while capacity remains
             pending.sort()
             while pending and pending[0][0] <= now and \
                     len(live) < max_workers:
-                _, index, attempt = pending.pop(0)
+                _, index = pending.pop(0)
+                task, o = tasks[index], outs[index]
+                o.attempts += 1
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_child_main,
-                    args=(child_conn, kind, index, tasks[index], attempt,
-                          cache_dir, plan, trace_enabled))
+                    args=(child_conn, body, task, o.attempts, cache_dir,
+                          plan, trace_enabled))
                 # a process's first launch also starts the fork server
-                with trace.span("task.launch",
-                                task=_task_label(kind, tasks[index]),
-                                attempt=attempt):
+                with trace.span("task.launch", task=task.label,
+                                attempt=o.attempts):
                     proc.start()
                 child_conn.close()
                 # the clock starts once this worker runs, so a launch
@@ -542,8 +581,7 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
                 deadline = (t0 + res.timeout_s
                             if res.timeout_s else None)
                 live[index] = _Live(proc=proc, conn=parent_conn,
-                                    attempt=attempt, deadline=deadline,
-                                    t0=t0)
+                                    deadline=deadline, t0=t0)
             if not live:
                 # nothing running: sleep toward the earliest backoff
                 wake = min(p[0] for p in pending)
@@ -562,6 +600,7 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
             now = time.monotonic()
             for index in list(live):
                 lv = live[index]
+                task, o = tasks[index], outs[index]
                 msg = None
                 readable = lv.conn.poll(0)
                 if not readable and not lv.proc.is_alive():
@@ -579,100 +618,83 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
                         _stop_worker(lv)
                     else:
                         lv.conn.close()
-                    status, _, value, payload = msg
-                    elapsed = now - lv.t0
-                    if status == "ok":
-                        if payload is not None:
-                            shipped.setdefault(index, []).append(payload)
-                        out[index] = _Outcome(
-                            status="ok", value=value,
-                            payloads=shipped.get(index, []),
-                            attempts=lv.attempt,
-                            wall_s=spent.get(index, 0.0) + elapsed)
-                    else:
-                        finish_failure(index, lv.attempt, "failed",
-                                       value, elapsed, payload)
+                    status, value, payload = msg
+                    o.payloads.append(payload)
+                    error = "" if status == "ok" else value
                 elif not lv.proc.is_alive():
                     del live[index]
                     lv.conn.close()
                     metrics().counter("tasks.crashed").inc()
-                    with trace.span(
-                            "task.crash",
-                            task=_task_label(kind, tasks[index]),
-                            attempt=lv.attempt,
-                            exitcode=lv.proc.exitcode):
+                    with trace.span("task.crash", task=task.label,
+                                    attempt=o.attempts,
+                                    exitcode=lv.proc.exitcode):
                         pass
-                    finish_failure(
-                        index, lv.attempt, "failed",
-                        f"worker crashed (exit code "
-                        f"{lv.proc.exitcode})", now - lv.t0, None)
+                    status = "failed"
+                    error = (f"worker crashed (exit code "
+                             f"{lv.proc.exitcode})")
                 elif lv.deadline is not None and now >= lv.deadline:
                     del live[index]
                     _stop_worker(lv)
-                    metrics().counter("tasks.timed_out").inc()
-                    with trace.span(
-                            "task.timeout",
-                            task=_task_label(kind, tasks[index]),
-                            attempt=lv.attempt,
-                            timeout_s=res.timeout_s):
-                        pass
-                    finish_failure(
-                        index, lv.attempt, "timeout",
-                        f"timed out after {res.timeout_s:g}s",
-                        now - lv.t0, None)
+                    _record_timeout(task, o.attempts, res)
+                    status = "timeout"
+                    error = f"timed out after {res.timeout_s:g}s"
+                else:
+                    continue
+                o.wall_s += now - lv.t0
+                if status == "ok":
+                    o.status, o.value, o.error = "ok", value, None
+                    unfinished -= 1
+                    continue
+                delay = _failed_attempt(task, o, status, error, res)
+                if delay is None:
+                    unfinished -= 1
+                else:
+                    pending.append((time.monotonic() + delay, index))
     finally:
         for lv in live.values():
             _stop_worker(lv)
-    return out
+    spans, cache_stats = _fold(outs)
+    return outs, spans, cache_stats
 
 
-def run_experiments(ids: Optional[Iterable[str]] = None,
-                    parallel: int = 0,
-                    scale: float = 1.0,
-                    seed: int = 1,
-                    cache_dir: Optional[str] = None,
-                    process=None,
-                    timeout_s: Optional[float] = None,
-                    retries: int = 0,
-                    fault_plan: Optional[FaultPlan] = None
-                    ) -> BenchReport:
-    """Run a set of registered experiments, serially or supervised.
+def _fold(outs: Sequence[_Outcome]
+          ) -> Tuple[List[Dict[str, Any]], List[Dict[str, float]]]:
+    """Fold every worker payload into this process, task by task: each
+    metrics delta merges into the registry (so a caller's diff covers
+    the workers).  Returns the workers' spans and each task's cache
+    stats, summed over its attempts."""
+    spans: List[Dict[str, Any]] = []
+    cache_stats: List[Dict[str, float]] = []
+    for o in outs:
+        for p in o.payloads:
+            metrics().merge_snapshot(p["metrics"])
+            spans.extend(p["spans"])
+        cache_stats.append(_aggregate_cache(p["cache"]
+                                            for p in o.payloads))
+    return spans, cache_stats
 
-    Args:
-        ids: experiment ids (default: the whole registry, in registry
-            order -- the output order is always the request order, not
-            completion order).
-        parallel: worker count; ``0``/``1`` runs serially in-process.
-        scale: model-scale multiplier for every experiment.
-        seed: generation/placement seed for every experiment.
-        cache_dir: optional persistent design-cache directory, shared
-            by all workers.
-        process: technology node for the serial path (workers always
-            build their own).
-        timeout_s: per-task wall-clock budget per attempt (parallel
-            workers are killed at the deadline; the serial path
-            enforces it cooperatively against injected hangs).
-        retries: extra attempts for failed/timed-out tasks.
-        fault_plan: chaos plan to activate for this run (shipped to
-            every worker; the serial path installs it for the run's
-            duration).  Defaults to the ambient plan (``REPRO_FAULTS``
-            or a prior :func:`repro.faults.install`).
 
-    Returns:
-        A :class:`BenchReport`; ``results_json()`` is byte-identical
-        across serial and parallel runs of the same request.  Tasks
-        that exhaust their attempts degrade into ``status``-marked
-        runs instead of raising -- the report always comes back.
+def _installed(plan: Optional[FaultPlan]) -> ContextManager:
+    """Activate ``plan`` for one run; ``None`` keeps the ambient plan
+    (``REPRO_FAULTS`` or a prior :func:`repro.faults.install`)."""
+    return faults.installed(plan) if plan is not None else nullcontext()
 
-    Raises:
-        ValueError: on unknown experiment ids, or on the same id
-            submitted twice in one batch (the report keys results by
-            id, so duplicates used to silently overwrite each other).
-    """
-    request = SweepRequest.from_ids(ids, scale=scale, seed=seed,
-                                    timeout_s=timeout_s, retries=retries)
-    return run_sweep(request, parallel=parallel, cache_dir=cache_dir,
-                     process=process, fault_plan=fault_plan)
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+def _experiment_run(point: PointSpec, o: _Outcome) -> ExperimentRun:
+    """The :class:`ExperimentRun` of one finished experiment task: the
+    body's run on success, a result-less degraded run otherwise."""
+    if o.status == "ok":
+        run = o.value
+        run.attempts = o.attempts
+        return run
+    return ExperimentRun(experiment_id=point.experiment_id,
+                         wall_s=o.wall_s, all_passed=False, result={},
+                         status=o.status, attempts=o.attempts,
+                         error=o.error)
 
 
 def run_sweep(request: SweepRequest,
@@ -682,17 +704,38 @@ def run_sweep(request: SweepRequest,
               fault_plan: Optional[FaultPlan] = None) -> BenchReport:
     """Run one :class:`~repro.service.schema.SweepRequest`.
 
-    The schema-first twin of :func:`run_experiments` -- the CLI, the
-    service broker and library callers all build a frozen
+    The CLI, the service broker and library callers all build a frozen
     :class:`SweepRequest` and hand it here, instead of re-threading
-    flag soup into engine kwargs.  The request's ``timeout_s`` /
+    flag soup into engine kwargs; the request's ``timeout_s`` /
     ``retries`` are the run's :class:`ResilienceConfig`.
+
+    Args:
+        request: the points, in output order (use
+            :meth:`SweepRequest.from_ids` for a uniform sweep).
+        parallel: worker count; ``0``/``1`` -- or a one-point request
+            -- runs the points one after the other in-process through
+            :func:`run_sweep_point`, anything higher runs each in its
+            own supervised worker.
+        cache_dir: optional persistent design-cache directory, shared
+            by all workers.
+        process: technology node for the in-process path (workers
+            always build their own).
+        fault_plan: chaos plan to activate for this run (shipped to
+            every worker).  Defaults to the ambient plan
+            (``REPRO_FAULTS`` or a prior :func:`repro.faults.install`).
+
+    Returns:
+        A :class:`BenchReport`; ``results_json()`` is byte-identical
+        across serial and parallel runs of the same request.  Tasks
+        that exhaust their attempts degrade into ``status``-marked
+        runs instead of raising -- the report always comes back.
 
     Raises:
         ValueError: when the request is empty, names unknown ids,
-            repeats a point, or repeats an experiment id (the report's
-            ``results_dict()`` is id-keyed; overlapping sweeps belong
-            on the service broker, which coalesces by content hash).
+            repeats a point, sets impossible resilience knobs, or
+            repeats an experiment id (the report's ``results_dict()``
+            is id-keyed; overlapping sweeps belong on the service
+            broker, which coalesces by content hash).
     """
     request.validate(known=REGISTRY)
     dupes = sorted(eid for eid, n
@@ -705,171 +748,72 @@ def run_sweep(request: SweepRequest,
             f"the service broker instead)")
     res = ResilienceConfig(timeout_s=request.timeout_s,
                            retries=request.retries)
-    plan = fault_plan if fault_plan is not None else faults.active_plan()
-    tasks = [(p.experiment_id, p.scale, p.seed) for p in request.points]
-    ids = request.experiment_ids()
-    scale, seed = request.points[0].scale, request.points[0].seed
+    points = request.points
+    scale, seed = points[0].scale, points[0].seed
+    workers = parallel if parallel > 1 and len(points) > 1 else 1
     tracer = trace.get_tracer()
     n_spans = len(tracer.spans)
     metrics_before = metrics().snapshot()
     t0 = time.perf_counter()
+    worker_spans: List[Dict[str, Any]] = []
     worker_stats: List[Dict[str, float]] = []
-    if parallel > 1 and len(ids) > 1:
-        with trace.span("bench", parallel=parallel, scale=scale,
-                        seed=seed, n_experiments=len(ids)):
-            outcomes = _supervise("experiment", tasks, parallel,
-                                  cache_dir, res, seed, plan)
-        runs = []
-        payloads = []
-        for i, (eid, _, _) in enumerate(tasks):
-            o = outcomes[i]
-            runs.append(_outcome_run(eid, o))
-            if o.payloads:
-                payloads.extend(o.payloads)
-                worker_stats.append(_aggregate_cache(
-                    [p["cache"] for p in o.payloads]))
-            else:
-                worker_stats.append(
-                    {k: 0.0 for k in _CACHE_FIELDS})
-        cache_stats = _aggregate_cache(worker_stats)
-        # fold worker metric deltas into the parent registry so the
-        # run's diff below covers the whole pool
-        for p in payloads:
-            metrics().merge_snapshot(p["metrics"])
-        worker_spans = [d for p in payloads for d in p["spans"]]
-    else:
-        proc = process if process is not None else make_process()
-        cache = DesignCache(cache_dir=cache_dir)
-        runs = []
-        with ExitStack() as stack:
-            if fault_plan is not None:
-                stack.enter_context(faults.installed(fault_plan))
-            with trace.span("bench", parallel=1, scale=scale, seed=seed,
-                            n_experiments=len(ids)):
-                for eid, s, sd in tasks:
-                    runs.append(_run_serial_task(
-                        eid, s, sd, proc, cache, res, seed))
-        cache_stats = cache.stats.as_dict()
-        worker_spans = []
+    with _installed(fault_plan), \
+            trace.span("bench", parallel=workers, scale=scale, seed=seed,
+                       n_experiments=len(points)):
+        if workers > 1:
+            outcomes, worker_spans, worker_stats = _supervise(
+                _run_one, [_point_task(p) for p in points], workers,
+                cache_dir, res)
+            runs = [_experiment_run(p, o)
+                    for p, o in zip(points, outcomes)]
+            cache_stats = _aggregate_cache(worker_stats)
+        else:
+            proc = process if process is not None else make_process()
+            cache = DesignCache(cache_dir=cache_dir)
+            runs = [run_sweep_point(p, process=proc, cache=cache,
+                                    resilience=res) for p in points]
+            cache_stats = cache.stats.as_dict()
     spans = [sp.to_dict() for sp in tracer.spans[n_spans:]] + worker_spans
     return BenchReport(runs=runs,
                        total_wall_s=time.perf_counter() - t0,
-                       parallel=max(parallel, 1) if len(ids) > 1 else 1,
-                       scale=scale, seed=seed,
+                       parallel=workers, scale=scale, seed=seed,
                        cache_stats=cache_stats,
                        worker_cache_stats=worker_stats,
                        spans=spans,
                        metrics=metrics().diff(metrics_before))
 
 
-def _run_serial_task(eid: str, scale: float, sd: int, proc, cache,
-                     res: ResilienceConfig,
-                     run_seed: int) -> ExperimentRun:
-    """One experiment, in-process, with the retry/backoff loop.
+def run_sweep_point(point: PointSpec, parallel: int = 0, process=None,
+                    cache: Optional[DesignCache] = None,
+                    resilience: Optional[ResilienceConfig] = None
+                    ) -> ExperimentRun:
+    """Run one sweep point with retries, under the active fault plan.
 
-    Timeouts are cooperative here: the deadline is handed to the fault
-    hooks, so an injected hang raises
-    :class:`~repro.faults.inject.InjectedHang` once the budget is
-    spent (a genuinely slow healthy stage cannot be preempted without
-    a worker process -- use ``parallel`` for hard kills).
-    """
-    t_task = time.perf_counter()
-    status, error, result = "failed", None, None
-    attempt = 0
-    for attempt in range(1, res.max_attempts + 1):
-        deadline = (time.monotonic() + res.timeout_s
-                    if res.timeout_s else None)
-        try:
-            with faults.task_context(eid, attempt, deadline):
-                faults.fault_point("task")
-                result = run_experiment(eid, ExperimentOptions(
-                    process=proc, scale=scale, seed=sd, cache=cache))
-            status = "ok"
-            break
-        except faults.InjectedHang as exc:
-            status, error, result = "timeout", str(exc), None
-            metrics().counter("tasks.timed_out").inc()
-            with trace.span("task.timeout", task=eid, attempt=attempt,
-                            timeout_s=res.timeout_s):
-                pass
-        except Exception as exc:
-            status, error, result = \
-                "failed", f"{type(exc).__name__}: {exc}", None
-        if attempt < res.max_attempts:
-            metrics().counter("tasks.retried").inc()
-            delay = res.backoff_delay(eid, attempt, run_seed)
-            with trace.span("task.retry", task=eid, attempt=attempt,
-                            reason=status, backoff_s=round(delay, 4)):
-                pass
-            time.sleep(delay)
-    if status != "ok":
-        metrics().counter("tasks.failed").inc()
-        with trace.span("task.gave_up", task=eid, attempt=attempt,
-                        reason=status):
-            pass
-        return ExperimentRun(experiment_id=eid,
-                             wall_s=time.perf_counter() - t_task,
-                             all_passed=False, result={}, status=status,
-                             attempts=attempt, error=error)
-    return ExperimentRun(experiment_id=eid,
-                         wall_s=time.perf_counter() - t_task,
-                         all_passed=result.all_passed,
-                         result=result_to_dict(result),
-                         attempts=attempt)
-
-
-# ---------------------------------------------------------------------------
-# Single-point entry points (the service broker's point runners)
-# ---------------------------------------------------------------------------
-
-def run_serial_experiment(point: PointSpec, process=None, cache=None,
-                          resilience: Optional[ResilienceConfig] = None
-                          ) -> ExperimentRun:
-    """Run one sweep point in-process, with the retry/backoff loop.
-
-    The cooperative twin of :func:`run_supervised_experiment`: no
-    worker process is started, so timeouts only preempt injected
-    hangs, but a caller-owned ``process``/``cache`` pair amortizes
-    across calls -- this is how the broker runs points at
-    ``parallel`` <= 1, and is also handy for tests.  Never raises for task-level failures; the
-    returned :class:`ExperimentRun` carries ``status`` / ``error``.
+    At ``parallel`` <= 1 the point runs in this process against
+    ``process`` and ``cache`` (built fresh when omitted; a caller-owned
+    pair amortizes across calls): no worker start, cooperative
+    timeouts.  Above, it runs in one supervised worker forked from the
+    fork server, with hard-kill timeouts, crash detection and
+    retry-with-replacement; the worker builds its own process node and
+    a design cache over ``cache``'s ``cache_dir``, and its metrics fold
+    into this process.  This is how the service broker runs every
+    point, with its own ``parallel``.  Never raises for task-level
+    failures; the returned :class:`ExperimentRun` carries ``status`` /
+    ``error``.
     """
     res = resilience if resilience is not None else ResilienceConfig()
-    proc = process if process is not None else make_process()
-    if cache is None:
-        cache = DesignCache()
-    return _run_serial_task(point.experiment_id, point.scale,
-                            point.seed, proc, cache, res, point.seed)
+    task = _point_task(point)
+    if parallel > 1:
+        [o], _, _ = _supervise(
+            _run_one, [task], 1,
+            cache.cache_dir if cache is not None else None, res)
+    else:
+        o = _attempt_in_process(
+            _run_one, task,
+            process if process is not None else make_process(),
+            cache if cache is not None else DesignCache(), res)
+    return _experiment_run(point, o)
 
-
-def run_supervised_experiment(point: PointSpec,
-                              cache_dir: Optional[str] = None,
-                              resilience: Optional[ResilienceConfig]
-                              = None,
-                              fault_plan: Optional[FaultPlan] = None
-                              ) -> ExperimentRun:
-    """Run one sweep point under the full worker supervisor.
-
-    The point gets its own worker process, forked from the fork
-    server, with hard-kill timeouts, crash detection and
-    retry-with-replacement -- exactly one task through
-    :func:`_supervise`.  This is how the broker runs
-    points at ``parallel`` > 1: it survives anything the point does,
-    including a worker segfault.
-    """
-    res = resilience if resilience is not None else ResilienceConfig()
-    plan = fault_plan if fault_plan is not None else faults.active_plan()
-    task = (point.experiment_id, point.scale, point.seed)
-    o = _supervise("experiment", [task], 1, cache_dir, res,
-                   point.seed, plan)[0]
-    for p in o.payloads:
-        metrics().merge_snapshot(p["metrics"])
-    return _outcome_run(point.experiment_id, o)
-
-
-# ---------------------------------------------------------------------------
-# Design-space exploration fan-out
-# ---------------------------------------------------------------------------
 
 def explore_points(grid: Sequence[Tuple[str, bool]],
                    scale: float = 0.7,
@@ -885,7 +829,7 @@ def explore_points(grid: Sequence[Tuple[str, bool]],
     Returns :class:`~repro.core.explore.DesignPoint` objects in grid
     order (identical to the serial explorer's output for the same
     seed).  Runs under the same resilient supervisor as
-    :func:`run_experiments`; a point that exhausts its attempts raises
+    :func:`run_sweep`; a point that exhausts its attempts raises
     :class:`EngineError` unless ``allow_partial`` is set, in which
     case its slot holds ``None``.
 
@@ -895,31 +839,23 @@ def explore_points(grid: Sequence[Tuple[str, bool]],
     exact -- and never silently overwrites a differing value).
     """
     res = ResilienceConfig(timeout_s=timeout_s, retries=retries)
-    plan = fault_plan if fault_plan is not None else faults.active_plan()
-    all_tasks = [(style, dual_vth, scale, seed)
-                 for style, dual_vth in grid]
-    # coalesce duplicate grid points: compute each unique task once
-    first_slot: Dict[Tuple, int] = {}
-    tasks: List[Tuple] = []
-    slot_of: List[int] = []
-    for task in all_tasks:
-        if task not in first_slot:
-            first_slot[task] = len(tasks)
-            tasks.append(task)
-        slot_of.append(first_slot[task])
-    outcomes = _supervise("point", tasks, max(parallel, 1), cache_dir,
-                          res, seed, plan)
-    # fold worker metric deltas in, so parallel exploration counts work
-    for o in outcomes.values():
-        for p in o.payloads:
-            metrics().merge_snapshot(p["metrics"])
-    failures = [(i, o) for i, o in sorted(outcomes.items())
+    # coalesce duplicate grid points: one task per unique point
+    tasks: Dict[Tuple[str, bool], _Task] = {}
+    for style, dual_vth in grid:
+        tasks.setdefault((style, dual_vth), _Task(
+            f"{style}/{'dvt' if dual_vth else 'rvt'}", seed,
+            (style, dual_vth, scale, seed)))
+    with _installed(fault_plan):
+        outcomes, _, _ = _supervise(_run_point, list(tasks.values()),
+                                    max(parallel, 1), cache_dir, res)
+    by_point = dict(zip(tasks, outcomes))
+    failures = [(tasks[key].label, o) for key, o in by_point.items()
                 if o.status != "ok"]
     if failures and not allow_partial:
         detail = "; ".join(
-            f"{_task_label('point', tasks[i])}: {o.status} "
-            f"after {o.attempts} attempt(s) ({o.error})"
-            for i, o in failures)
+            f"{label}: {o.status} after {o.attempts} attempt(s) "
+            f"({o.error})" for label, o in failures)
         raise EngineError(f"{len(failures)} of {len(tasks)} grid "
                           f"points failed: {detail}")
-    return [outcomes[slot_of[i]].value for i in range(len(all_tasks))]
+    return [by_point[(style, dual_vth)].value
+            for style, dual_vth in grid]

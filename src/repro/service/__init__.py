@@ -8,7 +8,7 @@ Three layers, importable independently:
   :func:`repro.parallel.run_sweep` and the network protocol;
 * :mod:`repro.service.broker` -- the asyncio broker
   (``python -m repro serve``): a thin front end that runs each point
-  through the engine's single-point runners, with request coalescing,
+  through the engine's point runner, with request coalescing,
   a shared result store and streaming completion-order results;
 * :mod:`repro.service.client` -- the blocking socket client
   (``submit`` / ``stream`` / ``collect`` / ``cancel``).

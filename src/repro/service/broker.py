@@ -9,16 +9,15 @@ order; the request-order batch view stays available through
 
 The broker is a front end over the engine, not a second executor.
 Fresh points wait in one FIFO queue and at most ``parallel`` of them
-run at once, each through one of the engine's single-point runners
--- the same split and meaning as ``run_sweep`` and ``bench
+run at once, each through the engine's point runner
+(:func:`~repro.parallel.engine.run_sweep_point`) with the broker's
+``parallel`` -- the same meaning as for ``run_sweep`` and ``bench
 --parallel``: ``parallel`` <= 1 runs points one at a time in-process
-against a broker-owned design cache
-(:func:`~repro.parallel.engine.run_serial_experiment` -- no worker
-start, cooperative timeouts), ``parallel`` > 1 runs each point in its
-own supervised worker process
-(:func:`~repro.parallel.engine.run_supervised_experiment` -- hard
-timeouts, crash replacement).  Retries, backoff, timeouts and the
-``tasks.*`` metrics live only in the engine.
+against a broker-owned design cache (no worker start, cooperative
+timeouts), ``parallel`` > 1 runs each point in its own supervised
+worker process over the same cache directory (hard timeouts, crash
+replacement).  Retries, backoff, timeouts and the ``tasks.*`` metrics
+live only in the engine.
 
 Two layers keep repeated work free:
 
@@ -61,11 +60,11 @@ from ..faults.plan import FaultPlan
 from ..obs import trace
 from ..obs.metrics import metrics
 from ..parallel.engine import (ExperimentRun, ResilienceConfig,
-                               run_serial_experiment,
-                               run_supervised_experiment)
+                               run_sweep_point)
 from ..tech.process import make_process
 from .schema import (SCHEMA_VERSION, PointResult, PointSpec, SchemaError,
-                     SweepRequest, decode_line, encode_line)
+                     SweepRequest, check_resilience, decode_line,
+                     encode_line)
 from .store import ResultStore
 
 #: wire-line size limit (result JSON is big; the asyncio default of
@@ -88,7 +87,9 @@ class ServiceConfig:
         cache_dir: shared persistent tier -- the design cache of every
             point *and* the broker's result store live under it.
         timeout_s / retries: default resilience for points whose
-            request does not set its own.
+            request does not set its own; held to the same rule as a
+            request's (:class:`~repro.service.schema.SchemaError`
+            otherwise).
     """
 
     host: str = "127.0.0.1"
@@ -98,6 +99,9 @@ class ServiceConfig:
     cache_dir: Optional[str] = None
     timeout_s: Optional[float] = None
     retries: int = 0
+
+    def __post_init__(self) -> None:
+        check_resilience(self.timeout_s, self.retries)
 
 
 class _Job:
@@ -141,13 +145,10 @@ class Broker:
         self._process = make_process()
         self._store = ResultStore(cache_dir=self.config.cache_dir)
         self._limit = max(1, self.config.parallel)
-        if self.config.parallel > 1:
-            self._run_point = partial(run_supervised_experiment,
-                                      cache_dir=self.config.cache_dir)
-        else:
-            self._run_point = partial(
-                run_serial_experiment, process=self._process,
-                cache=DesignCache(cache_dir=self.config.cache_dir))
+        self._run_point = partial(
+            run_sweep_point, parallel=self.config.parallel,
+            process=self._process,
+            cache=DesignCache(cache_dir=self.config.cache_dir))
         self._pool = ThreadPoolExecutor(max_workers=self._limit,
                                         thread_name_prefix="repro-point")
         self._jobs: Dict[str, _Job] = {}

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -57,6 +58,17 @@ def _check_version(payload: Dict[str, Any], what: str) -> None:
         raise SchemaError(
             f"{what}: unsupported schema version {version!r} "
             f"(this build speaks {SCHEMA_VERSION})")
+
+
+def check_resilience(timeout_s: Optional[float], retries: int) -> None:
+    """Reject resilience knobs no run can honour: a ``timeout_s`` that
+    is neither ``None`` nor a finite number > 0, or ``retries`` < 0."""
+    if timeout_s is not None and not (math.isfinite(timeout_s)
+                                      and timeout_s > 0):
+        raise SchemaError(f"timeout_s must be a finite number > 0 "
+                          f"(or absent), got {timeout_s!r}")
+    if retries < 0:
+        raise SchemaError(f"retries must be >= 0, got {retries!r}")
 
 
 def encode_line(obj: Dict[str, Any]) -> bytes:
@@ -169,7 +181,8 @@ class SweepRequest:
         return [p.experiment_id for p in self.points]
 
     def validate(self, known: Optional[Iterable[str]] = None) -> None:
-        """Reject empty requests, unknown ids and duplicate points.
+        """Reject empty requests, unknown ids, duplicate points and
+        impossible resilience knobs (:func:`check_resilience`).
 
         Duplicate *points* (same id, scale and seed twice in one
         request) are always an error: within one request they are pure
@@ -179,6 +192,7 @@ class SweepRequest:
         """
         if not self.points:
             raise SchemaError("empty sweep request (no points)")
+        check_resilience(self.timeout_s, self.retries)
         if known is not None:
             known = set(known)
             unknown = [p.experiment_id for p in self.points

@@ -62,7 +62,7 @@ class TestRegistry:
             run_experiment("table99")
 
     def test_table1_fast_and_passes(self, process):
-        res = run_experiment("table1", process=process)
+        res = run_experiment("table1", ExperimentOptions(process=process))
         assert res.all_passed
         assert "TSV" in res.table
         assert "PASS" in res.summary()

@@ -11,6 +11,11 @@ from repro.core.flow import FlowConfig
 from repro.core.folding import FoldSpec
 
 
+def _disk_entries(cache_dir):
+    """Entries in a persistent tier: one ``<key>.pkl`` file each."""
+    return len(list(cache_dir.glob("*.pkl")))
+
+
 def test_cold_then_warm_disk_parity(process, tmp_path):
     """A fresh cache over the same directory serves the stored design."""
     cfg = FlowConfig(scale=0.4)
@@ -18,7 +23,7 @@ def test_cold_then_warm_disk_parity(process, tmp_path):
     a = cold.get_or_run("ncu", cfg, process)
     assert cold.stats.misses == 1
     assert cold.stats.stores == 1
-    assert cold.disk_entries() == 1
+    assert _disk_entries(tmp_path) == 1
 
     warm = DesignCache(cache_dir=tmp_path)
     b = warm.get_or_run("ncu", cfg, process)
@@ -55,7 +60,7 @@ def test_corrupted_entry_falls_back_to_recompute(process, tmp_path):
     assert warm.stats.disk_hits == 0
     assert redone.power.total_uw == good.power.total_uw
     # the recompute re-stored a healthy entry
-    assert warm.disk_entries() == 1
+    assert _disk_entries(tmp_path) == 1
 
 
 def test_wrong_type_pickle_counts_as_corrupt(process, tmp_path):
@@ -69,23 +74,15 @@ def test_wrong_type_pickle_counts_as_corrupt(process, tmp_path):
     assert cache.stats.misses == 1
 
 
-def test_disk_eviction_cap(process, tmp_path):
-    cache = DesignCache(cache_dir=tmp_path, max_disk_entries=2)
-    for scale in (0.3, 0.35, 0.4):
-        cache.get_or_run("ncu", FlowConfig(scale=scale), process)
-    assert cache.disk_entries() == 2
-    assert cache.stats.evictions >= 1
-
-
-def test_clear_keeps_disk_clear_disk_removes(process, tmp_path):
+def test_clear_keeps_the_disk_tier(process, tmp_path):
     cfg = FlowConfig(scale=0.4)
     cache = DesignCache(cache_dir=tmp_path)
     cache.get_or_run("ncu", cfg, process)
     cache.clear()
     assert len(cache) == 0
-    assert cache.disk_entries() == 1
-    cache.clear_disk()
-    assert cache.disk_entries() == 0
+    assert _disk_entries(tmp_path) == 1
+    cache.get_or_run("ncu", cfg, process)
+    assert cache.stats.disk_hits == 1
 
 
 def test_unwritable_cache_dir_degrades_to_memory(process, tmp_path):
@@ -95,7 +92,7 @@ def test_unwritable_cache_dir_degrades_to_memory(process, tmp_path):
     design = cache.get_or_run("ncu", FlowConfig(scale=0.4), process)
     assert design.power.total_uw > 0
     assert cache.stats.misses == 1
-    assert cache.disk_entries() == 0
+    assert not list(tmp_path.rglob("*.pkl"))
 
 
 # ---- cache-key coverage ------------------------------------------------

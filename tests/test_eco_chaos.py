@@ -17,7 +17,8 @@ from repro import faults
 from repro.core.flow import FlowConfig, run_block_flow
 from repro.eco import EcoConfig, derive_design
 from repro.faults import FaultPlan, InjectedFault
-from repro.parallel.engine import run_experiments
+from repro.parallel.engine import run_sweep
+from repro.service.schema import SweepRequest
 
 IDS = ["eco", "table4"]
 SCALE = 0.3
@@ -33,7 +34,7 @@ def _clean_fault_state():
 @pytest.fixture(scope="module")
 def baseline():
     """Fault-free serial reference for byte-equality checks."""
-    return run_experiments(ids=IDS, scale=SCALE)
+    return run_sweep(SweepRequest.from_ids(IDS, scale=SCALE))
 
 
 def _chaos_counters(report):
@@ -46,8 +47,8 @@ class TestEcoFaultMatrix:
     def test_recoverable_eco_fault_retries_to_byte_equality(
             self, baseline):
         plan = FaultPlan.parse("raise task=eco stage=eco attempt=1")
-        report = run_experiments(ids=IDS, scale=SCALE, retries=1,
-                                 fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE, retries=1),
+                           fault_plan=plan)
         assert report.completed()
         by_id = {r.experiment_id: r for r in report.runs}
         assert by_id["eco"].attempts == 2
@@ -61,8 +62,8 @@ class TestEcoFaultMatrix:
     def test_unrecoverable_eco_fault_degrades_to_partial(
             self, baseline):
         plan = FaultPlan.parse("raise task=eco stage=eco attempt=0")
-        report = run_experiments(ids=IDS, scale=SCALE, retries=1,
-                                 fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE, retries=1),
+                           fault_plan=plan)
         assert not report.completed()
         assert not report.all_passed
         by_id = {r.experiment_id: r for r in report.runs}
@@ -84,8 +85,9 @@ class TestEcoFaultMatrix:
         plan = FaultPlan.parse(
             "hang task=eco stage=eco attempt=1 seconds=60")
         t0 = time.monotonic()
-        report = run_experiments(ids=IDS, scale=SCALE, timeout_s=5.0,
-                                 retries=1, fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE,
+                                                 timeout_s=5.0, retries=1),
+                           fault_plan=plan)
         assert time.monotonic() - t0 < 60
         assert report.completed()
         assert {r.experiment_id: r.attempts
@@ -96,7 +98,7 @@ class TestEcoFaultMatrix:
         assert report.results_json() == baseline.results_json()
 
     def test_fault_free_reruns_are_byte_identical(self, baseline):
-        again = run_experiments(ids=IDS, scale=SCALE)
+        again = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE))
         assert again.results_json() == baseline.results_json()
         assert _chaos_counters(again) == {}
 

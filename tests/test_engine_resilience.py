@@ -18,7 +18,9 @@ from repro import faults
 from repro.faults import FaultPlan
 from repro.obs import trace
 from repro.parallel.engine import (MP_CONTEXT, EngineError, _child_main,
-                                   explore_points, run_experiments)
+                                   _point_task, _run_one, explore_points,
+                                   run_sweep)
+from repro.service.schema import PointSpec, SweepRequest
 
 IDS = ["fig6", "table4"]
 SCALE = 0.5
@@ -34,7 +36,7 @@ def _clean_fault_state():
 @pytest.fixture(scope="module")
 def baseline():
     """Fault-free serial reference for byte-equality checks."""
-    return run_experiments(ids=IDS, scale=SCALE)
+    return run_sweep(SweepRequest.from_ids(IDS, scale=SCALE))
 
 
 def _chaos_counters(report):
@@ -52,8 +54,8 @@ class TestSerialFaults:
     def test_recoverable_fault_retries_to_byte_equality(self, kind,
                                                         baseline):
         plan = FaultPlan.parse(f"{kind} task=fig6 stage=task attempt=1")
-        report = run_experiments(ids=IDS, scale=SCALE, retries=1,
-                                 fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE, retries=1),
+                           fault_plan=plan)
         assert report.completed()
         by_id = {r.experiment_id: r for r in report.runs}
         assert by_id["fig6"].attempts == 2
@@ -67,7 +69,8 @@ class TestSerialFaults:
     def test_slow_fault_changes_nothing_but_time(self, baseline):
         plan = FaultPlan.parse(
             "slow task=* stage=optimize attempt=1 seconds=0.01")
-        report = run_experiments(ids=IDS, scale=SCALE, fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE),
+                           fault_plan=plan)
         assert report.completed()
         assert all(r.attempts == 1 for r in report.runs)
         assert report.results_json() == baseline.results_json()
@@ -77,8 +80,9 @@ class TestSerialFaults:
         plan = FaultPlan.parse(
             "hang task=fig6 stage=place attempt=1 seconds=60")
         t0 = time.monotonic()
-        report = run_experiments(ids=IDS, scale=SCALE, timeout_s=1.0,
-                                 retries=1, fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE,
+                                                 timeout_s=1.0, retries=1),
+                           fault_plan=plan)
         assert time.monotonic() - t0 < 30
         assert report.completed()
         assert {r.experiment_id: r.attempts
@@ -90,8 +94,8 @@ class TestSerialFaults:
 
     def test_unrecoverable_fault_degrades_to_partial(self, baseline):
         plan = FaultPlan.parse("raise task=fig6 stage=task attempt=0")
-        report = run_experiments(ids=IDS, scale=SCALE, retries=2,
-                                 fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE, retries=2),
+                           fault_plan=plan)
         assert not report.completed()
         assert not report.all_passed
         by_id = {r.experiment_id: r for r in report.runs}
@@ -113,8 +117,9 @@ class TestSerialFaults:
 
     def test_deterministic_replay_of_a_seeded_plan(self):
         plan = FaultPlan.seeded(9, tasks=IDS)
-        reports = [run_experiments(ids=IDS, scale=SCALE, retries=1,
-                                   fault_plan=plan) for _ in range(2)]
+        reports = [run_sweep(SweepRequest.from_ids(IDS, scale=SCALE,
+                                                   retries=1),
+                             fault_plan=plan) for _ in range(2)]
         a, b = reports
         assert a.results_json() == b.results_json()
         assert [(r.experiment_id, r.status, r.attempts, r.error)
@@ -124,7 +129,7 @@ class TestSerialFaults:
         assert _chaos_counters(a) == _chaos_counters(b)
 
     def test_fault_free_reruns_are_byte_identical(self, baseline):
-        again = run_experiments(ids=IDS, scale=SCALE)
+        again = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE))
         assert again.results_json() == baseline.results_json()
         assert _chaos_counters(again) == {}
 
@@ -141,9 +146,9 @@ class TestParallelResilience:
         plan = FaultPlan.parse(
             "hang task=fig6 stage=place attempt=1 seconds=300")
         t0 = time.monotonic()
-        report = run_experiments(ids=IDS, scale=SCALE, parallel=2,
-                                 timeout_s=8, retries=1,
-                                 fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE, timeout_s=8,
+                                                 retries=1),
+                           parallel=2, fault_plan=plan)
         wall = time.monotonic() - t0
         assert wall < 120, f"collection blocked for {wall:.0f}s"
         assert report.completed()
@@ -156,8 +161,8 @@ class TestParallelResilience:
 
     def test_crashed_worker_is_replaced(self, baseline):
         plan = FaultPlan.parse("crash task=fig6 stage=task attempt=1")
-        report = run_experiments(ids=IDS, scale=SCALE, parallel=2,
-                                 retries=1, fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE, retries=1),
+                           parallel=2, fault_plan=plan)
         assert report.completed()
         assert {r.experiment_id: r.attempts
                 for r in report.runs} == {"fig6": 2, "table4": 1}
@@ -179,10 +184,10 @@ class TestParallelResilience:
 
         def chaos_run():
             t0 = time.monotonic()
-            report = run_experiments(
-                ids=IDS, scale=SCALE, parallel=2,
-                cache_dir=str(tmp_path / "cache"),
-                timeout_s=5, retries=1, fault_plan=plan)
+            report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE,
+                                                     timeout_s=5, retries=1),
+                               parallel=2, cache_dir=str(tmp_path / "cache"),
+                               fault_plan=plan)
             return report, time.monotonic() - t0
 
         first, wall = chaos_run()
@@ -204,8 +209,8 @@ class TestParallelResilience:
 
     def test_unrecoverable_crash_yields_partial_results(self, baseline):
         plan = FaultPlan.parse("crash task=fig6 stage=task attempt=0")
-        report = run_experiments(ids=IDS, scale=SCALE, parallel=2,
-                                 retries=1, fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE, retries=1),
+                           parallel=2, fault_plan=plan)
         by_id = {r.experiment_id: r for r in report.runs}
         assert by_id["fig6"].status == "failed"
         assert "crashed" in by_id["fig6"].error
@@ -223,8 +228,9 @@ class TestParallelResilience:
         ``task.launch`` span."""
         plan = FaultPlan.parse("raise task=fig6 stage=task attempt=1")
         with trace.use_tracer(trace.Tracer()):
-            report = run_experiments(ids=IDS, scale=SCALE, parallel=2,
-                                     retries=1, fault_plan=plan)
+            report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE,
+                                                     retries=1),
+                               parallel=2, fault_plan=plan)
         assert report.completed()
         counters = _chaos_counters(report)
         assert counters["tasks.retried"] == 1.0
@@ -253,8 +259,9 @@ class TestParallelResilience:
             real_start(proc)
 
         monkeypatch.setattr(process_cls, "start", slow_first_start)
-        report = run_experiments(ids=IDS, scale=SCALE, parallel=2,
-                                 timeout_s=timeout_s)
+        report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE,
+                                                 timeout_s=timeout_s),
+                           parallel=2)
         assert not delays
         assert [run.status for run in report.runs] == ["ok", "ok"]
         assert report.results_json() == baseline.results_json()
@@ -263,14 +270,16 @@ class TestParallelResilience:
         """A fork server killed between two runs costs the next run a
         server start and nothing else: same bytes, no crashed task."""
         from multiprocessing import forkserver
-        first = run_experiments(ids=IDS, scale=SCALE, parallel=2)
+        first = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE),
+                          parallel=2)
         pid = forkserver._forkserver._forkserver_pid
         assert pid is not None
         os.kill(pid, signal.SIGKILL)
         # wait for its death but leave it unreaped: noticing it is the
         # next launch's job
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-        second = run_experiments(ids=IDS, scale=SCALE, parallel=2)
+        second = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE),
+                           parallel=2)
         assert forkserver._forkserver._forkserver_pid not in (None, pid)
         assert second.completed()
         assert second.results_json() == first.results_json()
@@ -282,9 +291,10 @@ def _one_worker(plan):
     sent none) and its exit code."""
     ctx = multiprocessing.get_context(MP_CONTEXT)
     parent_conn, child_conn = ctx.Pipe(duplex=False)
+    task = _point_task(PointSpec("table1", 0.3, 1))
     proc = ctx.Process(target=_child_main,
-                       args=(child_conn, "experiment", 0,
-                             ("table1", 0.3, 1), 1, None, plan, True))
+                       args=(child_conn, _run_one, task, 1, None, plan,
+                             True))
     proc.start()
     child_conn.close()
     msg = None
@@ -301,13 +311,13 @@ def _one_worker(plan):
 
 @pytest.mark.parametrize("fault, status", [
     (None, "ok"),
-    ("raise task=table1 stage=task attempt=1", "error"),
+    ("raise task=table1 stage=task attempt=1", "failed"),
 ])
 def test_worker_exits_with_code_0_once_it_reported(fault, status):
     msg, exitcode = _one_worker(FaultPlan.parse(fault) if fault else None)
     assert msg is not None and msg[0] == status
     if status == "ok":
-        assert msg[2].experiment_id == "table1"
+        assert msg[1].experiment_id == "table1"
     assert exitcode == 0
 
 
@@ -325,12 +335,39 @@ def test_task_stage_fault_record_reaches_the_report(parallel, baseline):
     payload covers everything since it started, not only the flow."""
     plan = FaultPlan.parse(
         "slow task=fig6 stage=task attempt=1 seconds=0.01")
-    report = run_experiments(ids=IDS, scale=SCALE, parallel=parallel,
-                             fault_plan=plan)
+    report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE),
+                       parallel=parallel, fault_plan=plan)
     assert report.completed()
     assert _chaos_counters(report)["faults.injected"] == 1.0
     assert "fault.injected" in {sp["name"] for sp in report.spans}
     assert report.results_json() == baseline.results_json()
+
+
+def test_failure_path_is_the_same_in_process_and_supervised():
+    """A task that fails every attempt retries, backs off and gives up
+    identically in-process and in supervised workers: the same runs,
+    the same counters and the same retry/give-up spans."""
+    plan = FaultPlan.parse("raise task=fig6 stage=task attempt=0")
+    seen = []
+    for parallel in (0, 2):
+        with trace.use_tracer(trace.Tracer(enabled=True)):
+            report = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE,
+                                                     retries=2),
+                               parallel=parallel, fault_plan=plan)
+        counters = {k: v for k, v in _chaos_counters(report).items()
+                    if k.startswith("tasks.") or k == "faults.injected"}
+        spans = [(sp["name"], sp["attrs"]) for sp in report.spans
+                 if sp["name"] in ("task.retry", "task.gave_up")]
+        seen.append(([(r.experiment_id, r.status, r.attempts, r.error)
+                      for r in report.runs], counters, spans))
+    in_process, supervised = seen
+    assert in_process == supervised
+    runs, counters, spans = in_process
+    assert runs[0][1:3] == ("failed", 3)
+    assert counters == {"faults.injected": 3.0, "tasks.retried": 2.0,
+                        "tasks.failed": 1.0}
+    assert [name for name, _ in spans] == ["task.retry", "task.retry",
+                                           "task.gave_up"]
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +378,14 @@ class TestCacheChaos:
     def test_corruption_mid_suite_recomputes_and_heals(self, tmp_path,
                                                        baseline):
         cache_dir = str(tmp_path / "cache")
-        warm = run_experiments(ids=IDS, scale=SCALE,
-                               cache_dir=cache_dir)
+        warm = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE),
+                         cache_dir=cache_dir)
         assert warm.cache_stats["stores"] > 0
         assert warm.results_json() == baseline.results_json()
 
         plan = FaultPlan.parse("corrupt task=* stage=cache.load attempt=1")
-        chaos = run_experiments(ids=IDS, scale=SCALE,
-                                cache_dir=cache_dir, fault_plan=plan)
+        chaos = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE),
+                          cache_dir=cache_dir, fault_plan=plan)
         # the garbled entries were dropped, recomputed and re-stored;
         # the numbers never moved
         assert chaos.cache_stats["corrupt_drops"] >= 1
@@ -360,8 +397,8 @@ class TestCacheChaos:
 
         # the atomic rewrite healed the disk tier: a fault-free rerun
         # disk-hits and stays byte-identical
-        healed = run_experiments(ids=IDS, scale=SCALE,
-                                 cache_dir=cache_dir)
+        healed = run_sweep(SweepRequest.from_ids(IDS, scale=SCALE),
+                           cache_dir=cache_dir)
         assert healed.cache_stats["disk_hits"] > 0
         assert healed.cache_stats["corrupt_drops"] == 0
         assert healed.results_json() == baseline.results_json()

@@ -44,16 +44,6 @@ class TestDispatch:
         assert res.experiment_id == "table1"
         assert res.all_passed
 
-    def test_legacy_keywords_still_work(self, process):
-        res = run_experiment("table1", process=process, scale=1.0,
-                             seed=1)
-        assert res.experiment_id == "table1"
-
-    def test_options_and_keywords_conflict(self, process):
-        with pytest.raises(TypeError, match="not both"):
-            run_experiment("table1", ExperimentOptions(),
-                           process=process)
-
     def test_run_records_an_experiment_span(self, process):
         t = Tracer()
         with trace.use_tracer(t):

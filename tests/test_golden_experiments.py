@@ -22,7 +22,8 @@ from repro.analysis.golden import (DEFAULT_ATOL, GOLDEN_IDS,
                                    compare_to_golden, golden_metrics,
                                    load_golden, make_golden_payload,
                                    save_golden)
-from repro.parallel.engine import run_experiments
+from repro.parallel.engine import run_sweep
+from repro.service.schema import SweepRequest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
 
@@ -31,8 +32,10 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
 def golden_run(process):
     """One serial run of the golden experiment set at the frozen
     configuration (module-scoped: this is the expensive part)."""
-    report = run_experiments(ids=list(GOLDEN_IDS), scale=GOLDEN_SCALE,
-                             seed=GOLDEN_SEED, process=process)
+    report = run_sweep(SweepRequest.from_ids(list(GOLDEN_IDS),
+                                             scale=GOLDEN_SCALE,
+                                             seed=GOLDEN_SEED),
+                       process=process)
     return report
 
 

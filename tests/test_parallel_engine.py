@@ -6,23 +6,24 @@ import os
 import pytest
 
 from repro.analysis.experiments import REGISTRY
+from repro.core.cache import DesignCache
 from repro.core.explore import explore_design_space
 from repro.obs import trace
-from repro.parallel.engine import (explore_points, run_experiments,
-                                   run_serial_experiment, run_sweep)
+from repro.parallel.engine import (explore_points, run_sweep,
+                                   run_sweep_point)
 from repro.service.schema import PointSpec, SweepRequest
 
 
 def test_unknown_id_raises():
     with pytest.raises(ValueError, match="unknown experiment ids"):
-        run_experiments(ids=["table1", "nope"], scale=0.5)
+        run_sweep(SweepRequest.from_ids(["table1", "nope"], scale=0.5))
 
 
 def test_duplicate_ids_rejected():
     """The same id twice in one batch is an error, never a silent
     overwrite of the id-keyed report."""
     with pytest.raises(ValueError, match="duplicate"):
-        run_experiments(ids=["table1", "table1"], scale=0.5)
+        run_sweep(SweepRequest.from_ids(["table1", "table1"], scale=0.5))
 
 
 def test_run_sweep_rejects_repeated_id_even_across_seeds():
@@ -39,13 +40,26 @@ def test_run_sweep_accepts_a_custom_request(process):
     assert report.scale == 0.5
 
 
-def test_run_serial_experiment_single_point(process):
-    run = run_serial_experiment(PointSpec("table1", 0.5, 1),
-                                process=process)
+def test_run_sweep_point_single_point(process):
+    run = run_sweep_point(PointSpec("table1", 0.5, 1), process=process)
     assert run.status == "ok"
     assert run.experiment_id == "table1"
     assert run.result["experiment_id"] == "table1"
     assert run.attempts == 1
+
+
+def test_run_sweep_point_in_a_worker_matches_in_process(process,
+                                                        tmp_path):
+    """Above ``parallel`` 1 the point runs in one supervised worker,
+    over the given cache's directory, and yields the in-process
+    bytes."""
+    point = PointSpec("table1", 0.5, 1)
+    here = run_sweep_point(point, process=process)
+    there = run_sweep_point(point, parallel=2,
+                            cache=DesignCache(cache_dir=tmp_path))
+    assert (there.status, there.attempts) == ("ok", 1)
+    assert json.dumps(there.result, sort_keys=True) == \
+        json.dumps(here.result, sort_keys=True)
 
 
 def test_default_ids_cover_registry():
@@ -53,15 +67,15 @@ def test_default_ids_cover_registry():
     tasks = list(REGISTRY)
     assert len(tasks) >= 11
     with pytest.raises(ValueError):
-        run_experiments(ids=["definitely-not-registered"])
+        run_sweep(SweepRequest.from_ids(["definitely-not-registered"]))
     # cheap smoke on one real id instead of the full registry
-    report = run_experiments(ids=["table1"], scale=0.5)
+    report = run_sweep(SweepRequest.from_ids(["table1"], scale=0.5))
     assert [r.experiment_id for r in report.runs] == ["table1"]
 
 
 def test_serial_report_shape(process):
-    report = run_experiments(ids=["table1", "table4"], scale=0.5,
-                             process=process)
+    report = run_sweep(SweepRequest.from_ids(["table1", "table4"], scale=0.5),
+                       process=process)
     assert [r.experiment_id for r in report.runs] == \
         ["table1", "table4"]
     assert report.parallel == 1
@@ -78,7 +92,8 @@ def test_serial_report_shape(process):
 
 
 def test_results_json_is_key_sorted_and_parseable(process):
-    report = run_experiments(ids=["table1"], scale=0.5, process=process)
+    report = run_sweep(SweepRequest.from_ids(["table1"], scale=0.5),
+                       process=process)
     payload = json.loads(report.results_json())
     assert set(payload) == {"table1"}
     assert set(payload["table1"]) >= {"experiment_id", "description",
@@ -89,7 +104,8 @@ def test_results_json_is_key_sorted_and_parseable(process):
 
 
 def test_timing_json_round_trips(process):
-    report = run_experiments(ids=["table1"], scale=0.5, process=process)
+    report = run_sweep(SweepRequest.from_ids(["table1"], scale=0.5),
+                       process=process)
     timing = json.loads(report.timing_json())
     assert timing["parallel"] == 1
     assert timing["scale"] == 0.5
@@ -102,9 +118,10 @@ def test_timing_json_round_trips(process):
 def test_parallel_pool_matches_serial_and_reports_workers(process,
                                                           tmp_path):
     ids = ["table1", "table4"]
-    serial = run_experiments(ids=ids, scale=0.5, process=process)
-    par = run_experiments(ids=ids, scale=0.5, parallel=2,
-                          cache_dir=tmp_path)
+    serial = run_sweep(SweepRequest.from_ids(ids, scale=0.5),
+                       process=process)
+    par = run_sweep(SweepRequest.from_ids(ids, scale=0.5),
+                    parallel=2, cache_dir=tmp_path)
     assert par.parallel == 2
     assert [r.experiment_id for r in par.runs] == ids
     assert par.results_json() == serial.results_json()
@@ -133,8 +150,9 @@ def test_worker_tracing_follows_the_supervisor():
     whatever ``REPRO_TRACE`` said when the fork server started."""
     for enabled in (False, True, False):
         with trace.use_tracer(trace.Tracer(enabled=enabled)):
-            report = run_experiments(ids=["table1", "fig6"], scale=0.3,
-                                     parallel=2)
+            report = run_sweep(SweepRequest.from_ids(["table1", "fig6"],
+                                                     scale=0.3),
+                               parallel=2)
         assert report.completed()
         worker_spans = [d for d in report.spans
                         if d["worker"] != os.getpid()]

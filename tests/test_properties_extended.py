@@ -119,8 +119,9 @@ class TestEngineFaultProperties:
 
     @pytest.fixture(scope="class")
     def chaos_baseline(self):
-        from repro.parallel.engine import run_experiments
-        return run_experiments(ids=self.IDS, scale=self.SCALE)
+        from repro.parallel.engine import run_sweep
+        from repro.service.schema import SweepRequest
+        return run_sweep(SweepRequest.from_ids(self.IDS, scale=self.SCALE))
 
     @given(seed=st.integers(min_value=0, max_value=10**6),
            kind=st.sampled_from(["raise", "slow", "crash"]),
@@ -129,11 +130,13 @@ class TestEngineFaultProperties:
     def test_recoverable_faults_recover_byte_identically(
             self, chaos_baseline, seed, kind, target):
         from repro.faults import FaultPlan
-        from repro.parallel.engine import run_experiments
+        from repro.parallel.engine import run_sweep
+        from repro.service.schema import SweepRequest
         plan = FaultPlan.parse(
             f"{kind} task={target} stage=task attempt=1", seed=seed)
-        report = run_experiments(ids=self.IDS, scale=self.SCALE,
-                                 retries=1, fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(self.IDS, scale=self.SCALE,
+                                                 retries=1),
+                           fault_plan=plan)
         assert report.completed()
         by_id = {r.experiment_id: r for r in report.runs}
         # slow merely delays the attempt; raise/crash cost one retry
@@ -146,11 +149,13 @@ class TestEngineFaultProperties:
     def test_unrecoverable_faults_only_degrade_their_target(
             self, chaos_baseline, seed, target):
         from repro.faults import FaultPlan
-        from repro.parallel.engine import run_experiments
+        from repro.parallel.engine import run_sweep
+        from repro.service.schema import SweepRequest
         plan = FaultPlan.parse(
             f"raise task={target} stage=task attempt=0", seed=seed)
-        report = run_experiments(ids=self.IDS, scale=self.SCALE,
-                                 retries=1, fault_plan=plan)
+        report = run_sweep(SweepRequest.from_ids(self.IDS, scale=self.SCALE,
+                                                 retries=1),
+                           fault_plan=plan)
         assert not report.completed()
         assert {r.experiment_id
                 for r in report.failed_runs()} == {target}

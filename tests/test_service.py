@@ -22,7 +22,7 @@ import pytest
 from repro.analysis import experiments as expmod
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import metrics
-from repro.parallel import run_serial_experiment
+from repro.parallel import run_sweep_point
 from repro.service import (Client, ServiceConfig, ServiceError,
                            serve_background)
 from repro.service.schema import PointResult, PointSpec, SweepRequest
@@ -155,6 +155,17 @@ class TestProtocolBasics:
                                                       1.0, 11),))
                 results = client.collect(good)
         assert len(results) == 1 and results[0].ok
+
+    def test_impossible_resilience_is_rejected(self, stub_experiments):
+        """A negative timeout is refused at the edge with an ``error``
+        reply; no point of the request runs."""
+        with serve_background(_config()) as handle:
+            with Client(port=handle.port, timeout=30.0) as client:
+                bad = SweepRequest(points=(PointSpec("svc_fast", 1.0, 21),),
+                                   timeout_s=-1.0)
+                with pytest.raises(ServiceError, match="timeout_s"):
+                    client.collect(bad)
+        assert ("svc_fast", 1.0, 21) not in _CALLS
 
     def test_result_carries_the_experiment_payload(self,
                                                    stub_experiments):
@@ -314,6 +325,6 @@ class TestSupervisedExecution:
         assert _delta(before, "tasks.crashed") == 2
         process = make_process()
         for point, result in zip(points, results):
-            run = run_serial_experiment(point, process=process)
+            run = run_sweep_point(point, process=process)
             want = PointResult.from_run(run, point, point.key(process))
             assert result.canonical_json() == want.canonical_json()

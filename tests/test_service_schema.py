@@ -4,10 +4,17 @@ import json
 
 import pytest
 
+from repro.service import ServiceConfig
 from repro.service.schema import (SCHEMA_VERSION, PointResult, PointSpec,
                                   SchemaError, SweepRequest, decode_line,
                                   encode_line)
 from repro.service.store import ResultStore
+
+#: resilience knobs no run can honour
+IMPOSSIBLE_RESILIENCE = pytest.mark.parametrize(
+    "knobs", [{"timeout_s": -1.0}, {"timeout_s": 0.0},
+              {"timeout_s": float("nan")}, {"retries": -1}],
+    ids=["timeout_-1", "timeout_0", "timeout_nan", "retries_-1"])
 
 
 def _result(point=None, key="k" * 64, status="ok", **kw):
@@ -87,6 +94,26 @@ class TestSweepRequest:
         req = SweepRequest(points=(PointSpec("table1", 1.0, 1),
                                    PointSpec("table1", 1.0, 2)))
         req.validate(known=["table1"])
+
+    @IMPOSSIBLE_RESILIENCE
+    def test_validate_rejects_impossible_resilience(self, knobs):
+        req = SweepRequest.from_ids(["table1"], **knobs)
+        with pytest.raises(SchemaError, match=next(iter(knobs))):
+            req.validate()
+
+    def test_validate_accepts_a_positive_timeout_and_no_retries(self):
+        SweepRequest.from_ids(["table1"], timeout_s=0.5,
+                              retries=0).validate()
+
+
+class TestServiceConfig:
+    @IMPOSSIBLE_RESILIENCE
+    def test_impossible_defaults_are_rejected(self, knobs):
+        with pytest.raises(SchemaError, match=next(iter(knobs))):
+            ServiceConfig(**knobs)
+
+    def test_no_timeout_is_the_default(self):
+        assert ServiceConfig().timeout_s is None
 
 
 class TestPointResult:
