@@ -111,7 +111,7 @@ def test_kernel_optimize(benchmark, process):
     refreshed in place, one array re-time per move chunk)."""
     from repro.obs.metrics import metrics
     from repro.obs.names import CTR_OPT_FULL_REROUTES
-    from repro.opt.flow import OptimizeConfig, optimize_block
+    from repro.opt.flow import optimize_block
 
     deltas = []
 
@@ -123,8 +123,7 @@ def test_kernel_optimize(benchmark, process):
         before = routes.value
         res = optimize_block(
             gb.netlist, process, TimingConfig("cpu_clk"),
-            RouteContext(stack=process.metal_stack),
-            OptimizeConfig(dual_vth=True))
+            RouteContext(stack=process.metal_stack), dual_vth=True)
         deltas.append(routes.value - before)
         return res
     res = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -7,8 +7,7 @@ from .corners import CornerReport, analyze_corners, signoff_summary
 from .cost import (CostModel, DieCost, cost_2d, cost_3d, cost_comparison,
                    die_yield, dies_per_wafer, format_cost_table)
 from .coupling import CouplingResult, coupling_power, coupling_study
-from .irdrop import (IrDropResult, PdnConfig, analyze_chip_ir_drop,
-                     solve_ir_drop)
+from .irdrop import IrDropResult, analyze_chip_ir_drop, solve_ir_drop
 from .experiments import (REGISTRY, Experiment, ExperimentOptions,
                           ExperimentResult, ShapeCheck,
                           UnknownExperimentError, run_experiment)
@@ -31,7 +30,7 @@ __all__ = [
     "CostModel", "DieCost", "cost_2d", "cost_3d", "cost_comparison",
     "die_yield", "dies_per_wafer", "format_cost_table",
     "CouplingResult", "coupling_power", "coupling_study",
-    "IrDropResult", "PdnConfig", "analyze_chip_ir_drop", "solve_ir_drop",
+    "IrDropResult", "analyze_chip_ir_drop", "solve_ir_drop",
     "render_block_svg", "render_chip_svg",
     "MetricRow", "design_metric_rows", "format_table", "relative",
     "chip_report_card", "block_to_dict", "chip_to_dict",

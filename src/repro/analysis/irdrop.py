@@ -18,7 +18,7 @@ The solver reuses the sparse nodal-analysis pattern of the thermal model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -27,22 +27,19 @@ from scipy.sparse.linalg import spsolve
 from ..place.grid import Rect
 
 
-@dataclass
-class PdnConfig:
-    """Power-grid assumptions."""
-
-    tiles: int = 16
-    #: sheet resistance of the per-tier power mesh (mOhm/square)
-    mesh_sheet_mohm: float = 15.0
-    #: pad resistance (package bump + via stack), mOhm per pad
-    pad_mohm: float = 120.0
-    #: physical pad pitch along the perimeter (um) -- a smaller chip has
-    #: fewer pads, the root of 3D's power-delivery disadvantage
-    pad_pitch_um: float = 180.0
-    #: power TSVs per tile feeding the far tier
-    power_tsvs_per_tile: int = 4
-    #: one power TSV's resistance (mOhm)
-    tsv_mohm: float = 71.0
+#: tiles per side of each tier's power mesh
+TILES = 16
+#: sheet resistance of the per-tier power mesh (mOhm/square)
+MESH_SHEET_MOHM = 15.0
+#: pad resistance (package bump + via stack), mOhm per pad
+PAD_MOHM = 120.0
+#: physical pad pitch along the perimeter (um) -- a smaller chip has
+#: fewer pads, the root of 3D's power-delivery disadvantage
+PAD_PITCH_UM = 180.0
+#: power TSVs per tile feeding the far tier
+POWER_TSVS_PER_TILE = 4
+#: one power TSV's resistance (mOhm)
+TSV_MOHM = 71.0
 
 
 @dataclass
@@ -58,22 +55,19 @@ class IrDropResult:
 
 
 def solve_ir_drop(outline: Rect, power_maps: Dict[int, np.ndarray],
-                  vdd: float = 0.9,
-                  config: Optional[PdnConfig] = None) -> IrDropResult:
+                  vdd: float = 0.9) -> IrDropResult:
     """Solve the static IR drop of a 1- or 2-tier power grid.
 
     Args:
         outline: chip outline (shared across tiers).
-        power_maps: die index -> (tiles x tiles) power map in uW; tile
-            current is ``P / Vdd``.
+        power_maps: die index -> (:data:`TILES` x :data:`TILES`) power
+            map in uW; tile current is ``P / Vdd``.
         vdd: nominal supply.
-        config: grid assumptions.
 
     Returns:
         Per-tier droop maps (volts below nominal).
     """
-    config = config or PdnConfig()
-    n = config.tiles
+    n = TILES
     dies = sorted(power_maps)
     if len(dies) not in (1, 2):
         raise ValueError("solve_ir_drop handles 1 or 2 tiers")
@@ -82,13 +76,12 @@ def solve_ir_drop(outline: Rect, power_maps: Dict[int, np.ndarray],
             raise ValueError(f"power map of tier {die} must be {n}x{n}")
 
     # conductances in A/V; resistances given in mOhm
-    g_mesh = 1000.0 / max(config.mesh_sheet_mohm, 1e-9)
+    g_mesh = 1000.0 / max(MESH_SHEET_MOHM, 1e-9)
     # pads per edge tile from the physical perimeter
     tile_len = (outline.width + outline.height) / (2.0 * n)
-    pads_per_tile = max(tile_len / max(config.pad_pitch_um, 1e-9), 0.05)
-    g_pad = pads_per_tile * 1000.0 / max(config.pad_mohm, 1e-9)
-    g_tsv = config.power_tsvs_per_tile * 1000.0 / \
-        max(config.tsv_mohm, 1e-9)
+    pads_per_tile = max(tile_len / max(PAD_PITCH_UM, 1e-9), 0.05)
+    g_pad = pads_per_tile * 1000.0 / max(PAD_MOHM, 1e-9)
+    g_tsv = POWER_TSVS_PER_TILE * 1000.0 / max(TSV_MOHM, 1e-9)
 
     n_dies = len(dies)
     size = n_dies * n * n
@@ -145,11 +138,8 @@ def solve_ir_drop(outline: Rect, power_maps: Dict[int, np.ndarray],
                         avg_drop_v=float(flat.mean()))
 
 
-def analyze_chip_ir_drop(chip, config: Optional[PdnConfig] = None
-                         ) -> IrDropResult:
+def analyze_chip_ir_drop(chip) -> IrDropResult:
     """IR drop of a built chip, reusing the thermal power maps."""
     from ..thermal.model import chip_power_maps
-    config = config or PdnConfig()
-    outline, maps, _ = chip_power_maps(chip, tiles=config.tiles)
-    vdd = 0.9
-    return solve_ir_drop(outline, maps, vdd=vdd, config=config)
+    outline, maps, _ = chip_power_maps(chip, tiles=TILES)
+    return solve_ir_drop(outline, maps, vdd=0.9)

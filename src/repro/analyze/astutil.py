@@ -18,7 +18,7 @@ problems every deck shares:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 def qualname(node: ast.AST) -> Optional[str]:
@@ -92,13 +92,6 @@ def scope_map(tree: ast.AST) -> Dict[ast.AST, str]:
     return scopes
 
 
-def iter_functions(tree: ast.AST) -> Iterator[ast.FunctionDef]:
-    """Every (sync) function definition in the module, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            yield node
-
-
 def literal_names(node: ast.AST) -> Tuple[List[str], Optional[str]]:
     """Possible literal string values of a name expression.
 
@@ -153,12 +146,6 @@ def first_str_arg(call: ast.Call) -> Optional[str]:
             and isinstance(call.args[0].value, str):
         return call.args[0].value
     return None
-
-
-def contains_name(node: ast.AST, name: str) -> bool:
-    """Does the expression tree mention ``Name(name)`` anywhere?"""
-    return any(isinstance(n, ast.Name) and n.id == name
-               for n in ast.walk(node))
 
 
 def keyword_arg(call: ast.Call, name: str) -> Optional[ast.expr]:

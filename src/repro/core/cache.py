@@ -11,7 +11,7 @@ cache hits can share the object.
 Two tiers:
 
 * **memory** -- a dict keyed by the content hash, shared objects, FIFO
-  capped at ``max_entries``;
+  capped at :data:`MAX_ENTRIES`;
 * **disk** (optional) -- pass ``cache_dir`` and every finished design is
   pickled under ``<cache_dir>/<sha256>.pkl``.  Keys hash the *content*
   of the request -- block name, every ``FlowConfig`` field (fold spec
@@ -52,6 +52,9 @@ from .flow import BlockDesign, FlowConfig, run_block_flow
 #: made "3", the placer's symmetric-mode solve "4"): old entries then
 #: silently become misses instead of serving stale designs.
 CODE_VERSION = "4"
+#: in-memory entry cap of one cache (FIFO eviction); sweeps rarely
+#: exceed it
+MAX_ENTRIES = 256
 
 
 def process_fingerprint(process: ProcessNode) -> Dict[str, object]:
@@ -130,15 +133,12 @@ class DesignCache:
     """Memoizes finished block designs by content-hashed request.
 
     Args:
-        max_entries: in-memory entry cap (FIFO eviction).
         cache_dir: optional directory for the persistent tier; created
             on demand.  Safe to share between processes.
     """
 
-    def __init__(self, max_entries: int = 256,
-                 cache_dir: Optional[Union[str, Path]] = None) -> None:
+    def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
         self._store: Dict[str, BlockDesign] = {}
-        self.max_entries = max_entries
         self.cache_dir: Optional[Path] = \
             Path(cache_dir) if cache_dir is not None else None
         self.stats = CacheStats()
@@ -211,8 +211,8 @@ class DesignCache:
     # ---- the lookup ----------------------------------------------------
 
     def _remember(self, key: str, design: BlockDesign) -> None:
-        if len(self._store) >= self.max_entries:
-            # simple FIFO eviction; sweeps rarely exceed the default cap
+        if len(self._store) >= MAX_ENTRIES:
+            # simple FIFO eviction
             oldest = next(iter(self._store))
             del self._store[oldest]
             self.stats.evictions += 1

@@ -119,23 +119,18 @@ def explore_design_space(process: ProcessNode,
         scale: model scale (the default keeps the sweep to minutes).
         seed: generation seed.
         parallel: worker count; ``0``/``1`` evaluates in-process,
-            anything higher fans the grid points out across a
-            ``multiprocessing`` pool (same numbers, same order).
+            anything higher runs each grid point in its own supervised
+            worker (same numbers, same order).
         cache_dir: optional persistent design-cache directory (shared
             by all workers when parallel).
 
     Returns:
         The evaluated points and their Pareto front.
+
+    Raises:
+        repro.parallel.engine.EngineError: when a grid point fails.
     """
-    grid = list(grid)
-    if parallel > 1 and len(grid) > 1:
-        from ..parallel.engine import explore_points
-        points = explore_points(grid, scale=scale, seed=seed,
-                                parallel=parallel, cache_dir=cache_dir)
-    else:
-        from .cache import DesignCache
-        cache = DesignCache(cache_dir=cache_dir)
-        points = [evaluate_point(process, style, dual_vth, scale=scale,
-                                 seed=seed, cache=cache)
-                  for style, dual_vth in grid]
+    from ..parallel.engine import explore_points
+    points = explore_points(process, list(grid), scale=scale, seed=seed,
+                            parallel=parallel, cache_dir=cache_dir)
     return ExplorationResult(points=points, pareto=pareto_front(points))

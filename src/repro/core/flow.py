@@ -37,9 +37,9 @@ from ..faults.inject import fault_point
 from ..netlist.core import Netlist
 from ..obs import trace
 from ..obs.metrics import metrics
-from ..opt.flow import OptimizeConfig, optimize_block
+from ..opt.flow import optimize_block
 from ..place.grid import Rect
-from ..place.placer2d import PlacementConfig, place_block_2d
+from ..place.placer2d import UTILIZATION, PlacementConfig, place_block_2d
 from ..place.placer3d import Fold3DResult, fold_place_3d
 from ..power.analysis import PowerReport, analyze_power
 from ..route.estimate import RouteContext, RoutingResult
@@ -58,7 +58,10 @@ class FlowConfig:
         scale: model-scale multiplier for the generator.
         seed: generation/placement seed.
         fold: folding specification; ``None`` keeps the block 2D.
-        bonding: ``"F2B"`` or ``"F2F"`` -- only meaningful when folded.
+        bonding: ``"F2B"`` or ``"F2F"``, in either case -- only
+            meaningful when folded.  Stored upper-case, and as
+            ``"F2B"`` when ``fold`` is ``None``, so one unfolded design
+            has one spelling (and one design-cache key).
         dual_vth: enable RVT->HVT swapping in the power stage.
         io_budget_ps: external delay at the block's ports (from the
             chip-level context; larger = tighter internal timing).
@@ -80,6 +83,13 @@ class FlowConfig:
     #: (estimator routing only -- incompatible with ``detailed_route``;
     #: see docs/eco.md)
     eco: Optional[EcoConfig] = None
+
+    def __post_init__(self) -> None:
+        bonding = self.bonding.upper()
+        if bonding not in ("F2B", "F2F"):
+            raise ValueError(f"unknown bonding style {self.bonding!r}")
+        object.__setattr__(self, "bonding",
+                           bonding if self.fold is not None else "F2B")
 
 
 @dataclass
@@ -138,7 +148,7 @@ def _routing_layers(block_type: BlockType, config: FlowConfig) -> int:
     """
     if block_type.max_metal >= 9:
         return 9
-    if config.fold is not None and config.bonding.upper() == "F2F":
+    if config.bonding == "F2F":
         return 9
     return block_type.max_metal
 
@@ -352,7 +362,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
             outline = fold_result.outline
             tsv_area = fold_result.tsv_area_um2
             via = process.via_for(config.bonding)
-            if config.bonding.upper() == "F2F":
+            if config.bonding == "F2F":
                 # the paper's Section 5.1 flow refines via sites by 3D
                 # routing
                 plan = place_f2f_vias(netlist, outline, process)
@@ -363,7 +373,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
             n_vias = fold_result.n_vias
             sp_place.set(n_vias=n_vias)
             metrics().counter(
-                "flow.vias.f2f" if config.bonding.upper() == "F2F"
+                "flow.vias.f2f" if config.bonding == "F2F"
                 else "flow.vias.tsv").inc(n_vias)
     stage_times_ms["place"] = sp_place.duration_ms
 
@@ -374,7 +384,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
             netlist, outline,
             bonding=config.bonding if fold_result is not None else None,
             vias=fold_result.vias if fold_result is not None else None,
-            utilization=pc.utilization),
+            utilization=UTILIZATION),
             stage=f"{block_type.name}/place")
 
     route_ctx = RouteContext(stack=process.metal_stack,
@@ -387,7 +397,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
     with trace.span("flow.optimize", block=block_type.name) as sp_opt:
         fault_point("optimize")
         opt = optimize_block(netlist, process, timing, route_ctx,
-                             OptimizeConfig(dual_vth=config.dual_vth))
+                             dual_vth=config.dual_vth)
     stage_times_ms["optimize"] = sp_opt.duration_ms
 
     eco_report: Optional[EcoClosureReport] = None
@@ -428,8 +438,7 @@ def run_flow_on(gb: GeneratedBlock, config: FlowConfig,
             for _ in range(3):
                 if sta.wns_ps >= -1.0:
                     break
-                if not fix_timing(netlist, detailed, sta,
-                                  process.library):
+                if not fix_timing(netlist, sta, process.library):
                     break
                 detailed, congestion = detail_route()
                 sta = run_sta(netlist, detailed, process, timing)

@@ -38,6 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .flow import BlockDesign
 
 FOLD_MODES = ("mincut", "regions", "interleave", "fub_assign", "fub_fold")
+#: area balance tolerance of the min-cut partitions
+BALANCE_TOL = 0.10
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,6 @@ class FoldSpec:
     die1_regions: Tuple[str, ...] = ()
     #: cluster stripe period (mode="interleave"); smaller = more 3D nets
     interleave_period: int = 2
-    #: area balance tolerance for min-cut
-    balance_tol: float = 0.10
     #: regions folded internally (mode="fub_fold")
     folded_regions: Tuple[str, ...] = ()
 
@@ -63,8 +63,7 @@ def make_partition(gb: GeneratedBlock, spec: FoldSpec) -> Dict[int, int]:
     """Build the instance -> tier assignment for a fold spec."""
     netlist = gb.netlist
     if spec.mode == "mincut":
-        return fm_bipartition(netlist,
-                              balance_tol=spec.balance_tol).assignment
+        return fm_bipartition(netlist, balance_tol=BALANCE_TOL).assignment
 
     if spec.mode == "regions":
         if not spec.die1_regions:
@@ -112,7 +111,7 @@ def make_partition(gb: GeneratedBlock, spec: FoldSpec) -> Dict[int, int]:
     # refine the intra-FUB splits to min-cut (the mixed-size 3D placer's
     # job in the paper); whole-FUB assignments stay locked
     refined = fm_bipartition(netlist, initial=assignment, locked=locked,
-                             balance_tol=spec.balance_tol)
+                             balance_tol=BALANCE_TOL)
     return refined.assignment
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..designgen.t2 import Bundle, t2_block_types, t2_bundles, t2_instances
-from ..floorplan.t2_floorplans import (BOTH_DIES, FOLDED_TYPES, STYLES,
-                                       ChipFloorplan, t2_floorplan)
+from ..floorplan.t2_floorplans import (BOTH_DIES, STYLES, ChipFloorplan,
+                                       t2_floorplan)
 from ..obs import trace
 from ..obs.metrics import metrics
 from ..opt.buffering import optimal_spacing_um
@@ -38,8 +38,9 @@ from .flow import BlockDesign, FlowConfig, run_block_flow
 from .folding import FoldSpec
 from .secondlevel import second_level_spec
 
-#: default fold partition per folded block type (the paper's choices:
-#: natural partitions where the structure provides one, min-cut otherwise)
+#: the fold partition of each block type a folded style folds, which are
+#: the floorplans' ``FOLDED_TYPES`` (the paper's choices: natural
+#: partitions where the structure provides one, min-cut otherwise)
 DEFAULT_FOLDS: Dict[str, FoldSpec] = {
     "ccx": FoldSpec(mode="regions", die1_regions=("cpx",)),
     "l2d": FoldSpec(mode="regions", die1_regions=("subbank2", "subbank3")),
@@ -65,7 +66,6 @@ class ChipConfig:
     scale: float = 1.0
     seed: int = 1
     dual_vth: bool = False
-    folded_types: Tuple[str, ...] = FOLDED_TYPES
     #: per-block-type minimum I/O budgets (ps), e.g. from a previous
     #: sign-off iteration (see core.chip_sta.build_signed_off_chip)
     budget_floor_ps: Tuple[Tuple[str, float], ...] = ()
@@ -138,9 +138,9 @@ class ChipDesign:
 
 
 def _fold_for(config: ChipConfig, type_name: str) -> Optional[FoldSpec]:
-    if config.is_folded and type_name in config.folded_types:
-        return DEFAULT_FOLDS.get(type_name, FoldSpec(mode="mincut"))
-    return None
+    """The fold of one block type in a chip: its :data:`DEFAULT_FOLDS`
+    entry in a folded style, ``None`` otherwise."""
+    return DEFAULT_FOLDS.get(type_name) if config.is_folded else None
 
 
 def _estimate_dims(process: ProcessNode, config: ChipConfig

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Tuple
 from ..faults.inject import fault_point
 from ..obs import trace
 from ..obs.metrics import metrics
-from ..opt.buffering import BufferingConfig, plan_net_buffering
+from ..opt.buffering import plan_net_buffering
 from ..opt.dualvth import plan_hvt_swaps, plan_rvt_restores
 from ..timing.sta import STAResult, TimingConfig
 from .moves import BufferInsert, EcoMove, Resize, VthSwap, move_key
@@ -42,8 +42,6 @@ Planner = Callable[[EcoSession, STAResult, "EcoConfig"], List[EcoMove]]
 MAX_UPSIZES_PER_ROUND = 64
 #: nets repeatered per round
 MAX_BUFFER_NETS_PER_ROUND = 8
-#: drive strength of the repeaters the round planner inserts
-BUFFER_DRIVE = 4
 #: rounds without WNS improvement before declaring a stall
 STALL_ROUNDS = 2
 
@@ -116,7 +114,6 @@ def plan_timing_moves(session: EcoSession, sta: STAResult,
         if up is None:
             continue
         moves.append(Resize(inst_id=iid, drive=up.drive))
-    bcfg = BufferingConfig(buffer_drive=BUFFER_DRIVE)
     picked = 0
     for routed in session.routing.nets.values():
         if picked >= MAX_BUFFER_NETS_PER_ROUND:
@@ -126,9 +123,9 @@ def plan_timing_moves(session: EcoSession, sta: STAResult,
             continue
         if sta.slack.get(net.driver.inst, 0.0) >= config.target_wns_ps:
             continue
-        if plan_net_buffering(session.netlist, routed, lib, bcfg) is None:
+        if plan_net_buffering(session.netlist, routed, lib) is None:
             continue
-        moves.append(BufferInsert(net_id=net.id, drive=BUFFER_DRIVE))
+        moves.append(BufferInsert(net_id=net.id))
         picked += 1
     return moves
 

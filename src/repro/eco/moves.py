@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+from ..opt.buffering import BUFFER_DRIVE
+
 
 class EcoError(ValueError):
     """An ECO move batch failed validation; nothing was applied."""
@@ -55,7 +57,7 @@ class BufferInsert:
     """
 
     net_id: int
-    drive: int = 4
+    drive: int = BUFFER_DRIVE
 
 
 @dataclass(frozen=True)

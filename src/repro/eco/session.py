@@ -47,8 +47,7 @@ from ..cts.incremental import IncrementalCTS
 from ..cts.tree import CTSResult
 from ..netlist.core import Instance, Net, Netlist, PinRef
 from ..obs.metrics import metrics
-from ..opt.buffering import (BufferingConfig, apply_buffer_plan,
-                             plan_net_buffering)
+from ..opt.buffering import apply_buffer_plan, plan_net_buffering
 from ..place.grid import Rect
 from ..place.legalize import legalize_new_cells, macro_rects_of
 from ..route.estimate import RoutedNet, RouteContext, RoutingResult
@@ -392,9 +391,8 @@ class EcoSession:
         if routed is None:
             # net deleted by an earlier move in this batch
             return 0
-        cfg = BufferingConfig(buffer_drive=move.drive)
         plan = plan_net_buffering(self.netlist, routed,
-                                  self.process.library, cfg)
+                                  self.process.library, move.drive)
         if plan is None:
             return 0
         return self.commit_buffers([plan])

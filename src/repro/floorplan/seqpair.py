@@ -89,14 +89,20 @@ def _wirelength(result: FloorplanResult,
     return total
 
 
+#: annealing temperature at the first move
+T_START = 1.0
+#: annealing temperature at the last move
+T_END = 0.005
+#: weight of the normalized area in the annealing cost
+AREA_WEIGHT = 1.0
+
+
 @dataclass
 class AnnealConfig:
     """Simulated-annealing schedule."""
 
     iterations: int = 4000
-    t_start: float = 1.0
-    t_end: float = 0.005
-    area_weight: float = 1.0
+    #: weight of the normalized bundle wirelength in the cost
     wl_weight: float = 0.5
     seed: int = 0
 
@@ -119,14 +125,14 @@ def anneal_floorplan(blocks: Sequence[FPBlock],
         wl = _wirelength(r, bundles)
         norm_wl = wl / (math.sqrt(total_area) *
                         max(1, sum(w for _, _, w in bundles)))
-        return (config.area_weight * r.area / total_area +
+        return (AREA_WEIGHT * r.area / total_area +
                 config.wl_weight * norm_wl)
 
     cur = pack(blocks, p1, p2)
     cur_cost = cost(cur)
     best, best_cost = cur, cur_cost
-    t = config.t_start
-    decay = (config.t_end / config.t_start) ** (1.0 / config.iterations)
+    t = T_START
+    decay = (T_END / T_START) ** (1.0 / config.iterations)
     for _ in range(config.iterations):
         move = int(rng.integers(0, 3))
         i, j = rng.integers(0, n, size=2)

@@ -37,6 +37,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+#: spans one tracer records at most, so unbounded sweeps cannot exhaust
+#: memory
+MAX_SPANS = 200_000
 #: the innermost open span of the current execution context
 _CURRENT: contextvars.ContextVar[Optional["Span"]] = \
     contextvars.ContextVar("repro_obs_current_span", default=None)
@@ -92,15 +95,13 @@ class Tracer:
 
     Args:
         enabled: record spans (timing happens regardless).
-        max_spans: recording cap; beyond it spans are timed but dropped
-            (``dropped`` counts them) so unbounded sweeps cannot exhaust
-            memory.
+
+    Recording stops at :data:`MAX_SPANS`; beyond it spans are timed but
+    dropped (``dropped`` counts them).
     """
 
-    def __init__(self, enabled: bool = True,
-                 max_spans: int = 200_000) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_spans = max_spans
         self.spans: List[Span] = []
         self.dropped = 0
         self._ids = itertools.count(1)
@@ -119,7 +120,7 @@ class Tracer:
                   worker=os.getpid())
         record = self.enabled
         if record:
-            if len(self.spans) < self.max_spans:
+            if len(self.spans) < MAX_SPANS:
                 self.spans.append(sp)
             else:
                 self.dropped += 1

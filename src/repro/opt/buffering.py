@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -38,18 +38,14 @@ from ..timing.incremental import IncrementalSTA
 
 #: insert a chain when a sink path exceeds this multiple of L_opt
 LENGTH_TRIGGER = 1.8
-
-
-@dataclass
-class BufferingConfig:
-    """Knobs for repeater insertion."""
-
-    buffer_drive: int = 4
-    #: fanout-buffer when driver load exceeds this many fF
-    cap_limit_ff: float = 140.0
-    #: max sinks behind one fanout buffer
-    group_size: int = 12
-    max_new_buffers_per_pass: int = 4000
+#: drive strength of the repeaters the optimizer and the ECO loop insert
+BUFFER_DRIVE = 4
+#: fanout-buffer when driver load exceeds this many fF
+CAP_LIMIT_FF = 140.0
+#: max sinks behind one fanout buffer
+GROUP_SIZE = 12
+#: cap on the buffers one :func:`plan_buffers` pass plans
+MAX_NEW_BUFFERS_PER_PASS = 4000
 
 
 def optimal_spacing_um(buffer_master: CellMaster, r_per_um: float,
@@ -112,16 +108,15 @@ class BufferApplyResult:
 
 
 def plan_net_buffering(netlist: Netlist, routed: RoutedNet,
-                       library: CellLibrary,
-                       config: Optional[BufferingConfig] = None):
+                       library: CellLibrary, drive: int = BUFFER_DRIVE):
     """Plan the buffering transform for one routed net (or ``None``).
 
     Pure decision logic -- reads the routed snapshot and the live net
     but mutates nothing, so a planned move can be inspected, costed or
-    dropped before :func:`apply_buffer_plan` commits it.
+    dropped before :func:`apply_buffer_plan` commits it.  ``drive`` is
+    the strength of the buffers the plan inserts.
     """
-    config = config or BufferingConfig()
-    buf = library.buffer(config.buffer_drive)
+    buf = library.buffer(drive)
     net = netlist.nets.get(routed.net_id)
     if net is None or net.is_clock:
         return None
@@ -137,13 +132,13 @@ def plan_net_buffering(netlist: Netlist, routed: RoutedNet,
         return ChainPlan(net_id=net.id, buf=buf,
                          positions=_chain_positions((dx, dy), (cx, cy), k),
                          die=die, cluster=_driver_cluster(netlist, net))
-    if (routed.total_cap_ff > config.cap_limit_ff
-            and len(net.sinks) > config.group_size
+    if (routed.total_cap_ff > CAP_LIMIT_FF
+            and len(net.sinks) > GROUP_SIZE
             and routed.via is None):
         sinks = list(net.sinks)
         sinks.sort(key=lambda r: netlist.endpoint_position(r)[:2])
-        groups = [sinks[i:i + config.group_size]
-                  for i in range(0, len(sinks), config.group_size)]
+        groups = [sinks[i:i + GROUP_SIZE]
+                  for i in range(0, len(sinks), GROUP_SIZE)]
         if len(groups) < 2:
             return None
         centroids = [
@@ -159,15 +154,14 @@ def plan_net_buffering(netlist: Netlist, routed: RoutedNet,
 
 
 def plan_buffers(netlist: Netlist, view: IncrementalSTA,
-                 library: CellLibrary,
-                 config: Optional[BufferingConfig] = None) -> List:
+                 library: CellLibrary) -> List:
     """Plan one buffering pass over the view's routed nets.
 
     The plan/apply counterpart of the sizing and dual-Vth passes:
     decisions are taken against the current routing in routing order
     (which is netlist order: ids ascend, and a re-route only appends
-    fresh, higher-id nets), capped at ``max_new_buffers_per_pass``, and
-    committed separately by :func:`apply_buffer_plan`.
+    fresh, higher-id nets), capped at :data:`MAX_NEW_BUFFERS_PER_PASS`,
+    and committed separately by :func:`apply_buffer_plan`.
 
     A net can only trigger when its longest sink path exceeds the
     chain trigger or its total cap exceeds the fanout limit; the
@@ -175,21 +169,20 @@ def plan_buffers(netlist: Netlist, view: IncrementalSTA,
     float expressions, so the pre-filter is a superset of the exact
     test and :func:`plan_net_buffering` runs on the survivors only.
     """
-    config = config or BufferingConfig()
-    buf = library.buffer(config.buffer_drive)
+    buf = library.buffer(BUFFER_DRIVE)
     arrays = view.arrays
     # optimal_spacing_um, vectorized with the same operand order
     spacing = np.sqrt(2.0 * buf.drive_res_kohm * buf.input_cap_ff /
                       np.maximum(arrays.r_per * arrays.c_per, 1e-12))
     hit = (arrays.longest > LENGTH_TRIGGER * spacing) | \
-        (arrays.total_cap > config.cap_limit_ff)
+        (arrays.total_cap > CAP_LIMIT_FF)
     nets = view.routing.nets
     plans: List = []
     planned = 0
     for nid in arrays.net_ids[hit].tolist():
-        if planned >= config.max_new_buffers_per_pass:
+        if planned >= MAX_NEW_BUFFERS_PER_PASS:
             break
-        move = plan_net_buffering(netlist, nets[nid], library, config)
+        move = plan_net_buffering(netlist, nets[nid], library)
         if move is not None:
             plans.append(move)
             planned += move.n_buffers

@@ -27,8 +27,7 @@ call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ..cts.tree import CTSResult, synthesize_clock_tree
 from ..eco.session import EcoSession
@@ -40,18 +39,10 @@ from ..tech.process import ProcessNode
 from ..timing.sta import STAResult, TimingConfig
 from .buffering import plan_buffers
 from .dualvth import plan_hvt_swaps, plan_rvt_restores
-from .sizing import SizingConfig, plan_downsizes, plan_upsizes
+from .sizing import plan_downsizes, plan_upsizes
 
 #: timing-stage + power-stage rounds of the staged loop
 ROUNDS = 2
-
-
-@dataclass
-class OptimizeConfig:
-    """Configuration of the staged optimization loop."""
-
-    dual_vth: bool = False
-    sizing: SizingConfig = field(default_factory=SizingConfig)
 
 
 @dataclass
@@ -69,8 +60,7 @@ class OptimizeResult:
 
 def optimize_block(netlist: Netlist, process: ProcessNode,
                    timing: TimingConfig, route_ctx: RouteContext,
-                   config: Optional[OptimizeConfig] = None
-                   ) -> OptimizeResult:
+                   dual_vth: bool = False) -> OptimizeResult:
     """Run the staged timing/power optimization on a placed block.
 
     Args:
@@ -79,12 +69,11 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
         timing: clock domain and I/O budgets.
         route_ctx: the block's routing context (layers and 3D via
             sites); routes the block once and every touched net after.
-        config: loop configuration.
+        dual_vth: swap RVT cells to HVT in the power stage.
 
     Returns:
         The converged routing, timing and clock tree plus move counters.
     """
-    config = config or OptimizeConfig()
     lib = process.library
     session = EcoSession(netlist, route_ctx.route_block(netlist), process,
                          timing, route_ctx)
@@ -117,8 +106,8 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
         # and slack not yet consumed by downsizing absorbs the most
         # swaps), then chunked downsizing with fresh STA per chunk ------
         with trace.span("opt.power_stage", round=_round,
-                        dual_vth=config.dual_vth):
-            if config.dual_vth:
+                        dual_vth=dual_vth):
+            if dual_vth:
                 for _chunk in range(3):
                     swaps = session.swap_masters(plan_hvt_swaps(
                         netlist, session.view, lib))
@@ -130,7 +119,7 @@ def optimize_block(netlist: Netlist, process: ProcessNode,
 
             for _chunk in range(4):
                 downs = session.swap_masters(plan_downsizes(
-                    netlist, session.view, lib, config.sizing))
+                    netlist, session.view, lib))
                 if not downs:
                     break
                 downsized += downs

@@ -28,13 +28,11 @@ parity oracle in ``tests/oracles/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..netlist.core import Netlist
-from ..route.estimate import RoutingResult
 from ..tech.cells import CellLibrary, CellMaster
 from ..timing.incremental import IncrementalSTA
 from ..timing.sta import STAResult
@@ -51,14 +49,8 @@ UPSIZE_TARGET_PS = 0.0
 PATH_SHARING_FACTOR = 2.5
 #: cap on the moves one planner call returns
 MAX_MOVES_PER_PASS = 100000
-
-
-@dataclass
-class SizingConfig:
-    """Knobs for the sizing passes."""
-
-    #: keep at least this much slack after a downsize (ps)
-    downsize_margin_ps: float = 25.0
+#: keep at least this much slack after a downsize (ps)
+DOWNSIZE_MARGIN_PS = 25.0
 
 
 def plan_upsizes(netlist: Netlist, sta: STAResult,
@@ -84,19 +76,16 @@ def plan_upsizes(netlist: Netlist, sta: STAResult,
 
 
 def plan_downsizes(netlist: Netlist, view: IncrementalSTA,
-                   library: CellLibrary,
-                   config: Optional[SizingConfig] = None) -> List[Move]:
+                   library: CellLibrary) -> List[Move]:
     """Plan downsizes of comfortably-met cells (most slack first).
 
     A move is planned when the local delay increase (drive resistance
     and intrinsic delay deltas at the current load), charged
     :data:`PATH_SHARING_FACTOR` times, fits inside the cell's slack
-    minus the guard margin.
+    minus the guard margin, :data:`DOWNSIZE_MARGIN_PS`.
     """
-    config = config or SizingConfig()
-    margin = config.downsize_margin_ps
-    return plan_master_swaps(view, library.downsize, margin,
-                             PATH_SHARING_FACTOR, margin)
+    return plan_master_swaps(view, library.downsize, DOWNSIZE_MARGIN_PS,
+                             PATH_SHARING_FACTOR, DOWNSIZE_MARGIN_PS)
 
 
 def plan_master_swaps(view: IncrementalSTA,
@@ -155,7 +144,7 @@ def apply_moves(netlist: Netlist, moves: List[Move]) -> int:
     return len(moves)
 
 
-def fix_timing(netlist: Netlist, routing: RoutingResult, sta: STAResult,
+def fix_timing(netlist: Netlist, sta: STAResult,
                library: CellLibrary) -> int:
     """Upsize cells on violating paths; returns the number of moves."""
     return apply_moves(netlist, plan_upsizes(netlist, sta, library))

@@ -123,8 +123,7 @@ def _aggregate_cache(stats: Iterable[Dict[str, float]]
 
 
 class EngineError(RuntimeError):
-    """Unrecoverable engine failure (exploration tasks exhausted their
-    retries and the caller did not opt into partial results)."""
+    """Unrecoverable engine failure: a design-space grid point failed."""
 
 
 @dataclass(frozen=True)
@@ -815,43 +814,43 @@ def run_sweep_point(point: PointSpec, parallel: int = 0, process=None,
     return _experiment_run(point, o)
 
 
-def explore_points(grid: Sequence[Tuple[str, bool]],
-                   scale: float = 0.7,
-                   seed: int = 1,
-                   parallel: int = 2,
-                   cache_dir: Optional[str] = None,
-                   timeout_s: Optional[float] = None,
-                   retries: int = 0,
-                   fault_plan: Optional[FaultPlan] = None,
-                   allow_partial: bool = False) -> List:
-    """Evaluate design-space grid points across supervised workers.
+def explore_points(process, grid: Sequence[Tuple[str, bool]],
+                   scale: float = 0.7, seed: int = 1, parallel: int = 0,
+                   cache_dir: Optional[str] = None) -> List:
+    """Evaluate design-space grid points under the active fault plan.
 
     Returns :class:`~repro.core.explore.DesignPoint` objects in grid
-    order (identical to the serial explorer's output for the same
-    seed).  Runs under the same resilient supervisor as
-    :func:`run_sweep`; a point that exhausts its attempts raises
-    :class:`EngineError` unless ``allow_partial`` is set, in which
-    case its slot holds ``None``.
+    order.  At ``parallel`` <= 1, or for one point, each point runs in
+    this process against ``process`` and one design cache over
+    ``cache_dir``, as :func:`run_sweep` runs its points; above, each
+    runs in its own supervised worker (which builds its own process
+    node), and the numbers are the same.  A point whose attempt fails
+    raises :class:`EngineError` naming it, once every point has run.
 
     Duplicate grid entries coalesce: the same ``(style, dual_vth)``
     listed twice is computed once and its result fills every matching
     slot (results are deterministic per task triple, so replication is
     exact -- and never silently overwrites a differing value).
     """
-    res = ResilienceConfig(timeout_s=timeout_s, retries=retries)
+    res = ResilienceConfig()
     # coalesce duplicate grid points: one task per unique point
     tasks: Dict[Tuple[str, bool], _Task] = {}
     for style, dual_vth in grid:
         tasks.setdefault((style, dual_vth), _Task(
             f"{style}/{'dvt' if dual_vth else 'rvt'}", seed,
             (style, dual_vth, scale, seed)))
-    with _installed(fault_plan):
+    if parallel > 1 and len(tasks) > 1:
         outcomes, _, _ = _supervise(_run_point, list(tasks.values()),
-                                    max(parallel, 1), cache_dir, res)
+                                    parallel, cache_dir, res)
+    else:
+        cache = DesignCache(cache_dir=cache_dir)
+        outcomes = [_attempt_in_process(_run_point, task, process, cache,
+                                        res)
+                    for task in tasks.values()]
     by_point = dict(zip(tasks, outcomes))
     failures = [(tasks[key].label, o) for key, o in by_point.items()
                 if o.status != "ok"]
-    if failures and not allow_partial:
+    if failures:
         detail = "; ".join(
             f"{label}: {o.status} after {o.attempts} attempt(s) "
             f"({o.error})" for label, o in failures)

@@ -26,6 +26,8 @@ from .spreading import spread
 
 #: placement utilization target of the flow
 UTILIZATION = 0.70
+#: extra area (um^2) reserved in every 2D outline
+RESERVED_AREA_UM2 = 0.0
 #: outline width / height
 ASPECT_RATIO = 1.0
 #: B2B reweighting rounds of the initial quadratic solve
@@ -42,17 +44,10 @@ MAX_QP_DEGREE = 64
 class PlacementConfig:
     """Knobs for the 2D placer."""
 
-    utilization: float = UTILIZATION
     seed: int = 0
-    #: extra area (um^2) reserved in the outline, e.g. for TSV sites
-    reserved_area_um2: float = 0.0
     #: carve macro areas out of the supply map (the paper's Section 4.2
     #: hole model); False reproduces the halo-prone baseline placers
     macro_holes: bool = True
-    #: run the Tetris legalizer for a fully overlap-free placement
-    #: (needed for DEF export; the metric pipeline tolerates the
-    #: approximate row snap)
-    full_legalize: bool = False
 
 
 @dataclass
@@ -69,12 +64,12 @@ class PlacementResult:
         return self.outline.area
 
 
-def compute_outline(netlist: Netlist, config: PlacementConfig) -> Rect:
+def compute_outline(netlist: Netlist) -> Rect:
     """Core outline sized for cells at utilization plus macros + reserve."""
     cell_area = netlist.total_cell_area()
     macro_area = netlist.total_macro_area()
-    area = (cell_area / config.utilization + macro_area * 1.08 +
-            config.reserved_area_um2)
+    area = (cell_area / UTILIZATION + macro_area * 1.08 +
+            RESERVED_AREA_UM2)
     width = math.sqrt(area * ASPECT_RATIO)
     height = area / width
     return Rect(0.0, 0.0, width, height)
@@ -269,11 +264,14 @@ def place_block_2d(netlist: Netlist, config: PlacementConfig,
 
     Mutates instance/port coordinates in place and returns the result
     summary.  When ``outline`` is supplied (e.g. by the 3D flow, which
-    places both tiers in one shared outline), it is used as-is.
+    places both tiers in one shared outline), it is used as-is.  Cells
+    end snapped to rows, not legalized: run
+    :func:`repro.place.legalize.legalize_cells` for an overlap-free
+    placement.
     """
     rng = np.random.default_rng(config.seed)
     if outline is None:
-        outline = compute_outline(netlist, config)
+        outline = compute_outline(netlist)
     macro_rects = place_macros(netlist, outline)
     place_ports(netlist, outline)
 
@@ -282,7 +280,7 @@ def place_block_2d(netlist: Netlist, config: PlacementConfig,
     n = len(movable)
     grid_bins = int(np.clip(n // 3, 64, 4096))
     grid = DensityGrid(outline, target_bins=grid_bins,
-                       utilization=min(1.0, config.utilization + 0.15))
+                       utilization=min(1.0, UTILIZATION + 0.15))
     if config.macro_holes:
         for rect in macro_rects:
             grid.add_obstruction(rect)
@@ -295,9 +293,6 @@ def place_block_2d(netlist: Netlist, config: PlacementConfig,
 
     xs, ys = run_global_place(netlist, movable, outline, rng, spread_fn)
     snap_to_rows(movable, xs, ys, outline)
-    if config.full_legalize:
-        from .legalize import legalize_cells
-        legalize_cells(movable, outline, macro_rects)
     areas = np.array([inst.area_um2 for inst in movable])
     overflow = grid.overflow(xs, ys, areas)
     return PlacementResult(outline, grid, hpwl(netlist), overflow)

@@ -30,8 +30,9 @@ import numpy as np
 from ..netlist.core import Net, Netlist
 from ..tech.process import ProcessNode
 from .grid import DensityGrid, Rect, first_containing
-from .placer2d import (ASPECT_RATIO, PlacementConfig, hpwl, place_macro_list,
-                       place_ports, run_global_place, snap_to_rows)
+from .placer2d import (ASPECT_RATIO, UTILIZATION, PlacementConfig, hpwl,
+                       place_macro_list, place_ports, run_global_place,
+                       snap_to_rows)
 from .spreading import spread
 
 
@@ -198,7 +199,7 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
             die_macro[inst.die] += inst.area_um2
         else:
             die_cell[inst.die] += inst.area_um2
-    die_area = {d: die_cell[d] / config.utilization + die_macro[d] * 1.08
+    die_area = {d: die_cell[d] / UTILIZATION + die_macro[d] * 1.08
                 for d in (0, 1)}
     base = max(die_area[0], die_area[1])
     tsv_area = n_signal_vias * via.area_um2 if via.occupies_silicon else 0.0
@@ -217,7 +218,7 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
                       if not i.is_macro and i.die == die)
         grid = DensityGrid(outline,
                            target_bins=int(np.clip(n_cells // 3, 64, 4096)),
-                           utilization=min(1.0, config.utilization + 0.15))
+                           utilization=min(1.0, UTILIZATION + 0.15))
         for rect in macro_rects[die]:
             grid.add_obstruction(rect)
         grids[die] = grid
@@ -261,8 +262,7 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
                         float(np.average(ys[arr], weights=w)))
 
             def demand(idxs):
-                return float(areas[np.asarray(idxs)].sum()) / \
-                    config.utilization
+                return float(areas[np.asarray(idxs)].sum()) / UTILIZATION
 
             folded = {n for n, pd in groups.items() if pd[0] and pd[1]}
             # per-tier full bisection (folded regions use their shared,
@@ -295,7 +295,7 @@ def fold_place_3d(netlist: Netlist, process: ProcessNode,
                     grid = DensityGrid(
                         rect,
                         target_bins=int(np.clip(len(arr) // 3, 16, 1024)),
-                        utilization=min(1.0, config.utilization + 0.15))
+                        utilization=min(1.0, UTILIZATION + 0.15))
                     for m in grids[die].obstructions:
                         if m.overlaps(rect):
                             grid.add_obstruction(m)

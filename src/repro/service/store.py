@@ -29,12 +29,14 @@ from typing import Dict, Optional
 
 from .schema import PointResult, SchemaError, decode_line, encode_line
 
+#: memory-tier entry cap of one store (FIFO eviction)
+MAX_ENTRIES = 1024
+
 
 class ResultStore:
     """Memory + optional disk store of canonical point results."""
 
-    def __init__(self, cache_dir=None, max_entries: int = 1024):
-        self.max_entries = max_entries
+    def __init__(self, cache_dir=None):
         self._memory: Dict[str, PointResult] = {}
         self.dir: Optional[Path] = None
         if cache_dir is not None:
@@ -102,7 +104,7 @@ class ResultStore:
 
     def _remember(self, key: str, result: PointResult) -> None:
         if key not in self._memory and \
-                len(self._memory) >= self.max_entries:
+                len(self._memory) >= MAX_ENTRIES:
             oldest = next(iter(self._memory))
             del self._memory[oldest]
         self._memory[key] = result

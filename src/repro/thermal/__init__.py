@@ -1,7 +1,7 @@
 """Compact thermal analysis of the 2-tier stack (paper future work)."""
 
-from .model import (ThermalConfig, ThermalResult, analyze_chip_thermal,
-                    chip_power_maps, solve_stack)
+from .model import (ThermalResult, analyze_chip_thermal, chip_power_maps,
+                    solve_stack)
 
-__all__ = ["ThermalConfig", "ThermalResult", "analyze_chip_thermal",
-           "chip_power_maps", "solve_stack"]
+__all__ = ["ThermalResult", "analyze_chip_thermal", "chip_power_maps",
+           "solve_stack"]

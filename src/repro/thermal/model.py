@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -36,22 +36,18 @@ K_SILICON = 120.0
 K_BOND = 1.2
 #: thermal conductivity of copper (TSV / F2F via fill), W/(m K)
 K_COPPER = 400.0
-
-
-@dataclass
-class ThermalConfig:
-    """Stack geometry and boundary conditions."""
-
-    tiles: int = 16
-    ambient_c: float = 45.0
-    #: silicon thickness of the tier next to the heat sink (um)
-    near_die_um: float = 300.0
-    #: thinned silicon thickness of the far tier (um)
-    far_die_um: float = 30.0
-    #: bond/adhesive layer thickness between tiers (um)
-    bond_um: float = 10.0
-    #: sink + TIM resistance, K per (W/cm^2) equivalent; smaller = better
-    sink_resistance_cm2k_w: float = 0.4
+#: tiles per side of each tier's grid
+TILES = 16
+#: ambient temperature, deg C
+AMBIENT_C = 45.0
+#: silicon thickness of the tier next to the heat sink (um)
+NEAR_DIE_UM = 300.0
+#: thinned silicon thickness of the far tier (um)
+FAR_DIE_UM = 30.0
+#: bond/adhesive layer thickness between tiers (um)
+BOND_UM = 10.0
+#: sink + TIM resistance, K per (W/cm^2) equivalent; smaller = better
+SINK_RESISTANCE_CM2K_W = 0.4
 
 
 @dataclass
@@ -76,23 +72,20 @@ def _conductance_w_per_k(k: float, area_um2: float,
 
 def solve_stack(outline: Rect,
                 power_maps: Dict[int, np.ndarray],
-                via_area_um2: float = 0.0,
-                config: Optional[ThermalConfig] = None) -> ThermalResult:
+                via_area_um2: float = 0.0) -> ThermalResult:
     """Steady-state temperatures of a 1- or 2-tier stack.
 
     Args:
         outline: chip outline (shared by the tiers).
-        power_maps: die index -> (tiles x tiles) power map in uW.  A
-            single entry solves the 2D case.
+        power_maps: die index -> (:data:`TILES` x :data:`TILES`) power
+            map in uW.  A single entry solves the 2D case.
         via_area_um2: total copper cross-section of the 3D vias; it
             shunts the bond layer's thermal resistance.
-        config: geometry and boundary conditions.
 
     Returns:
         Per-tier temperature maps plus summary statistics.
     """
-    config = config or ThermalConfig()
-    n = config.tiles
+    n = TILES
     dies = sorted(power_maps)
     n_dies = len(dies)
     if n_dies not in (1, 2):
@@ -109,21 +102,19 @@ def solve_stack(outline: Rect,
     # vertical conductances (per tile)
     # die 0 is next to the heat sink (the paper's die bottom / package
     # orientation is symmetric for this comparison)
-    sink_r_k_per_w = config.sink_resistance_cm2k_w / (tile_area * 1e-8)
+    sink_r_k_per_w = SINK_RESISTANCE_CM2K_W / (tile_area * 1e-8)
     g_sink = 1e6 / max(sink_r_k_per_w, 1e-12)  # uW/K
-    g_die0 = _conductance_w_per_k(K_SILICON, tile_area,
-                                  config.near_die_um)
+    g_die0 = _conductance_w_per_k(K_SILICON, tile_area, NEAR_DIE_UM)
     g_sink_path = 1.0 / (1.0 / g_sink + 1.0 / g_die0)
     if n_dies == 2:
-        g_bond_diel = _conductance_w_per_k(K_BOND, tile_area,
-                                           config.bond_um)
+        g_bond_diel = _conductance_w_per_k(K_BOND, tile_area, BOND_UM)
         g_bond_via = _conductance_w_per_k(
-            K_COPPER, via_area_um2 / (n * n), config.bond_um)
+            K_COPPER, via_area_um2 / (n * n), BOND_UM)
         g_bond = g_bond_diel + g_bond_via
     # lateral conductance within a tier
     g_lat = {}
     for i, die in enumerate(dies):
-        thick = config.near_die_um if i == 0 else config.far_die_um
+        thick = NEAR_DIE_UM if i == 0 else FAR_DIE_UM
         g_lat[die] = _conductance_w_per_k(
             K_SILICON, tile_h * thick, tile_w)
 
@@ -157,7 +148,7 @@ def solve_stack(outline: Rect,
                 if d_idx == 0:
                     # to ambient through silicon + sink
                     diag[a] += g_sink_path
-                    rhs[a] += g_sink_path * config.ambient_c
+                    rhs[a] += g_sink_path * AMBIENT_C
                 elif d_idx == 1:
                     couple(a, node(0, i, j), g_bond)
 
@@ -177,7 +168,7 @@ def solve_stack(outline: Rect,
                          avg_c=float(all_t.mean()))
 
 
-def chip_power_maps(chip, tiles: int = 16) -> Tuple[Rect,
+def chip_power_maps(chip, tiles: int = TILES) -> Tuple[Rect,
                                                     Dict[int, np.ndarray],
                                                     float]:
     """Build per-tier power maps from a :class:`ChipDesign`.
@@ -226,10 +217,7 @@ def chip_power_maps(chip, tiles: int = 16) -> Tuple[Rect,
     return outline, maps, via_area
 
 
-def analyze_chip_thermal(chip, config: Optional[ThermalConfig] = None,
-                         tiles: int = 16) -> ThermalResult:
+def analyze_chip_thermal(chip) -> ThermalResult:
     """End-to-end: power maps from a chip design, then the solve."""
-    config = config or ThermalConfig(tiles=tiles)
-    outline, maps, via_area = chip_power_maps(chip, tiles=config.tiles)
-    return solve_stack(outline, maps, via_area_um2=via_area,
-                       config=config)
+    outline, maps, via_area = chip_power_maps(chip, tiles=TILES)
+    return solve_stack(outline, maps, via_area_um2=via_area)

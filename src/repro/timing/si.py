@@ -17,7 +17,7 @@ module derates wire delays from the block router's usage maps:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,17 +26,13 @@ from ..route.block_router import BlockRouter
 from ..route.estimate import RoutingResult
 
 
-@dataclass
-class SiConfig:
-    """Crosstalk model parameters."""
-
-    #: fraction of wire capacitance that is sidewall coupling at 100%
-    #: track utilization
-    coupling_fraction: float = 0.45
-    #: Miller factor for switching aggressors (worst case 2.0)
-    miller_factor: float = 1.8
-    #: probability a neighbor switches in the aligning window
-    aggressor_activity: float = 0.3
+#: fraction of wire capacitance that is sidewall coupling at 100% track
+#: utilization
+COUPLING_FRACTION = 0.45
+#: Miller factor for switching aggressors (worst case 2.0)
+MILLER_FACTOR = 1.8
+#: probability a neighbor switches in the aligning window
+AGGRESSOR_ACTIVITY = 0.3
 
 
 @dataclass
@@ -48,25 +44,22 @@ class SiReport:
     mean_factor: float
 
 
-def coupling_factor(utilization: float, config: SiConfig) -> float:
+def coupling_factor(utilization: float) -> float:
     """Delay derate for a net routed at the given track utilization."""
     u = min(max(utilization, 0.0), 1.5)
-    extra = (config.coupling_fraction * u *
-             config.aggressor_activity * (config.miller_factor - 1.0))
+    extra = (COUPLING_FRACTION * u *
+             AGGRESSOR_ACTIVITY * (MILLER_FACTOR - 1.0))
     return 1.0 + extra
 
 
 def derate_routing(netlist: Netlist, routing: RoutingResult,
-                   router: BlockRouter,
-                   config: Optional[SiConfig] = None
-                   ) -> Tuple[RoutingResult, SiReport]:
+                   router: BlockRouter) -> Tuple[RoutingResult, SiReport]:
     """Produce an SI-derated copy of a routing result.
 
     Args:
         netlist: the placed netlist (for endpoint positions).
         routing: the base (SI-oblivious) routing.
         router: the block router whose usage maps supply congestion.
-        config: crosstalk model.
 
     Returns:
         (derated routing, summary).  Wire capacitance and per-sink path
@@ -79,7 +72,6 @@ def derate_routing(netlist: Netlist, routing: RoutingResult,
     """
     from ..route.estimate import INTERMEDIATE_LIMIT_UM, LOCAL_LIMIT_UM
 
-    config = config or SiConfig()
     out = RoutingResult()
 
     # flat endpoint gather over nets present in both views, net-major
@@ -135,7 +127,7 @@ def derate_routing(netlist: Netlist, routing: RoutingResult,
         usage = router.usage[c][i0_l[idx]:i1_l[idx] + 1,
                                 j0_l[idx]:j1_l[idx] + 1]
         util = float(usage.mean()) / cap if usage.size else 0.0
-        k = coupling_factor(util, config)
+        k = coupling_factor(util)
         factors.append(k)
         out.nets[routed.net_id] = replace(
             routed,

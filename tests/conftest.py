@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.folding import FoldSpec, make_partition
 from repro.designgen import block_type_by_name, generate_block
+from repro.place import legalize
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.place.placer3d import fold_place_3d
 from repro.place.quadratic import QuadraticPlacer
@@ -27,6 +28,17 @@ def fresh_block(name: str, library, seed: int = 1, scale: float = 1.0):
     """A newly generated block (never share: flows mutate netlists)."""
     return generate_block(block_type_by_name(name), library, seed=seed,
                           scale=scale)
+
+
+def place_legalized(netlist, seed: int):
+    """2D-place ``netlist``, then Tetris-legalize its cells around the
+    placed macros: an overlap-free placement.  The legalizer is looked
+    up on its module at call time, so a test that swaps in the oracle
+    legalizer reaches this call too."""
+    result = place_block_2d(netlist, PlacementConfig(seed=seed))
+    legalize.legalize_cells([c for c in netlist.cells if not c.fixed],
+                            result.outline, result.grid.obstructions)
+    return result
 
 
 def qp_calls(name: str, library, seed: int = 1):

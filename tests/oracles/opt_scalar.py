@@ -15,13 +15,13 @@ net.  ``tests/test_opt_planner_parity.py`` holds the two to the same
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.netlist.core import Netlist
-from repro.opt.buffering import BufferingConfig, plan_net_buffering
+from repro.opt import buffering, sizing
+from repro.opt.buffering import plan_net_buffering
 from repro.opt.dualvth import HVT_MARGIN_PS, HVT_PATH_SHARING_FACTOR
-from repro.opt.sizing import (MAX_MOVES_PER_PASS, PATH_SHARING_FACTOR,
-                              Move, SizingConfig)
+from repro.opt.sizing import MAX_MOVES_PER_PASS, PATH_SHARING_FACTOR, Move
 from repro.route.estimate import RoutingResult
 from repro.tech.cells import VTH_HVT, VTH_RVT, CellLibrary
 from repro.timing.sta import STAResult
@@ -29,14 +29,13 @@ from tests.oracles.timing_scalar import driven_load
 
 
 def plan_downsizes(netlist: Netlist, routing: RoutingResult,
-                   sta: STAResult, library: CellLibrary,
-                   config: Optional[SizingConfig] = None) -> List[Move]:
+                   sta: STAResult, library: CellLibrary) -> List[Move]:
     """Plan downsizes of comfortably-met cells (most slack first)."""
-    config = config or SizingConfig()
+    margin = sizing.DOWNSIZE_MARGIN_PS
     moves: List[Move] = []
     candidates = sorted(
         (iid for iid, s in sta.slack.items()
-         if s > config.downsize_margin_ps and iid in netlist.instances),
+         if s > margin and iid in netlist.instances),
         key=lambda i: -sta.slack[i])
     for iid in candidates:
         if len(moves) >= MAX_MOVES_PER_PASS:
@@ -50,7 +49,7 @@ def plan_downsizes(netlist: Netlist, routing: RoutingResult,
         load = driven_load(netlist, routing, iid)
         delta = (smaller.delay_ps(load) - inst.master.delay_ps(load))
         charged = max(delta, 0.0) * PATH_SHARING_FACTOR
-        if sta.slack[iid] - charged >= config.downsize_margin_ps:
+        if sta.slack[iid] - charged >= margin:
             moves.append((iid, smaller))
     return moves
 
@@ -78,16 +77,14 @@ def plan_hvt_swaps(netlist: Netlist, routing: RoutingResult,
 
 
 def plan_buffers(netlist: Netlist, routing: RoutingResult,
-                 library: CellLibrary,
-                 config: Optional[BufferingConfig] = None) -> List:
+                 library: CellLibrary) -> List:
     """Plan one buffering pass over every routed net, in routing order."""
-    config = config or BufferingConfig()
     plans: List = []
     planned = 0
     for routed in list(routing.nets.values()):
-        if planned >= config.max_new_buffers_per_pass:
+        if planned >= buffering.MAX_NEW_BUFFERS_PER_PASS:
             break
-        move = plan_net_buffering(netlist, routed, library, config)
+        move = plan_net_buffering(netlist, routed, library)
         if move is not None:
             plans.append(move)
             planned += move.n_buffers

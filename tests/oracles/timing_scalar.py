@@ -37,7 +37,7 @@ from repro.netlist.core import Netlist, PinRef
 from repro.route.block_router import BlockRouter, _class_for
 from repro.route.estimate import RoutingResult, route_net
 from repro.tech.process import ProcessNode
-from repro.timing.si import SiConfig, SiReport, coupling_factor
+from repro.timing.si import SiReport, coupling_factor
 from repro.timing.sta import (HOLD_PS, MACRO_SETUP_PS, SETUP_PS, STAResult,
                               TimingConfig)
 
@@ -410,13 +410,10 @@ def io_path_delays(netlist: Netlist, routing: RoutingResult,
 # ---------------------------------------------------------------------------
 
 def derate_routing(netlist: Netlist, routing: RoutingResult,
-                   router: BlockRouter,
-                   config: Optional[SiConfig] = None
-                   ) -> Tuple[RoutingResult, SiReport]:
+                   router: BlockRouter) -> Tuple[RoutingResult, SiReport]:
     """The original per-net corridor-utilization derate (reference)."""
     import numpy as np
 
-    config = config or SiConfig()
     out = RoutingResult()
     factors = []
     for routed in routing.nets.values():
@@ -436,7 +433,7 @@ def derate_routing(netlist: Netlist, routing: RoutingResult,
         j1 = max(c[1] for c in cells)
         usage = router.usage[cls][i0:i1 + 1, j0:j1 + 1]
         util = float(usage.mean()) / cap if usage.size else 0.0
-        k = coupling_factor(util, config)
+        k = coupling_factor(util)
         factors.append(k)
         out.nets[routed.net_id] = replace(
             routed,

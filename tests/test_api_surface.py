@@ -1,8 +1,10 @@
 """API-surface hygiene: exports resolve, and public items are documented."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -67,23 +69,29 @@ def test_service_surface_is_pinned():
         assert getattr(service, name, None) is not None, name
 
 
-#: every option of the flow's config objects; a new knob is a test edit
+#: every option of every config object: each ``@dataclass`` in
+#: ``src/repro`` named ``*Config``, plus ``FoldSpec``; a new knob is a
+#: test edit
 CONFIG_FIELDS = {
     "repro.core.flow:FlowConfig": (
         "scale", "seed", "fold", "bonding", "dual_vth", "io_budget_ps",
         "detailed_route", "assert_clean", "eco"),
+    "repro.core.folding:FoldSpec": (
+        "mode", "die1_regions", "interleave_period", "folded_regions"),
     "repro.core.fullchip:ChipConfig": (
-        "style", "scale", "seed", "dual_vth", "folded_types",
-        "budget_floor_ps", "assert_clean"),
-    "repro.place.placer2d:PlacementConfig": (
-        "utilization", "seed", "reserved_area_um2", "macro_holes",
-        "full_legalize"),
-    "repro.opt.flow:OptimizeConfig": ("dual_vth", "sizing"),
-    "repro.opt.buffering:BufferingConfig": (
-        "buffer_drive", "cap_limit_ff", "group_size",
-        "max_new_buffers_per_pass"),
-    "repro.opt.sizing:SizingConfig": ("downsize_margin_ps",),
+        "style", "scale", "seed", "dual_vth", "budget_floor_ps",
+        "assert_clean"),
     "repro.eco.driver:EcoConfig": ("target_wns_ps", "max_rounds"),
+    "repro.floorplan.seqpair:AnnealConfig": (
+        "iterations", "wl_weight", "seed"),
+    "repro.lint.framework:LintConfig": ("disabled", "waivers"),
+    "repro.parallel.engine:ResilienceConfig": ("timeout_s", "retries"),
+    "repro.place.placer2d:PlacementConfig": ("seed", "macro_holes"),
+    "repro.service.broker:ServiceConfig": (
+        "host", "port", "socket_path", "parallel", "cache_dir",
+        "timeout_s", "retries"),
+    "repro.timing.sta:TimingConfig": (
+        "clock_domain", "io_delays", "default_io_delay_ps"),
 }
 
 
@@ -93,6 +101,40 @@ def test_config_options_are_pinned(spec):
     cls = getattr(importlib.import_module(module), name)
     assert tuple(f.name for f in dataclasses.fields(cls)) == \
         CONFIG_FIELDS[spec]
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == "dataclass") or \
+        (isinstance(node, ast.Attribute) and node.attr == "dataclass")
+
+
+def test_every_config_class_is_pinned():
+    """No config object escapes :data:`CONFIG_FIELDS`: every
+    ``@dataclass`` in ``src/repro`` named ``*Config``, plus
+    ``FoldSpec``, has an entry."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root.parent).with_suffix("")
+                          .parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ClassDef)
+                    and (node.name.endswith("Config")
+                         or node.name == "FoldSpec")
+                    and any(_is_dataclass_decorator(d)
+                            for d in node.decorator_list)):
+                found.add(f"{module}:{node.name}")
+    assert found == set(CONFIG_FIELDS)
+
+
+def test_explore_points_parameters_are_pinned():
+    from repro.parallel.engine import explore_points
+    assert tuple(inspect.signature(explore_points).parameters) == (
+        "process", "grid", "scale", "seed", "parallel", "cache_dir")
 
 
 def test_service_import_is_lazy():

@@ -115,7 +115,7 @@ def test_key_includes_fold_spec(process):
         design_key("ncu", dataclasses.replace(
             base, fold=FoldSpec(mode="interleave")), process),
         design_key("ncu", dataclasses.replace(
-            base, fold=FoldSpec(mode="mincut", balance_tol=0.2)),
+            base, fold=FoldSpec(mode="interleave", interleave_period=3)),
             process),
     }
     assert len(keys) == 4
@@ -123,7 +123,7 @@ def test_key_includes_fold_spec(process):
 
 def test_key_includes_every_flow_config_field(process):
     """Any FlowConfig field change must change the key."""
-    base = FlowConfig(scale=0.4)
+    base = FlowConfig(scale=0.4, fold=FoldSpec(mode="mincut"))
     seen = {design_key("ncu", base, process)}
     for name, value in [("seed", 2), ("scale", 0.41),
                         ("bonding", "F2F"), ("dual_vth", True)]:

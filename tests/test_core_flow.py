@@ -104,3 +104,20 @@ def test_scale_parameter_shrinks_design(process):
 
 def test_long_wire_count_positive_for_big_blocks(ccx_2d):
     assert ccx_2d.long_wires > 10
+
+
+def test_unfolded_bonding_has_one_spelling(process):
+    """Bonding is upper-cased, and only a folded flow keeps F2F: an
+    unfolded design has one config and one design-cache key."""
+    from repro.core.cache import design_key
+    assert FlowConfig(bonding="f2f") == FlowConfig()
+    assert design_key("ncu", FlowConfig(bonding="f2f"), process) == \
+        design_key("ncu", FlowConfig(), process)
+    fold = FoldSpec(mode="mincut")
+    assert FlowConfig(fold=fold, bonding="f2f").bonding == "F2F"
+
+
+@pytest.mark.parametrize("fold", [None, FoldSpec(mode="mincut")])
+def test_unknown_bonding_rejected(fold):
+    with pytest.raises(ValueError, match="F2X"):
+        FlowConfig(fold=fold, bonding="F2X")

@@ -27,8 +27,8 @@ from repro.obs.names import (CTR_ECO_DERIVED_DESIGNS,
                              CTR_ECO_MOVES_APPLIED, CTR_OPT_FULL_REROUTES,
                              CTR_ROUTE_NETS_REEXTRACTED,
                              CTR_ROUTE_NETS_REROUTED)
-from repro.opt.buffering import BufferingConfig, plan_net_buffering
-from repro.opt.flow import OptimizeConfig, optimize_block
+from repro.opt.buffering import plan_net_buffering
+from repro.opt.flow import optimize_block
 from repro.place import PlacementConfig, place_block_2d
 from repro.place.legalize import macro_rects_of
 from repro.route.estimate import RouteContext
@@ -44,11 +44,10 @@ def base(process):
 
 
 def _bufferable_nets(session, process, drive=4):
-    cfg = BufferingConfig(buffer_drive=drive)
     return [nid for nid, routed in session.routing.nets.items()
             if not session.netlist.nets[nid].is_clock and
             plan_net_buffering(session.netlist, routed,
-                               process.library, cfg) is not None]
+                               process.library, drive) is not None]
 
 
 class TestBufferInsertionStaysIncremental:
@@ -89,7 +88,7 @@ class TestBufferInsertionStaysIncremental:
         extracted_before = m.counter(CTR_ROUTE_NETS_REEXTRACTED).value
         result = optimize_block(
             gb.netlist, process, TimingConfig("cpu_clk"), ctx,
-            OptimizeConfig(dual_vth=True))
+            dual_vth=True)
         assert result.buffers_added > 0
         # exactly the initial route: buffer surgery patches per net now
         assert m.counter(CTR_OPT_FULL_REROUTES).value - full_before == 1

@@ -15,11 +15,11 @@ import time
 import pytest
 
 from repro import faults
+from repro.core.explore import explore_design_space
 from repro.faults import FaultPlan
 from repro.obs import trace
 from repro.parallel.engine import (MP_CONTEXT, EngineError, _child_main,
-                                   _point_task, _run_one, explore_points,
-                                   run_sweep)
+                                   _point_task, _run_one, run_sweep)
 from repro.service.schema import PointSpec, SweepRequest
 
 IDS = ["fig6", "table4"]
@@ -411,16 +411,12 @@ class TestCacheChaos:
 class TestExploreResilience:
     GRID = [("2d", False), ("2d", True)]
 
-    def test_partial_exploration_opt_in(self, tmp_path):
-        plan = FaultPlan.parse("crash task=2d/rvt stage=task attempt=0")
-        cache_dir = str(tmp_path / "cache")
-        points = explore_points(self.GRID, scale=0.5, parallel=2,
-                                cache_dir=cache_dir, retries=1,
-                                fault_plan=plan, allow_partial=True)
-        assert points[0] is None
-        assert points[1] is not None
-
-        with pytest.raises(EngineError, match="2d/rvt"):
-            explore_points(self.GRID, scale=0.5, parallel=2,
-                           cache_dir=cache_dir, retries=0,
-                           fault_plan=plan)
+    @pytest.mark.parametrize("parallel", [0, 2])
+    def test_failed_point_raises_engine_error(self, process, parallel):
+        """In-process or supervised, every grid point runs under the
+        ambient fault plan, and a failed one raises naming it."""
+        plan = FaultPlan.parse("raise task=2d/rvt stage=task attempt=0")
+        with faults.installed(plan), \
+                pytest.raises(EngineError, match="2d/rvt"):
+            explore_design_space(process, grid=self.GRID, scale=0.35,
+                                 parallel=parallel)

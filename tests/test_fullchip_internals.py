@@ -55,11 +55,6 @@ class TestFoldFor:
         assert _fold_for(cfg, "spc") is not None
         assert _fold_for(cfg, "ncu") is None
 
-    def test_custom_folded_types(self):
-        cfg = ChipConfig(style="fold_f2b", folded_types=("ccx",))
-        assert _fold_for(cfg, "ccx") is not None
-        assert _fold_for(cfg, "spc") is None
-
     def test_budget_floor_applied(self, process):
         from repro.core.fullchip import build_chip
         base = build_chip(ChipConfig(style="2d", scale=0.3), process)

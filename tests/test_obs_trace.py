@@ -69,8 +69,9 @@ class TestGating:
                 pass
         assert [s.name for s in t.spans] == ["visible"]
 
-    def test_max_spans_cap_counts_drops(self):
-        t = Tracer(max_spans=2)
+    def test_max_spans_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_SPANS", 2)
+        t = Tracer()
         for i in range(5):
             with t.span(f"s{i}"):
                 pass

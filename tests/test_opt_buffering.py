@@ -3,8 +3,9 @@
 import pytest
 
 from repro.netlist.core import INPUT, Netlist, PinRef
-from repro.opt.buffering import (BufferingConfig, apply_buffer_plan,
-                                 optimal_spacing_um, plan_buffers)
+from repro.opt import buffering
+from repro.opt.buffering import (apply_buffer_plan, optimal_spacing_um,
+                                 plan_buffers)
 from repro.route.estimate import route_block
 from repro.tech.cells import make_28nm_library
 from repro.tech.layers import make_28nm_stack
@@ -22,12 +23,11 @@ def stack():
     return make_28nm_stack()
 
 
-def buffer_pass(nl, routing, lib, process, config=None):
+def buffer_pass(nl, routing, lib, process):
     """One buffering pass planned on a live view, then committed;
     returns the buffers added."""
     view = IncrementalSTA(nl, routing, process, TimingConfig("cpu_clk"))
-    return apply_buffer_plan(nl, plan_buffers(nl, view, lib,
-                                              config)).added
+    return apply_buffer_plan(nl, plan_buffers(nl, view, lib)).added
 
 
 def long_net(lib, length=2000.0):
@@ -87,12 +87,12 @@ def test_short_net_untouched(lib, stack, process):
     assert nl.num_cells == 2
 
 
-def test_fanout_net_gets_groups(lib, stack, process):
+def test_fanout_net_gets_groups(lib, stack, process, monkeypatch):
     nl, net, a = fanout_net(lib)
     routing = route_block(nl, stack)
-    added = buffer_pass(nl, routing, lib, process,
-                           BufferingConfig(cap_limit_ff=30.0,
-                                           group_size=8))
+    monkeypatch.setattr(buffering, "CAP_LIMIT_FF", 30.0)
+    monkeypatch.setattr(buffering, "GROUP_SIZE", 8)
+    added = buffer_pass(nl, routing, lib, process)
     assert added >= 4
     # the original net now drives only buffers
     for s in net.sinks:
@@ -100,11 +100,13 @@ def test_fanout_net_gets_groups(lib, stack, process):
     assert nl.validate() == []
 
 
-def test_fanout_groups_preserve_sink_count(lib, stack, process):
+def test_fanout_groups_preserve_sink_count(lib, stack, process,
+                                           monkeypatch):
     nl, net, a = fanout_net(lib, n_sinks=30)
     routing = route_block(nl, stack)
-    buffer_pass(nl, routing, lib, process,
-                   BufferingConfig(cap_limit_ff=30.0, group_size=10))
+    monkeypatch.setattr(buffering, "CAP_LIMIT_FF", 30.0)
+    monkeypatch.setattr(buffering, "GROUP_SIZE", 10)
+    buffer_pass(nl, routing, lib, process)
     # every original sink still driven by exactly one net
     sink_nets = 0
     for n in nl.nets.values():
@@ -125,7 +127,7 @@ def test_clock_nets_never_buffered(lib, stack, process):
     assert buffer_pass(nl, routing, lib, process) == 0
 
 
-def test_max_buffers_cap(lib, stack, process):
+def test_max_buffers_cap(lib, stack, process, monkeypatch):
     nl = Netlist("many")
     for k in range(30):
         a = nl.add_instance(f"a{k}", lib.master("INV_X2"), x=0, y=k * 20)
@@ -133,8 +135,8 @@ def test_max_buffers_cap(lib, stack, process):
                             y=k * 20)
         nl.add_net(f"n{k}", PinRef(inst=a.id), [PinRef(inst=b.id, pin=0)])
     routing = route_block(nl, stack)
-    added = buffer_pass(nl, routing, lib, process,
-                           BufferingConfig(max_new_buffers_per_pass=10))
+    monkeypatch.setattr(buffering, "MAX_NEW_BUFFERS_PER_PASS", 10)
+    added = buffer_pass(nl, routing, lib, process)
     assert added <= 10 + 8  # cap checked per net batch
 
 

@@ -6,7 +6,8 @@ from repro.obs import trace
 from repro.obs.metrics import metrics
 from repro.obs.names import CTR_OPT_FULL_REROUTES, SPAN_STA_RETIME
 from repro.opt import flow as opt_flow
-from repro.opt.flow import OptimizeConfig, optimize_block
+from repro.opt import sizing
+from repro.opt.flow import optimize_block
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.power.analysis import analyze_power
 from repro.route.estimate import RouteContext
@@ -35,16 +36,16 @@ def test_optimization_closes_timing(library, process):
     assert gb.netlist.validate() == []
 
 
-def test_power_recovery_beats_timing_only_flow(library, process):
-    from repro.opt.flow import OptimizeConfig
-    from repro.opt.sizing import SizingConfig
+def test_power_recovery_beats_timing_only_flow(library, process,
+                                               monkeypatch):
     ctx = ctx_for(process)
     # a flow whose power stage is disabled (downsizing margin too high
     # to ever fire) vs the default staged flow on the same block
     timing_only = prepared(library, "l2t", seed=22)
-    res_t = optimize_block(
-        timing_only.netlist, process, TimingConfig(CPU_CLOCK), ctx,
-        OptimizeConfig(sizing=SizingConfig(downsize_margin_ps=1e9)))
+    with monkeypatch.context() as mp:
+        mp.setattr(sizing, "DOWNSIZE_MARGIN_PS", 1e9)
+        res_t = optimize_block(timing_only.netlist, process,
+                               TimingConfig(CPU_CLOCK), ctx)
     full = prepared(library, "l2t", seed=22)
     res_f = optimize_block(full.netlist, process, TimingConfig(CPU_CLOCK),
                            ctx)
@@ -68,8 +69,7 @@ def test_counters_populated(library, process):
 def test_dual_vth_flag(library, process):
     gb = prepared(library, seed=24)
     res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
-                         ctx_for(process),
-                         OptimizeConfig(dual_vth=True))
+                         ctx_for(process), dual_vth=True)
     from repro.opt.dualvth import hvt_fraction
     assert res.hvt_swaps > 0
     assert hvt_fraction(gb.netlist) > 0.5
@@ -79,8 +79,7 @@ def test_dual_vth_flag(library, process):
 def test_rvt_only_run_has_no_swaps(library, process):
     gb = prepared(library, seed=25)
     res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
-                         ctx_for(process),
-                         OptimizeConfig(dual_vth=False))
+                         ctx_for(process), dual_vth=False)
     assert res.hvt_swaps == 0
     from repro.opt.dualvth import hvt_fraction
     assert hvt_fraction(gb.netlist) == 0.0
@@ -141,12 +140,12 @@ def test_incremental_matches_full_recompute(library, process, bonding,
     m = metrics()
     before = m.counter(CTR_OPT_FULL_REROUTES).value
     res_i = optimize_block(inc.netlist, process, timing, ctx_i,
-                           OptimizeConfig(dual_vth=True))
+                           dual_vth=True)
     assert m.counter(CTR_OPT_FULL_REROUTES).value - before == 1
     with monkeypatch.context() as mp:
         oracles = use_oracle(mp, opt_flow)
         res_f = optimize_block(full.netlist, process, timing, ctx_f,
-                               OptimizeConfig(dual_vth=True))
+                               dual_vth=True)
     assert (res_i.buffers_added, res_i.upsized, res_i.downsized,
             res_i.hvt_swaps) == (res_f.buffers_added, res_f.upsized,
                                  res_f.downsized, res_f.hvt_swaps)
@@ -188,8 +187,7 @@ def test_oracle_recomputes_every_edit(library, process, monkeypatch):
     with monkeypatch.context() as mp, trace.use_tracer(tracer):
         oracles = use_oracle(mp, opt_flow)
         res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK),
-                             ctx_for(process),
-                             OptimizeConfig(dual_vth=True))
+                             ctx_for(process), dual_vth=True)
     assert res.downsized > 0 and res.hvt_swaps > 0
     stats = oracles[0].stats
     assert len(routes) == 1 + stats["full_reroutes"] > 2

@@ -13,7 +13,7 @@ from repro.core.flow import FlowConfig, run_block_flow
 from repro.eco import EcoConfig, EcoSession, derive_design
 from repro.opt.buffering import plan_buffers
 from repro.opt.dualvth import plan_hvt_swaps
-from repro.opt.flow import OptimizeConfig, optimize_block
+from repro.opt.flow import optimize_block
 from repro.opt.sizing import plan_downsizes
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.route.estimate import NetArrays, RouteContext
@@ -34,21 +34,20 @@ def checked_planners(monkeypatch, calls):
     """Swap the optimizer's planners for ones that also run the oracle
     on ``view.to_result()`` and assert both plan the same moves."""
 
-    def buffers(netlist, view, library, config=None):
-        got = plan_buffers(netlist, view, library, config)
+    def buffers(netlist, view, library):
+        got = plan_buffers(netlist, view, library)
         assert got == opt_scalar.plan_buffers(netlist, view.routing,
-                                              library, config)
+                                              library)
         assert all(a.buf is b.buf for a, b in zip(
-            got, opt_scalar.plan_buffers(netlist, view.routing, library,
-                                         config)))
+            got, opt_scalar.plan_buffers(netlist, view.routing, library)))
         calls["buffers"] += 1
         calls["buffer plans"] += len(got)
         return got
 
-    def downsizes(netlist, view, library, config=None):
-        got = plan_downsizes(netlist, view, library, config)
+    def downsizes(netlist, view, library):
+        got = plan_downsizes(netlist, view, library)
         assert_same_moves(got, opt_scalar.plan_downsizes(
-            netlist, view.routing, view.to_result(), library, config))
+            netlist, view.routing, view.to_result(), library))
         calls["downsizes"] += 1
         calls["downsize moves"] += len(got)
         return got
@@ -83,7 +82,7 @@ def test_array_planners_match_the_oracles_at_every_chunk(
     calls: Counter = Counter()
     checked_planners(monkeypatch, calls)
     res = optimize_block(gb.netlist, process, TimingConfig(CPU_CLOCK), ctx,
-                         OptimizeConfig(dual_vth=True))
+                         dual_vth=True)
     assert calls["buffers"] and calls["downsizes"] and calls["hvt"]
     assert calls["downsize moves"] == res.downsized > 0
     assert calls["hvt moves"] >= res.hvt_swaps > 0

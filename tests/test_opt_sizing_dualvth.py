@@ -3,10 +3,10 @@
 import pytest
 
 from repro.netlist.core import INPUT, Netlist, PinRef
+from repro.opt import sizing
 from repro.opt.dualvth import (hvt_fraction, plan_hvt_swaps,
                                restore_rvt_on_violations)
-from repro.opt.sizing import (SizingConfig, apply_moves, fix_timing,
-                              plan_downsizes)
+from repro.opt.sizing import apply_moves, fix_timing, plan_downsizes
 from repro.route.estimate import route_block
 from repro.tech.cells import VTH_HVT, VTH_RVT
 from repro.tech.process import CPU_CLOCK, make_process
@@ -58,29 +58,29 @@ def live_view(nl, proc):
 class TestFixTiming:
     def test_upsizes_violating_cells(self, proc, lib):
         nl = pipeline(lib, n_stages=30, spacing=120.0, drive=1)
-        routing, sta = analyze(nl, proc)
+        _, sta = analyze(nl, proc)
         assert sta.wns_ps < 0
-        moves = fix_timing(nl, routing, sta, lib)
+        moves = fix_timing(nl, sta, lib)
         assert moves > 0
         drives = {c.master.drive for c in nl.cells if not c.is_sequential}
         assert max(drives) > 1
 
     def test_improves_wns(self, proc, lib):
         nl = pipeline(lib, n_stages=30, spacing=120.0, drive=1)
-        routing, sta = analyze(nl, proc)
+        _, sta = analyze(nl, proc)
         before = sta.wns_ps
         for _ in range(3):
-            moves = fix_timing(nl, routing, sta, lib)
-            routing, sta = analyze(nl, proc)
+            moves = fix_timing(nl, sta, lib)
+            _, sta = analyze(nl, proc)
             if not moves:
                 break
         assert sta.wns_ps > before
 
     def test_no_moves_when_met(self, proc, lib):
         nl = pipeline(lib, n_stages=2)
-        routing, sta = analyze(nl, proc)
+        _, sta = analyze(nl, proc)
         assert sta.wns_ps > 0
-        assert fix_timing(nl, routing, sta, lib) == 0
+        assert fix_timing(nl, sta, lib) == 0
 
 
 class TestRecoverPower:
@@ -101,11 +101,10 @@ class TestRecoverPower:
         _, sta = analyze(nl, proc)
         assert sta.wns_ps >= 0
 
-    def test_margin_limits_moves(self, proc, lib):
+    def test_margin_limits_moves(self, proc, lib, monkeypatch):
         nl = pipeline(lib, n_stages=3, drive=2)
-        huge_margin = SizingConfig(downsize_margin_ps=10000.0)
-        assert plan_downsizes(nl, live_view(nl, proc), lib,
-                              huge_margin) == []
+        monkeypatch.setattr(sizing, "DOWNSIZE_MARGIN_PS", 10000.0)
+        assert plan_downsizes(nl, live_view(nl, proc), lib) == []
 
 
 class TestDualVth:

@@ -170,11 +170,11 @@ def test_explore_parallel_matches_serial(process, tmp_path):
 
 
 @pytest.mark.slow
-def test_explore_duplicate_grid_points_coalesce(tmp_path):
+def test_explore_duplicate_grid_points_coalesce(process, tmp_path):
     """A repeated (style, dual_vth) entry is computed once and fills
     every matching slot -- not recomputed, not overwritten."""
     grid = [("2d", False), ("2d", False)]
-    points = explore_points(grid, scale=0.35, parallel=2,
+    points = explore_points(process, grid, scale=0.35, parallel=2,
                             cache_dir=tmp_path)
     assert len(points) == 2
     assert points[0] is points[1]  # one execution, replicated

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.netlist.core import Netlist
+from repro.place import placer2d
 from repro.place.grid import Rect
 from repro.place.legalize import (build_rows, check_overlaps,
                                   legalize_cells)
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.tech.cells import CELL_HEIGHT_UM, make_28nm_library
-from tests.conftest import fresh_block
+from tests.conftest import fresh_block, place_legalized
 
 
 @pytest.fixture(scope="module")
@@ -94,22 +95,21 @@ class TestLegalize:
 
 
 class TestPlacerIntegration:
-    def test_full_legalize_flag(self, library):
+    def test_full_legalize_flag(self, library, monkeypatch):
+        monkeypatch.setattr(placer2d, "UTILIZATION", 0.45)
         gb = fresh_block("ncu", library, seed=12)
-        place_block_2d(gb.netlist,
-                       PlacementConfig(seed=12, full_legalize=True,
-                                       utilization=0.45))
+        place_legalized(gb.netlist, seed=12)
         movable = [c for c in gb.netlist.cells if not c.fixed]
         assert check_overlaps(movable) == 0
 
-    def test_legalized_placement_keeps_structure(self, library):
+    def test_legalized_placement_keeps_structure(self, library,
+                                                 monkeypatch):
         from repro.place.placer2d import hpwl
         loose = fresh_block("ncu", library, seed=13)
         place_block_2d(loose.netlist, PlacementConfig(seed=13))
         wl_loose = hpwl(loose.netlist)
+        monkeypatch.setattr(placer2d, "UTILIZATION", 0.45)
         tight = fresh_block("ncu", library, seed=13)
-        place_block_2d(tight.netlist,
-                       PlacementConfig(seed=13, full_legalize=True,
-                                       utilization=0.45))
+        place_legalized(tight.netlist, seed=13)
         wl_tight = hpwl(tight.netlist)
         assert wl_tight < 2.0 * wl_loose

@@ -29,7 +29,7 @@ from repro.place import (PlacementConfig, check_overlaps, fm_bipartition,
                          placer2d, spreading)
 from repro.place.legalize import overlapping_pairs
 from repro.place.quadratic import QuadraticPlacer
-from tests.conftest import fresh_block, qp_calls
+from tests.conftest import fresh_block, place_legalized, qp_calls
 from tests.oracles import place_scalar as oracle
 
 #: HPWL may drift this much between the two paths (ULP-level split flips)
@@ -55,14 +55,19 @@ def use_oracle(monkeypatch):
                 monkeypatch.setattr(mod, name, swap[id(value)])
 
 
-def place_both(library, name, seed, monkeypatch, **cfg):
-    """Place one block twice (vectorized, then oracle) from scratch."""
+def place_2d(netlist, seed):
+    return place_block_2d(netlist, PlacementConfig(seed=seed))
+
+
+def place_both(library, name, seed, monkeypatch, place=place_2d):
+    """Place one block twice (vectorized, then oracle) from scratch
+    with ``place(netlist, seed)``."""
     vec = fresh_block(name, library, seed=seed)
-    place_block_2d(vec.netlist, PlacementConfig(seed=seed, **cfg))
+    place(vec.netlist, seed)
     with monkeypatch.context() as mp:
         use_oracle(mp)
         ref = fresh_block(name, library, seed=seed)
-        place_block_2d(ref.netlist, PlacementConfig(seed=seed, **cfg))
+        place(ref.netlist, seed)
     return vec.netlist, ref.netlist
 
 
@@ -75,8 +80,9 @@ class TestGlobalPlaceParity:
         assert wl_ref <= HPWL_TOL * wl_vec
 
     def test_legalized_hpwl_within_band(self, library, monkeypatch):
+        monkeypatch.setattr(placer2d, "UTILIZATION", 0.45)
         vec, ref = place_both(library, "ncu", 2, monkeypatch,
-                              full_legalize=True, utilization=0.45)
+                              place_legalized)
         wl_vec, wl_ref = hpwl(vec), hpwl(ref)
         assert wl_vec <= HPWL_TOL * wl_ref
         assert wl_ref <= HPWL_TOL * wl_vec
@@ -96,8 +102,7 @@ class TestGlobalPlaceParity:
         reg = MetricsRegistry()
         with use_registry(reg):
             gb = fresh_block("spc", library, seed=1)
-            place_block_2d(gb.netlist,
-                           PlacementConfig(seed=1, full_legalize=True))
+            place_legalized(gb.netlist, seed=1)
         counters = reg.snapshot()["counters"]
         assert counters.get(CTR_PLACE_QP_SOLVES, 0) > 0
         assert counters.get(CTR_PLACE_SPREAD_CALLS, 0) > 0
@@ -142,22 +147,22 @@ class TestAssemblyParity:
 
 
 class TestLegalizeParity:
-    def test_vectorized_legalization_overlap_free(self, library):
+    def test_vectorized_legalization_overlap_free(self, library,
+                                                  monkeypatch):
+        monkeypatch.setattr(placer2d, "UTILIZATION", 0.45)
         gb = fresh_block("ncu", library, seed=3)
-        place_block_2d(gb.netlist,
-                       PlacementConfig(seed=3, full_legalize=True,
-                                       utilization=0.45))
+        place_legalized(gb.netlist, seed=3)
         movable = [c for c in gb.netlist.cells if not c.fixed]
         assert check_overlaps(movable) == 0
 
-    def test_pair_set_unchanged_on_golden_block(self, library):
+    def test_pair_set_unchanged_on_golden_block(self, library,
+                                                monkeypatch):
         # the global sweep fixes the adjacent-only scan's wide-cell
         # blindness; on a legalized (overlap-free) block both report
         # the same -- empty -- pair set
+        monkeypatch.setattr(placer2d, "UTILIZATION", 0.45)
         gb = fresh_block("ncu", library, seed=4)
-        place_block_2d(gb.netlist,
-                       PlacementConfig(seed=4, full_legalize=True,
-                                       utilization=0.45))
+        place_legalized(gb.netlist, seed=4)
         movable = [c for c in gb.netlist.cells if not c.fixed]
         vec_pairs = overlapping_pairs(movable)
         ref_pairs = oracle.overlapping_pairs(movable)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.place import placer2d
 from repro.place.placer2d import (PlacementConfig, compute_outline, hpwl,
                                   place_block_2d, place_macros)
 from tests.conftest import fresh_block
@@ -17,22 +18,24 @@ def placed_l2t(library):
 def test_outline_area_covers_content(library):
     gb = fresh_block("l2t", library)
     nl = gb.netlist
-    outline = compute_outline(nl, PlacementConfig(utilization=0.7))
+    outline = compute_outline(nl)
     assert outline.area > nl.total_cell_area() + nl.total_macro_area()
 
 
-def test_outline_respects_utilization(library):
+def test_outline_respects_utilization(library, monkeypatch):
     gb = fresh_block("ncu", library)
-    tight = compute_outline(gb.netlist, PlacementConfig(utilization=0.9))
-    loose = compute_outline(gb.netlist, PlacementConfig(utilization=0.5))
+    monkeypatch.setattr(placer2d, "UTILIZATION", 0.9)
+    tight = compute_outline(gb.netlist)
+    monkeypatch.setattr(placer2d, "UTILIZATION", 0.5)
+    loose = compute_outline(gb.netlist)
     assert loose.area > tight.area
 
 
-def test_outline_reserved_area(library):
+def test_outline_reserved_area(library, monkeypatch):
     gb = fresh_block("ncu", library)
-    base = compute_outline(gb.netlist, PlacementConfig())
-    grown = compute_outline(gb.netlist,
-                            PlacementConfig(reserved_area_um2=5000.0))
+    base = compute_outline(gb.netlist)
+    monkeypatch.setattr(placer2d, "RESERVED_AREA_UM2", 5000.0)
+    grown = compute_outline(gb.netlist)
     assert grown.area == pytest.approx(base.area + 5000.0, rel=0.01)
 
 
@@ -113,5 +116,5 @@ def test_overflow_is_moderate(placed_l2t):
 
 def test_empty_macro_block_place_macros(library):
     gb = fresh_block("ncu", library)
-    outline = compute_outline(gb.netlist, PlacementConfig())
+    outline = compute_outline(gb.netlist)
     assert place_macros(gb.netlist, outline) == []

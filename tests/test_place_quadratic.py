@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import splu
 
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, use_registry

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.service.store as store_module
 from repro.service import ServiceConfig
 from repro.service.schema import (SCHEMA_VERSION, PointResult, PointSpec,
                                   SchemaError, SweepRequest, decode_line,
@@ -183,8 +184,9 @@ class TestResultStore:
         fresh = ResultStore(cache_dir=tmp_path)
         assert fresh.get(other) is None
 
-    def test_memory_tier_is_fifo_capped(self):
-        store = ResultStore(max_entries=2)
+    def test_memory_tier_is_fifo_capped(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MAX_ENTRIES", 2)
+        store = ResultStore()
         results = [_result(key=str(i) * 64) for i in range(3)]
         for res in results:
             store.put(res)

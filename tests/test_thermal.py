@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.place.grid import Rect
-from repro.thermal import ThermalConfig, analyze_chip_thermal, solve_stack
+from repro.thermal import analyze_chip_thermal, solve_stack
+from repro.thermal.model import AMBIENT_C, TILES
 
 
 @pytest.fixture()
@@ -18,66 +19,53 @@ def uniform_map(n, total_uw):
 
 class TestSolveStack:
     def test_zero_power_is_ambient(self, outline):
-        cfg = ThermalConfig()
-        r = solve_stack(outline, {0: np.zeros((cfg.tiles, cfg.tiles))},
-                        config=cfg)
-        assert r.max_c == pytest.approx(cfg.ambient_c, abs=1e-6)
+        r = solve_stack(outline, {0: np.zeros((TILES, TILES))})
+        assert r.max_c == pytest.approx(AMBIENT_C, abs=1e-6)
 
     def test_temperature_rises_with_power(self, outline):
-        cfg = ThermalConfig()
-        lo = solve_stack(outline, {0: uniform_map(cfg.tiles, 5e5)},
-                         config=cfg)
-        hi = solve_stack(outline, {0: uniform_map(cfg.tiles, 1e6)},
-                         config=cfg)
-        assert hi.max_c > lo.max_c > cfg.ambient_c
+        lo = solve_stack(outline, {0: uniform_map(TILES, 5e5)})
+        hi = solve_stack(outline, {0: uniform_map(TILES, 1e6)})
+        assert hi.max_c > lo.max_c > AMBIENT_C
 
     def test_linearity_in_power(self, outline):
-        cfg = ThermalConfig()
-        a = solve_stack(outline, {0: uniform_map(cfg.tiles, 5e5)},
-                        config=cfg)
-        b = solve_stack(outline, {0: uniform_map(cfg.tiles, 1e6)},
-                        config=cfg)
-        rise_a = a.avg_c - cfg.ambient_c
-        rise_b = b.avg_c - cfg.ambient_c
+        a = solve_stack(outline, {0: uniform_map(TILES, 5e5)})
+        b = solve_stack(outline, {0: uniform_map(TILES, 1e6)})
+        rise_a = a.avg_c - AMBIENT_C
+        rise_b = b.avg_c - AMBIENT_C
         assert rise_b == pytest.approx(2 * rise_a, rel=1e-6)
 
     def test_hotspot_hotter_than_uniform(self, outline):
-        cfg = ThermalConfig()
-        n = cfg.tiles
-        uniform = solve_stack(outline, {0: uniform_map(n, 1e6)},
-                              config=cfg)
+        n = TILES
+        uniform = solve_stack(outline, {0: uniform_map(n, 1e6)})
         spot = np.zeros((n, n))
         spot[n // 2, n // 2] = 1e6
-        focused = solve_stack(outline, {0: spot}, config=cfg)
+        focused = solve_stack(outline, {0: spot})
         assert focused.max_c > uniform.max_c
 
     def test_far_tier_runs_hotter(self, outline):
-        cfg = ThermalConfig()
-        n = cfg.tiles
+        n = TILES
         maps = {0: uniform_map(n, 5e5), 1: uniform_map(n, 5e5)}
-        r = solve_stack(outline, maps, config=cfg)
+        r = solve_stack(outline, maps)
         assert r.tier_max(1) > r.tier_max(0)
 
     def test_stacking_same_power_is_hotter(self):
-        cfg = ThermalConfig()
-        n = cfg.tiles
+        n = TILES
         flat = solve_stack(Rect(0, 0, 3200, 3200),
-                           {0: uniform_map(n, 1e6)}, config=cfg)
+                           {0: uniform_map(n, 1e6)})
         half = Rect(0, 0, 3200 / 2 ** 0.5, 3200 / 2 ** 0.5)
         stacked = solve_stack(half, {0: uniform_map(n, 5e5),
-                                     1: uniform_map(n, 5e5)}, config=cfg)
+                                     1: uniform_map(n, 5e5)})
         assert stacked.max_c > flat.max_c
 
     def test_via_farm_cools_far_tier(self, outline):
-        cfg = ThermalConfig()
-        n = cfg.tiles
+        n = TILES
         maps = {0: uniform_map(n, 5e5), 1: uniform_map(n, 5e5)}
-        bare = solve_stack(outline, maps, via_area_um2=0.0, config=cfg)
-        farm = solve_stack(outline, maps, via_area_um2=5e5, config=cfg)
+        bare = solve_stack(outline, maps, via_area_um2=0.0)
+        farm = solve_stack(outline, maps, via_area_um2=5e5)
         assert farm.tier_max(1) < bare.tier_max(1)
 
     def test_rejects_three_tiers(self, outline):
-        n = ThermalConfig().tiles
+        n = TILES
         with pytest.raises(ValueError):
             solve_stack(outline, {0: uniform_map(n, 1),
                                   1: uniform_map(n, 1),
@@ -85,8 +73,7 @@ class TestSolveStack:
 
     def test_rejects_bad_shape(self, outline):
         with pytest.raises(ValueError):
-            solve_stack(outline, {0: np.zeros((3, 3))},
-                        config=ThermalConfig(tiles=16))
+            solve_stack(outline, {0: np.zeros((3, 3))})
 
 
 class TestChipThermal:
@@ -101,7 +88,7 @@ class TestChipThermal:
     def test_2d_single_tier(self, chips):
         r = analyze_chip_thermal(chips["2d"])
         assert list(r.temperature_c) == [0]
-        assert r.max_c > ThermalConfig().ambient_c
+        assert r.max_c > AMBIENT_C
 
     def test_3d_runs_hotter_than_2d(self, chips):
         r2 = analyze_chip_thermal(chips["2d"])

@@ -9,7 +9,8 @@ from repro.eco import Displace, EcoSession
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.names import CTR_STA_GRAPH_BUILDS, SPAN_STA_RETIME
-from repro.opt.buffering import BufferingConfig, plan_buffers
+from repro.opt import buffering
+from repro.opt.buffering import plan_buffers
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.route.estimate import RouteContext, route_block
 from repro.timing.incremental import IncrementalSTA
@@ -259,10 +260,12 @@ def test_property_random_edit_interleavings_exact(placed, library,
                 assert netlist.instances[iid].master is master
                 assert_same(view.to_result(), before)
         elif kind == "buffers":
-            session.commit_buffers(plan_buffers(
-                netlist, view, library,
-                BufferingConfig(cap_limit_ff=0.0, group_size=2,
-                                max_new_buffers_per_pass=2)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(buffering, "CAP_LIMIT_FF", 0.0)
+                mp.setattr(buffering, "GROUP_SIZE", 2)
+                mp.setattr(buffering, "MAX_NEW_BUFFERS_PER_PASS", 2)
+                plans = plan_buffers(netlist, view, library)
+            session.commit_buffers(plans)
             cells = [c.id for c in netlist.cells if not c.is_sequential]
         elif kind == "displace":
             iid = cells[data.draw(st.integers(0, len(cells) - 1),

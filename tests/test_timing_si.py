@@ -4,29 +4,29 @@ import pytest
 
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.route.block_router import route_block_with_router
-from repro.timing.si import SiConfig, coupling_factor, derate_routing
+from repro.timing import si
+from repro.timing.si import coupling_factor, derate_routing
 from repro.timing.sta import TimingConfig, run_sta
 from tests.conftest import fresh_block
 
 
 class TestCouplingFactor:
     def test_quiet_corridor_no_penalty(self):
-        assert coupling_factor(0.0, SiConfig()) == pytest.approx(1.0)
+        assert coupling_factor(0.0) == pytest.approx(1.0)
 
     def test_monotone_in_utilization(self):
-        cfg = SiConfig()
-        assert coupling_factor(0.2, cfg) < coupling_factor(0.8, cfg) < \
-            coupling_factor(1.2, cfg)
+        assert coupling_factor(0.2) < coupling_factor(0.8) < \
+            coupling_factor(1.2)
 
     def test_clipped_above(self):
-        cfg = SiConfig()
-        assert coupling_factor(5.0, cfg) == coupling_factor(1.5, cfg)
+        assert coupling_factor(5.0) == coupling_factor(1.5)
 
-    def test_worst_case_bound(self):
+    def test_worst_case_bound(self, monkeypatch):
         # full coupling, always-switching aggressors, Miller 2.0
-        cfg = SiConfig(coupling_fraction=1.0, miller_factor=2.0,
-                       aggressor_activity=1.0)
-        assert coupling_factor(1.0, cfg) == pytest.approx(2.0)
+        monkeypatch.setattr(si, "COUPLING_FRACTION", 1.0)
+        monkeypatch.setattr(si, "MILLER_FACTOR", 2.0)
+        monkeypatch.setattr(si, "AGGRESSOR_ACTIVITY", 1.0)
+        assert coupling_factor(1.0) == pytest.approx(2.0)
 
 
 class TestDerateRouting:
