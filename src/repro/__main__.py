@@ -51,17 +51,14 @@ def _cmd_experiments(_args) -> int:
 def _cmd_run(args) -> int:
     from .analysis.experiments import (UnknownExperimentError,
                                        run_experiment)
+    from .core.cache import DesignCache
     from .service.schema import PointSpec
-    cache = None
-    if args.cache_dir:
-        from .core.cache import DesignCache
-        cache = DesignCache(cache_dir=args.cache_dir)
     point = PointSpec(experiment_id=args.id, scale=args.scale,
                       seed=args.seed)
     t0 = time.time()
     try:
-        result = run_experiment(point.experiment_id,
-                                point.to_options(cache=cache))
+        result = run_experiment(point.experiment_id, point.to_options(
+            cache=DesignCache(cache_dir=args.cache_dir)))
     except UnknownExperimentError as exc:
         print(f"{exc.args[0]}; see 'python -m repro experiments'",
               file=sys.stderr)
@@ -493,7 +490,8 @@ def _cmd_signoff(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .core import FlowConfig, FoldSpec, run_block_flow
+    from .core import FlowConfig, FoldSpec
+    from .core.cache import DesignCache, block_design, run_scope
     from .core.fullchip import ChipConfig, build_chip
     from .lint import LintConfig, Waiver, lint_block, lint_chip
     from .tech import make_process
@@ -503,32 +501,26 @@ def _cmd_lint(args) -> int:
         waivers=tuple(Waiver(rule_id=w, reason="waived on command line")
                       for w in (args.waive or ())))
     process = make_process()
-    cache = None
-    if args.cache_dir:
-        from .core.cache import DesignCache
-        cache = DesignCache(cache_dir=args.cache_dir)
-    if args.target in ("2d", "core_cache", "core_core", "fold_f2b",
-                       "fold_f2f") or args.style:
-        style = args.style or args.target
-        chip = build_chip(ChipConfig(style=style, scale=args.scale),
-                          process, cache=cache)
-        report = lint_chip(chip, config=config)
-    else:
-        from .designgen.t2 import t2_block_types
-        known = [bt.name for bt in t2_block_types()]
-        if args.target not in known:
-            print(f"unknown block or chip style {args.target!r}; "
-                  f"blocks: {', '.join(known)}; styles: 2d, core_cache, "
-                  f"core_core, fold_f2b, fold_f2f", file=sys.stderr)
-            return 2
-        fold = FoldSpec(mode=args.fold_mode) if args.fold else None
-        fc = FlowConfig(scale=args.scale, seed=args.seed, fold=fold,
-                        bonding=args.bonding)
-        if cache is not None:
-            design = cache.get_or_run(args.target, fc, process)
+    with run_scope(DesignCache(cache_dir=args.cache_dir)):
+        if args.target in ("2d", "core_cache", "core_core", "fold_f2b",
+                           "fold_f2f") or args.style:
+            style = args.style or args.target
+            chip = build_chip(ChipConfig(style=style, scale=args.scale),
+                              process)
+            report = lint_chip(chip, config=config)
         else:
-            design = run_block_flow(args.target, fc, process)
-        report = lint_block(design, config=config)
+            from .designgen.t2 import t2_block_types
+            known = [bt.name for bt in t2_block_types()]
+            if args.target not in known:
+                print(f"unknown block or chip style {args.target!r}; "
+                      f"blocks: {', '.join(known)}; styles: 2d, core_cache, "
+                      f"core_core, fold_f2b, fold_f2f", file=sys.stderr)
+                return 2
+            fold = FoldSpec(mode=args.fold_mode) if args.fold else None
+            fc = FlowConfig(scale=args.scale, seed=args.seed, fold=fold,
+                            bonding=args.bonding)
+            report = lint_block(block_design(args.target, fc, process),
+                                config=config)
 
     if args.json_out:
         with open(args.json_out, "w") as f:

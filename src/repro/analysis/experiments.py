@@ -12,18 +12,18 @@ options object and one entry point::
 
     from repro.analysis.experiments import ExperimentOptions, run_experiment
 
-    result = run_experiment("fig2", ExperimentOptions(scale=0.7,
-                                                      cache=my_cache))
+    result = run_experiment("fig2", ExperimentOptions(scale=0.7, seed=1))
 
 :class:`ExperimentOptions` carries everything a runner may need --
 ``process``, ``scale``, ``seed``, ``cache``, ``trace`` -- so adding an
 option never touches eleven signatures again.  :data:`REGISTRY` maps
 each id to its :class:`Experiment` (runner and description).
 
-Every run accepts an optional :class:`repro.core.cache.DesignCache`
-(block designs recur across experiments -- with a persistent
-``cache_dir`` a warm rerun is near-free) and a ``seed`` so sweeps can
-reseed deterministically.  :func:`result_to_dict` /
+Every run requests its block designs through one
+:class:`repro.core.cache.DesignCache` (``opts.cache``, or a fresh
+memory-only one), so a design the run already built is never built
+again; with a persistent ``cache_dir`` a warm rerun is near-free.  A
+``seed`` lets sweeps reseed deterministically.  :func:`result_to_dict` /
 :func:`experiment_json` serialize a result into key-sorted JSON whose
 bytes are identical for identical (code, seed, scale) -- the determinism
 and golden-regression test layers compare those bytes.  Observability
@@ -37,7 +37,8 @@ from dataclasses import dataclass, field, fields as dataclass_fields, is_datacla
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.bonding import bonding_power_sweep
-from ..core.flow import BlockDesign, FlowConfig, block_memo, run_block_flow
+from ..core.cache import DesignCache, block_design, run_scope
+from ..core.flow import BlockDesign, FlowConfig
 from ..core.folding import FoldSpec, folding_candidates
 from ..core.fullchip import ChipConfig, build_chip
 from ..core.secondlevel import spc_folding_study
@@ -56,9 +57,10 @@ class ExperimentOptions:
         process: technology node (default: :func:`make_process`).
         scale: model-scale multiplier threaded into every flow.
         seed: generation/placement seed threaded into every flow.
-        cache: optional :class:`repro.core.cache.DesignCache`; block
-            designs recur across experiments, and with a persistent
-            ``cache_dir`` a warm rerun skips the flows entirely.
+        cache: the run's design cache (``None``: a fresh memory-only
+            one); pass one to share designs across runs, and one with a
+            persistent ``cache_dir`` to let a warm rerun skip the flows
+            entirely.
         trace: record observability spans for this run (timing still
             happens when off; only recording stops).
     """
@@ -66,7 +68,7 @@ class ExperimentOptions:
     process: Optional[ProcessNode] = None
     scale: float = 1.0
     seed: int = 1
-    cache: Optional[Any] = None
+    cache: Optional[DesignCache] = None
     trace: bool = True
 
     def resolved_process(self) -> ProcessNode:
@@ -164,14 +166,6 @@ def _check(name: str, passed: bool, measured: str,
                       paper=paper)
 
 
-def _flow(block: str, config: FlowConfig, process: ProcessNode,
-          cache) -> BlockDesign:
-    """Run one block flow, through the cache when one is provided."""
-    if cache is not None:
-        return cache.get_or_run(block, config, process)
-    return run_block_flow(block, config, process)
-
-
 # ---------------------------------------------------------------------------
 # Table 1: 3D interconnect settings
 # ---------------------------------------------------------------------------
@@ -222,10 +216,10 @@ def _table1(opts: ExperimentOptions) -> ExperimentResult:
 def _table2(opts: ExperimentOptions) -> ExperimentResult:
     """Table 2: block-level 2D vs the two 3D floorplans (RVT only)."""
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
+    scale, seed = opts.scale, opts.seed
     designs = {
         style: build_chip(ChipConfig(style=style, scale=scale, seed=seed),
-                          process, cache=cache)
+                          process)
         for style in ("2d", "core_cache", "core_core")
     }
     cols = ["2D", "3D core/cache", "3D core/core"]
@@ -267,12 +261,12 @@ def _table2(opts: ExperimentOptions) -> ExperimentResult:
 def _table3(opts: ExperimentOptions) -> ExperimentResult:
     """Table 3: 2D block characteristics for fold-candidate selection."""
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
+    scale, seed = opts.scale, opts.seed
     designs: Dict[str, BlockDesign] = {}
     counts: Dict[str, int] = {}
     for bt in t2_block_types():
-        designs[bt.name] = _flow(
-            bt.name, FlowConfig(scale=scale, seed=seed), process, cache)
+        designs[bt.name] = block_design(
+            bt.name, FlowConfig(scale=scale, seed=seed), process)
         counts[bt.name] = bt.count
     rows = folding_candidates(designs, counts)
     lines = ["Table 3: 2D design characteristics for block folding "
@@ -319,13 +313,13 @@ def _table3(opts: ExperimentOptions) -> ExperimentResult:
 def _table4(opts: ExperimentOptions) -> ExperimentResult:
     """Table 4: folding the memory-dominated L2 data bank barely helps."""
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
-    d2 = _flow("l2d", FlowConfig(scale=scale, seed=seed), process, cache)
-    d3 = _flow("l2d", FlowConfig(
+    scale, seed = opts.scale, opts.seed
+    d2 = block_design("l2d", FlowConfig(scale=scale, seed=seed), process)
+    d3 = block_design("l2d", FlowConfig(
         scale=scale, seed=seed,
         fold=FoldSpec(mode="regions",
                       die1_regions=("subbank2", "subbank3")),
-        bonding="F2B"), process, cache)
+        bonding="F2B"), process)
     table = format_table("Table 4: 2D vs 3D (folded) L2 data bank",
                          ["2D", "3D"], design_metric_rows([d2, d3]))
     p = relative(d3.power.total_uw, d2.power.total_uw)
@@ -352,16 +346,16 @@ def _table4(opts: ExperimentOptions) -> ExperimentResult:
 def _fig2(opts: ExperimentOptions) -> ExperimentResult:
     """Fig. 2: the CCX's natural PCX/CPX fold, plus the TSV-count sweep."""
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
-    d2 = _flow("ccx", FlowConfig(scale=scale, seed=seed), process, cache)
-    natural = _flow("ccx", FlowConfig(
+    scale, seed = opts.scale, opts.seed
+    d2 = block_design("ccx", FlowConfig(scale=scale, seed=seed), process)
+    natural = block_design("ccx", FlowConfig(
         scale=scale, seed=seed,
         fold=FoldSpec(mode="regions", die1_regions=("cpx",)),
-        bonding="F2B"), process, cache)
-    many_tsv = _flow("ccx", FlowConfig(
+        bonding="F2B"), process)
+    many_tsv = block_design("ccx", FlowConfig(
         scale=scale, seed=seed,
         fold=FoldSpec(mode="interleave", interleave_period=1),
-        bonding="F2B"), process, cache)
+        bonding="F2B"), process)
     table = format_table(
         "Fig. 2: CCX folding (2D vs natural fold vs many-TSV fold)",
         ["2D", "3D natural", "3D interleaved"],
@@ -399,9 +393,8 @@ def _fig2(opts: ExperimentOptions) -> ExperimentResult:
 def _fig3(opts: ExperimentOptions) -> ExperimentResult:
     """Fig. 3: second-level (FUB) folding of the SPARC core."""
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
-    study = spc_folding_study(process, FlowConfig(scale=scale, seed=seed),
-                              cache=cache)
+    scale, seed = opts.scale, opts.seed
+    study = spc_folding_study(process, FlowConfig(scale=scale, seed=seed))
     table = format_table(
         "Fig. 3: SPC second-level folding",
         ["2D", "block-level 3D", "second-level 3D"],
@@ -443,14 +436,14 @@ def _fig6(opts: ExperimentOptions) -> ExperimentResult:
     """Fig. 6: F2F vias over macros shrink folded footprints vs TSVs."""
     from ..core.bonding import compare_bonding
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
+    scale, seed = opts.scale, opts.seed
     base = FlowConfig(scale=scale, seed=seed)
     l2t = compare_bonding("l2t", FoldSpec(mode="mincut"), process, base,
-                          label="l2t", cache=cache)
+                          label="l2t")
     l2d = compare_bonding(
         "l2d", FoldSpec(mode="regions",
                         die1_regions=("subbank2", "subbank3")),
-        process, base, label="l2d", cache=cache)
+        process, base, label="l2d")
     rows = [
         MetricRow("l2t footprint (mm^2)",
                   [l2t.f2b.footprint_um2, l2t.f2f.footprint_um2],
@@ -499,11 +492,10 @@ def _fig6(opts: ExperimentOptions) -> ExperimentResult:
 def _fig7(opts: ExperimentOptions) -> ExperimentResult:
     """Fig. 7: five L2T partitions, F2B vs F2F, power vs 3D connections."""
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
+    scale, seed = opts.scale, opts.seed
     sweep = bonding_power_sweep("l2t", process,
-                                FlowConfig(scale=scale, seed=seed),
-                                cache=cache)
-    d2 = _flow("l2t", FlowConfig(scale=scale, seed=seed), process, cache)
+                                FlowConfig(scale=scale, seed=seed))
+    d2 = block_design("l2t", FlowConfig(scale=scale, seed=seed), process)
     lines = ["Fig. 7: bonding style impact on power (l2t fold)",
              f"{'case':>5s} {'#3D conn':>9s} {'F2B pwr/2D':>11s} "
              f"{'F2F pwr/2D':>11s} {'F2F vs F2B':>11s}"]
@@ -543,10 +535,10 @@ def _fig7(opts: ExperimentOptions) -> ExperimentResult:
 def _fig8(opts: ExperimentOptions) -> ExperimentResult:
     """Fig. 8: GDSII-style comparison of the five full-chip layouts."""
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
+    scale, seed = opts.scale, opts.seed
     styles = ("2d", "core_cache", "core_core", "fold_f2b", "fold_f2f")
     chips = {s: build_chip(ChipConfig(style=s, scale=scale, seed=seed),
-                           process, cache=cache)
+                           process)
              for s in styles}
     lines = ["Fig. 8: full-chip design styles",
              f"{'style':>12s} {'footprint mm^2':>15s} {'dies':>5s} "
@@ -589,15 +581,13 @@ def _fig8(opts: ExperimentOptions) -> ExperimentResult:
 def _table5(opts: ExperimentOptions) -> ExperimentResult:
     """Table 5: 2D vs 3D w/o folding vs 3D w/ folding, dual-Vth."""
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
+    scale, seed = opts.scale, opts.seed
     d2 = build_chip(ChipConfig(style="2d", dual_vth=True, scale=scale,
-                               seed=seed), process, cache=cache)
+                               seed=seed), process)
     nf = build_chip(ChipConfig(style="core_cache", dual_vth=True,
-                               scale=scale, seed=seed), process,
-                    cache=cache)
+                               scale=scale, seed=seed), process)
     wf = build_chip(ChipConfig(style="fold_f2f", dual_vth=True,
-                               scale=scale, seed=seed), process,
-                    cache=cache)
+                               scale=scale, seed=seed), process)
     table = format_table(
         "Table 5: full-chip comparison with dual-Vth",
         ["2D", "3D w/o folding", "3D w/ folding"],
@@ -637,16 +627,15 @@ def _table5(opts: ExperimentOptions) -> ExperimentResult:
 def _dvt_claim(opts: ExperimentOptions) -> ExperimentResult:
     """Section 6.2: dual-Vth saves ~10% vs the RVT-only twin designs."""
     process = opts.resolved_process()
-    scale, seed, cache = opts.scale, opts.seed, opts.cache
+    scale, seed = opts.scale, opts.seed
     rvt2d = build_chip(ChipConfig(style="2d", scale=scale, seed=seed),
-                       process, cache=cache)
+                       process)
     dvt2d = build_chip(ChipConfig(style="2d", dual_vth=True, scale=scale,
-                                  seed=seed), process, cache=cache)
+                                  seed=seed), process)
     rvtf = build_chip(ChipConfig(style="fold_f2f", scale=scale,
-                                 seed=seed), process, cache=cache)
+                                 seed=seed), process)
     dvtf = build_chip(ChipConfig(style="fold_f2f", dual_vth=True,
-                                 scale=scale, seed=seed), process,
-                      cache=cache)
+                                 scale=scale, seed=seed), process)
     g2 = relative(dvt2d.power.total_uw, rvt2d.power.total_uw)
     gf = relative(dvtf.power.total_uw, rvtf.power.total_uw)
     rows = [
@@ -693,10 +682,9 @@ def _eco(opts: ExperimentOptions) -> ExperimentResult:
     from ..timing.sta import TimingConfig, run_sta
 
     process = opts.resolved_process()
-    cache = opts.cache
     base_cfg = FlowConfig(scale=opts.scale, seed=opts.seed,
                           io_budget_ps=60.0)
-    base = _flow("l2t", base_cfg, process, cache)
+    base = block_design("l2t", base_cfg, process)
     neighbor = replace(base_cfg, io_budget_ps=90.0, dual_vth=True,
                        eco=EcoConfig())
     derived, closure = derive_design(base, neighbor, process)
@@ -763,9 +751,11 @@ def run_experiment(experiment_id: str,
 
     The run is wrapped in an ``experiment`` span carrying the id, scale
     and seed; ``opts.trace=False`` suppresses span/metric recording for
-    the duration of the run.  Its flows share one
+    the duration of the run.  The run is one
+    :func:`repro.core.cache.run_scope` over ``opts.cache``: every block
+    design it requests goes through that cache, and its flows share one
     :class:`repro.core.flow.BlockMemo`, which dies with the run.  The
-    whole run -- the memo, the runner, chip assembly and the design
+    whole run -- the scope, the runner, chip assembly and the design
     cache's loads and stores -- runs with the cyclic collector paused
     (:func:`repro.memory.collector_paused`): the flow makes no
     reference cycles, so reference counting frees everything it drops.
@@ -775,12 +765,12 @@ def run_experiment(experiment_id: str,
         raise UnknownExperimentError(experiment_id)
     if opts is None:
         opts = ExperimentOptions()
-    with collector_paused(), block_memo():
+    with collector_paused(), run_scope(opts.cache):
         if not opts.trace:
             with trace.disabled():
                 return exp.fn(opts)
         with trace.span("experiment", id=exp.id, scale=opts.scale,
-                        seed=opts.seed, cached=opts.cache is not None):
+                        seed=opts.seed):
             return exp.fn(opts)
 
 

@@ -13,7 +13,7 @@ properties the whole repro pipeline depends on:
   shared-global mutation in worker code, no fork-unsafe module-scope
   resources (threads and executors included);
 * **flow contracts** (``FLW``): ``@experiment`` runners thread
-  ``seed=``/``cache``, results carry their registered id, frozen
+  ``seed=``, results carry their registered id, frozen
   options stay frozen, every flow stage pairs its span with a
   ``fault_point``, no nested function calls itself by name (a
   reference cycle in runs that pause the cyclic collector);

@@ -23,11 +23,6 @@ from .taint import walk_local
 #: config constructors that must be seeded explicitly inside runners
 _SEEDED_CTORS = frozenset({"FlowConfig", "ChipConfig"})
 
-#: helpers that must receive the runner's ``cache`` (kw or positional)
-_CACHED_HELPERS = frozenset({"build_chip", "_flow", "compare_bonding",
-                             "spc_folding_study",
-                             "bonding_power_sweep"})
-
 #: flow stages that the chaos layer must be able to interrupt
 _CHAOS_STAGES = frozenset({"generate", "place", "optimize",
                            "detailed_route", "power"})
@@ -61,13 +56,11 @@ def flw001_runner_signature(ctx: CodeContext) -> Iterator[Tuple[str, str]]:
                    ctx.obj_of(fn))
 
 
-@code_rule("FLW002", "experiment runner drops seed= or cache")
+@code_rule("FLW002", "experiment runner builds a config without seed=")
 def flw002_threading(ctx: CodeContext) -> Iterator[Tuple[str, str]]:
     """Inside a runner, every ``FlowConfig``/``ChipConfig`` must be
-    built with an explicit ``seed=`` and every flow/chip helper must be
-    handed the runner's ``cache`` -- otherwise the run silently uses
-    the default seed (corrupting sweeps) or rebuilds every block
-    (defeating warm reruns and parallel==serial parity checks)."""
+    built with an explicit ``seed=`` -- otherwise the run silently uses
+    the default seed, corrupting sweeps."""
     assert ctx.imports is not None
     for fn, _ in _experiment_runners(ctx):
         for node in walk_local(fn):
@@ -80,18 +73,6 @@ def flw002_threading(ctx: CodeContext) -> Iterator[Tuple[str, str]]:
                        f"@experiment runner {fn.name}() has no seed= "
                        f"keyword; thread opts.seed through",
                        ctx.obj_of(node))
-            elif tail in _CACHED_HELPERS:
-                refs_cache = any(
-                    isinstance(n, ast.Name) and n.id == "cache"
-                    for arg in (list(node.args)
-                                + [kw.value for kw in node.keywords])
-                    for n in ast.walk(arg))
-                if not refs_cache:
-                    yield (f"{ctx.where(node)}: {tail}(...) inside "
-                           f"@experiment runner {fn.name}() does not "
-                           f"pass the runner's cache; thread "
-                           f"opts.cache through",
-                           ctx.obj_of(node))
 
 
 @code_rule("FLW003", "ExperimentOptions mutated")

@@ -1,6 +1,6 @@
 """The paper's contribution: folding, bonding styles, full-chip assembly."""
 
-from .cache import CacheStats, DesignCache
+from .cache import CacheStats, DesignCache, block_design, run_scope
 from .bonding import BondingComparison, bonding_power_sweep, compare_bonding
 from .explore import (DesignPoint, ExplorationResult,
                       explore_design_space, pareto_front)
@@ -15,7 +15,7 @@ from .secondlevel import (SpcStudyResult, fub_assign_spec,
                           second_level_spec, spc_folding_study)
 
 __all__ = [
-    "CacheStats", "DesignCache",
+    "CacheStats", "DesignCache", "block_design", "run_scope",
     "BondingComparison", "bonding_power_sweep", "compare_bonding",
     "ChipSTAResult", "CrossPath", "build_signed_off_chip",
     "pipeline_failing_bundles", "run_chip_sta", "ChipConfig",

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..tech.process import ProcessNode
-from .flow import BlockDesign, FlowConfig, memo_block, run_block_flow
+from .cache import block_design
+from .flow import BlockDesign, FlowConfig, memo_block
 from .folding import FoldSpec, partition_case_sweep
 
 
@@ -50,27 +51,19 @@ class BondingComparison:
 
 def compare_bonding(block: str, fold: FoldSpec, process: ProcessNode,
                     base: Optional[FlowConfig] = None,
-                    label: str = "", cache=None) -> BondingComparison:
-    """Implement one fold in F2B and F2F and compare.
-
-    Pass a :class:`repro.core.cache.DesignCache` to reuse designs across
-    repeated comparisons (sweeps, warm benchmark runs).
-    """
+                    label: str = "") -> BondingComparison:
+    """Implement one fold in F2B and F2F and compare."""
     base = base or FlowConfig()
-
-    def flow(cfg: FlowConfig):
-        if cache is not None:
-            return cache.get_or_run(block, cfg, process)
-        return run_block_flow(block, cfg, process)
-
-    f2b = flow(replace(base, fold=fold, bonding="F2B"))
-    f2f = flow(replace(base, fold=fold, bonding="F2F"))
+    f2b = block_design(block, replace(base, fold=fold, bonding="F2B"),
+                       process)
+    f2f = block_design(block, replace(base, fold=fold, bonding="F2F"),
+                       process)
     return BondingComparison(label=label or fold.mode, f2b=f2b, f2f=f2f)
 
 
 def bonding_power_sweep(block: str, process: ProcessNode,
-                        base: Optional[FlowConfig] = None,
-                        cache=None) -> List[BondingComparison]:
+                        base: Optional[FlowConfig] = None
+                        ) -> List[BondingComparison]:
     """The Fig. 7 sweep: five partition cases, both bonding styles.
 
     Returns comparisons in partition-case order (#1..#5, increasing 3D
@@ -80,6 +73,5 @@ def bonding_power_sweep(block: str, process: ProcessNode,
     gb = memo_block(block, process.library, base.seed, base.scale)
     out: List[BondingComparison] = []
     for label, fold in partition_case_sweep(gb):
-        out.append(compare_bonding(block, fold, process, base, label=label,
-                                   cache=cache))
+        out.append(compare_bonding(block, fold, process, base, label=label))
     return out

@@ -17,34 +17,37 @@ Two tiers:
   of the request -- block name, every ``FlowConfig`` field (fold spec
   included), a :func:`process_fingerprint` of the technology node, and
   :data:`CODE_VERSION` -- so a stale tree from an older flow can never
-  satisfy a new request.  Writes are atomic (temp file + ``os.replace``)
-  so concurrent workers sharing one directory never observe a torn file;
+  satisfy a new request.  Writes are atomic (:func:`write_atomic`) so
+  concurrent workers sharing one directory never observe a torn file;
   loads are corruption-tolerant (a truncated or garbage file counts as a
   miss, is deleted, and the design is recomputed).
 
-Pass one :class:`DesignCache` through
-:func:`~repro.core.fullchip.build_chip` calls (or the design-space
-explorer) to deduplicate the work; point several runs (or several
-``multiprocessing`` workers) at one ``cache_dir`` to make reruns
-near-free.
+Every block-design request goes through :func:`block_design`, which
+asks the cache of the enclosing :func:`run_scope`.  ``run_experiment``
+opens one scope per run over ``ExperimentOptions.cache`` (a fresh
+memory-only cache when that is ``None``), so one run never repeats a
+flow; point several runs (or several ``multiprocessing`` workers) at one
+``cache_dir`` to make reruns near-free.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import os
 import pickle
 import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import BinaryIO, Callable, Dict, Iterator, Optional, Union
 
 from ..faults.inject import corrupt_point
 from ..obs import trace
 from ..obs.metrics import metrics
 from ..tech.process import ProcessNode
-from .flow import BlockDesign, FlowConfig, run_block_flow
+from .flow import BlockDesign, FlowConfig, block_memo, run_block_flow
 
 #: Version stamp baked into every disk-cache key.  Bump whenever the
 #: flow's numerics change (placement, routing, timing, power models) or
@@ -107,6 +110,34 @@ def design_key(block: str, config: FlowConfig,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def write_atomic(path: Path, write: Callable[[BinaryIO], object]) -> bool:
+    """Write ``path`` whole or not at all.
+
+    ``write`` fills a temp file in ``path``'s directory (created on
+    demand), which then replaces ``path``, so a reader sharing the
+    directory never sees a torn file; a write that raises leaves
+    neither file behind.  Returns whether ``path`` was written: an
+    ``OSError`` (unwritable directory, full disk) returns ``False``,
+    which degrades a disk tier to memory-only; any other exception
+    propagates.
+    """
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        with os.fdopen(fd, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+        tmp = None
+        return True
+    except OSError:
+        return False
+    finally:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters across both tiers."""
@@ -166,47 +197,24 @@ class DesignCache:
         except FileNotFoundError:
             return None
         except Exception:
-            # truncated write, foreign bytes, unpicklable after a code
-            # change: drop the entry and recompute
-            self.stats.corrupt_drops += 1
-            metrics().counter("cache.corrupt_drops").inc()
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if not isinstance(design, BlockDesign):
-            self.stats.corrupt_drops += 1
-            metrics().counter("cache.corrupt_drops").inc()
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return design
+            design = None
+        if isinstance(design, BlockDesign):
+            return design
+        # truncated write, foreign bytes, unpicklable after a code
+        # change: drop the entry and recompute
+        self.stats.corrupt_drops += 1
+        metrics().counter("cache.corrupt_drops").inc()
+        with suppress(OSError):
+            path.unlink()
+        return None
 
     def _store_disk(self, key: str, design: BlockDesign) -> None:
         if self.cache_dir is None:
             return
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(self.cache_dir),
-                                       suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    pickle.dump(design, f, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+        if write_atomic(self._path(key), lambda f: pickle.dump(
+                design, f, protocol=pickle.HIGHEST_PROTOCOL)):
             self.stats.stores += 1
             metrics().counter("cache.stores").inc()
-        except OSError:
-            # an unwritable cache directory degrades to memory-only
-            pass
 
     # ---- the lookup ----------------------------------------------------
 
@@ -258,3 +266,47 @@ class DesignCache:
         survives)."""
         self._store.clear()
         self.stats = CacheStats()
+
+
+#: the design cache of the enclosing :func:`run_scope`
+_RUN_CACHE: contextvars.ContextVar[Optional[DesignCache]] = \
+    contextvars.ContextVar("repro_run_cache", default=None)
+
+
+@contextmanager
+def run_scope(cache: Optional[DesignCache] = None
+              ) -> Iterator[DesignCache]:
+    """Scope one run's design cache, next to its block memo.
+
+    Outside any scope this binds ``cache`` (a fresh memory-only one
+    when ``None``) and opens a :func:`~repro.core.flow.block_memo`;
+    both end with the ``with`` block.  Inside an open scope,
+    ``run_scope(None)`` joins it and ``run_scope(cache)`` binds
+    ``cache`` for the ``with`` block, keeping the enclosing memo.
+    """
+    if cache is None:
+        active = _RUN_CACHE.get()
+        if active is not None:
+            yield active
+            return
+        cache = DesignCache()
+    token = _RUN_CACHE.set(cache)
+    try:
+        with block_memo():
+            yield cache
+    finally:
+        _RUN_CACHE.reset(token)
+
+
+def block_design(block: str, config: FlowConfig,
+                 process: ProcessNode) -> BlockDesign:
+    """The finished design of one block-flow request, through the
+    enclosing :func:`run_scope`'s cache (outside any scope, through one
+    that dies with the call).
+
+    The design may be shared with every other request of the run for
+    the same key: treat it as read-only, and call
+    :func:`~repro.core.flow.run_block_flow` for a private one.
+    """
+    with run_scope() as cache:
+        return cache.get_or_run(block, config, process)

@@ -89,12 +89,10 @@ def pareto_front(points: Sequence[DesignPoint]) -> List[DesignPoint]:
 
 
 def evaluate_point(process: ProcessNode, style: str, dual_vth: bool,
-                   scale: float = 0.7, seed: int = 1,
-                   cache=None) -> DesignPoint:
+                   scale: float = 0.7, seed: int = 1) -> DesignPoint:
     """Build and measure one grid configuration."""
     chip = build_chip(ChipConfig(style=style, dual_vth=dual_vth,
-                                 scale=scale, seed=seed), process,
-                      cache=cache)
+                                 scale=scale, seed=seed), process)
     thermal = analyze_chip_thermal(chip)
     return DesignPoint(
         style=style, dual_vth=dual_vth,

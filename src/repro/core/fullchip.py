@@ -34,7 +34,8 @@ from ..power.analysis import PowerReport
 from ..route.global_router import GlobalRouter
 from ..route.steiner import steiner_length
 from ..tech.process import CPU_CLOCK, ProcessNode
-from .flow import BlockDesign, FlowConfig, run_block_flow
+from .cache import block_design
+from .flow import BlockDesign, FlowConfig
 from .folding import FoldSpec
 from .secondlevel import second_level_spec
 
@@ -180,15 +181,15 @@ def _bundle_wire_stats(process: ProcessNode, length_um: float,
     return n_seg - 1, delay
 
 
-def build_chip(config: ChipConfig, process: ProcessNode,
-               cache=None) -> ChipDesign:
+def build_chip(config: ChipConfig, process: ProcessNode) -> ChipDesign:
     """Design the full T2 in one style.
 
-    Runs one block flow per unique (type, fold, budget-bucket), assembles
-    the reference floorplan from the real block footprints, globally
-    routes the bundles with style-dependent blockages, and aggregates
-    chip metrics.  Pass a :class:`repro.core.cache.DesignCache` to share
-    identical block designs across multiple builds (sweeps).
+    Requests one block design per unique (type, fold, budget-bucket)
+    through :func:`repro.core.cache.block_design`, so builds inside one
+    :func:`~repro.core.cache.run_scope` share identical block designs;
+    then assembles the reference floorplan from the real block
+    footprints, globally routes the bundles with style-dependent
+    blockages, and aggregates chip metrics.
 
     The build records a ``chip`` observability span with one child span
     per phase (``chip.budget`` / ``chip.blocks`` / ``chip.assemble`` /
@@ -197,11 +198,10 @@ def build_chip(config: ChipConfig, process: ProcessNode,
     """
     with trace.span("chip", style=config.style, scale=config.scale,
                     seed=config.seed, dual_vth=config.dual_vth):
-        return _build_chip(config, process, cache)
+        return _build_chip(config, process)
 
 
-def _build_chip(config: ChipConfig, process: ProcessNode,
-                cache=None) -> ChipDesign:
+def _build_chip(config: ChipConfig, process: ProcessNode) -> ChipDesign:
     instances = t2_instances()
     bundles = t2_bundles()
     counts: Dict[str, int] = {}
@@ -241,8 +241,7 @@ def _build_chip(config: ChipConfig, process: ProcessNode,
 
     # ---- phase 2: block flows ------------------------------------------
     block_designs: Dict[str, BlockDesign] = {}
-    with trace.span("chip.blocks", style=config.style,
-                    cached=cache is not None) as sp_blocks:
+    with trace.span("chip.blocks", style=config.style) as sp_blocks:
         for bt in t2_block_types():
             fold = _fold_for(config, bt.name)
             fc = FlowConfig(scale=config.scale, seed=config.seed,
@@ -250,12 +249,7 @@ def _build_chip(config: ChipConfig, process: ProcessNode,
                             dual_vth=config.dual_vth,
                             io_budget_ps=budget_of.get(bt.name, 0.0),
                             assert_clean=config.assert_clean)
-            if cache is not None:
-                block_designs[bt.name] = cache.get_or_run(bt.name, fc,
-                                                          process)
-            else:
-                block_designs[bt.name] = run_block_flow(bt.name, fc,
-                                                        process)
+            block_designs[bt.name] = block_design(bt.name, fc, process)
     phase_times_ms["blocks"] = sp_blocks.duration_ms
 
     # ---- phase 3: real floorplan + global routing ----------------------

@@ -20,7 +20,8 @@ from typing import Optional, Tuple
 
 from ..designgen.t2 import SPC_FOLDED_FUBS
 from ..tech.process import ProcessNode
-from .flow import BlockDesign, FlowConfig, run_block_flow
+from .cache import block_design
+from .flow import BlockDesign, FlowConfig
 from .folding import FoldSpec
 
 
@@ -67,22 +68,13 @@ def second_level_spec(folded_fubs: Tuple[str, ...] = SPC_FOLDED_FUBS
 
 def spc_folding_study(process: ProcessNode,
                       base: Optional[FlowConfig] = None,
-                      bonding: str = "F2F",
-                      cache=None) -> SpcStudyResult:
-    """Run the Fig. 3 study: 2D vs block-level 3D vs second-level 3D.
-
-    Pass a :class:`repro.core.cache.DesignCache` to reuse the three SPC
-    designs across repeated runs.
-    """
+                      bonding: str = "F2F") -> SpcStudyResult:
+    """Run the Fig. 3 study: 2D vs block-level 3D vs second-level 3D."""
     base = base or FlowConfig()
-
-    def flow(cfg: FlowConfig) -> BlockDesign:
-        if cache is not None:
-            return cache.get_or_run("spc", cfg, process)
-        return run_block_flow("spc", cfg, process)
-
-    flat = flow(replace(base, fold=None))
-    block3d = flow(replace(base, fold=fub_assign_spec(), bonding=bonding))
-    second = flow(replace(base, fold=second_level_spec(), bonding=bonding))
+    flat = block_design("spc", replace(base, fold=None), process)
+    block3d = block_design("spc", replace(base, fold=fub_assign_spec(),
+                                          bonding=bonding), process)
+    second = block_design("spc", replace(base, fold=second_level_spec(),
+                                         bonding=bonding), process)
     return SpcStudyResult(flat_2d=flat, block_level_3d=block3d,
                           second_level_3d=second)

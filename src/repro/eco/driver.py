@@ -24,7 +24,7 @@ the cost of independent flow runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..faults.inject import fault_point
 from ..obs import trace
@@ -34,9 +34,6 @@ from ..opt.dualvth import plan_hvt_swaps, plan_rvt_restores
 from ..timing.sta import STAResult, TimingConfig
 from .moves import BufferInsert, EcoMove, Resize, VthSwap, move_key
 from .session import EcoError, EcoSession
-
-#: a planner maps (session, sta snapshot, config) to a move batch
-Planner = Callable[[EcoSession, STAResult, "EcoConfig"], List[EcoMove]]
 
 #: upsizes planned per round
 MAX_UPSIZES_PER_ROUND = 64
@@ -131,11 +128,9 @@ def plan_timing_moves(session: EcoSession, sta: STAResult,
 
 
 def close_timing(session: EcoSession,
-                 config: Optional[EcoConfig] = None,
-                 planner: Optional[Planner] = None) -> EcoClosureReport:
+                 config: Optional[EcoConfig] = None) -> EcoClosureReport:
     """Iterate plan/apply ECO rounds until the slack target holds."""
     config = config or EcoConfig()
-    plan = planner or plan_timing_moves
     rounds: List[EcoRound] = []
     seen_batches = set()
     status = "max_rounds"
@@ -148,7 +143,7 @@ def close_timing(session: EcoSession,
             if before >= config.target_wns_ps:
                 status = "met"
                 break
-            moves = plan(session, sta, config)
+            moves = plan_timing_moves(session, sta, config)
             if not moves:
                 status = "exhausted"
                 break

@@ -393,33 +393,20 @@ class Netlist:
 
     # -- validation ------------------------------------------------------------
 
-    def validate_structured(self, rules: Optional[Tuple[str, ...]] = None):
-        """Run the electrical lint deck and return a structured report.
-
-        Args:
-            rules: optional explicit rule-id subset (e.g.
-                ``("ERC003", "ERC004")`` for the legacy checks only);
-                ``None`` runs every netlist-scope rule.
-
-        Returns:
-            A :class:`repro.lint.LintReport` of
-            :class:`repro.lint.Violation` objects.
-        """
-        # imported lazily: repro.lint imports this module
-        from ..lint import lint_netlist
-        return lint_netlist(self, rules=rules)
-
     #: the rules whose messages the legacy string validator reported
     _LEGACY_RULES = ("ERC003", "ERC004")
 
     def validate(self) -> List[str]:
         """Structural sanity checks; returns a list of problem strings.
 
-        Back-compat wrapper over :meth:`validate_structured`, restricted
-        to the original checks (dangling endpoint references, direction
-        misuse, sinkless nets) with the original message strings.
+        Runs the original checks of the electrical lint deck (dangling
+        endpoint references, direction misuse, sinkless nets) with the
+        original message strings; :func:`repro.lint.lint_netlist` runs
+        the whole deck.
         """
-        report = self.validate_structured(rules=self._LEGACY_RULES)
+        # imported lazily: repro.lint imports this module
+        from ..lint import lint_netlist
+        report = lint_netlist(self, rules=self._LEGACY_RULES)
         return [v.message for v in report.violations]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

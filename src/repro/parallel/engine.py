@@ -79,7 +79,7 @@ from typing import (Any, Callable, ContextManager, Dict, Iterable, List,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
 from ..analysis.experiments import REGISTRY, result_to_dict, run_experiment
-from ..core.cache import DesignCache
+from ..core.cache import DesignCache, run_scope
 from ..faults import inject as faults
 from ..faults.plan import FaultPlan
 from ..obs import export, trace
@@ -331,11 +331,13 @@ def _run_one(point: PointSpec, process, cache) -> ExperimentRun:
 
 
 def _run_point(task: Tuple[str, bool, float, int], process, cache):
-    """Worker body: evaluate one design-space grid point."""
+    """Worker body: evaluate one design-space grid point, in one run
+    scope over the worker's cache."""
     from ..core.explore import evaluate_point
     style, dual_vth, scale, seed = task
-    return evaluate_point(process, style, dual_vth, scale=scale,
-                          seed=seed, cache=cache)
+    with run_scope(cache):
+        return evaluate_point(process, style, dual_vth, scale=scale,
+                              seed=seed)
 
 
 #: a worker body: ``body(task.args, process, cache)``

@@ -127,12 +127,10 @@ class PointSpec:
         from ..tech.process import make_process
         return make_process()
 
-    def to_options(self, process=None, cache=None,
-                   trace: bool = True) -> ExperimentOptions:
+    def to_options(self, process=None, cache=None) -> ExperimentOptions:
         """The :class:`ExperimentOptions` that runs this point."""
         return ExperimentOptions(process=process, scale=self.scale,
-                                 seed=self.seed, cache=cache,
-                                 trace=trace)
+                                 seed=self.seed, cache=cache)
 
     def to_wire(self) -> Dict[str, Any]:
         return {"experiment_id": self.experiment_id,

@@ -13,8 +13,8 @@ client ever completed is served instantly to every later request:
   cache directory.
 
 The disk tier borrows the design cache's failure contract: writes are
-atomic (temp file + ``os.replace``, so concurrent brokers sharing a
-directory never observe a torn file) and loads are
+atomic (:func:`repro.core.cache.write_atomic`, so concurrent brokers
+sharing a directory never observe a torn file) and loads are
 corruption-tolerant (a truncated, garbage or wrong-versioned file
 counts as a miss and is deleted).  Only ``status == "ok"`` results are
 stored -- failures must re-run, never replay.
@@ -22,11 +22,11 @@ stored -- failures must re-run, never replay.
 
 from __future__ import annotations
 
-import os
-import tempfile
+from contextlib import suppress
 from pathlib import Path
 from typing import Dict, Optional
 
+from ..core.cache import write_atomic
 from .schema import PointResult, SchemaError, decode_line, encode_line
 
 #: memory-tier entry cap of one store (FIFO eviction)
@@ -72,10 +72,8 @@ class ResultStore:
                 raise SchemaError("stored under the wrong key")
         except SchemaError:
             # corrupt or stale-schema entry: drop it and recompute
-            try:
+            with suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
             return None
         self._remember(key, result)
         return result
@@ -85,22 +83,9 @@ class ResultStore:
         if result.status != "ok":
             return
         self._remember(result.key, result)
-        if self.dir is None:
-            return
-        try:
-            fd, tmp = tempfile.mkstemp(dir=str(self.dir), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(encode_line(result.to_wire()))
-                os.replace(tmp, self._path(result.key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            pass
+        if self.dir is not None:
+            write_atomic(self._path(result.key),
+                         lambda f: f.write(encode_line(result.to_wire())))
 
     def _remember(self, key: str, result: PointResult) -> None:
         if key not in self._memory and \

@@ -229,23 +229,17 @@ def test_flw001_runner_signature():
                  "    return None\n", "FLW001")
 
 
-def test_flw002_seed_and_cache_threading():
+def test_flw002_seed_threading():
     assert_fires(_EXP_IMPORT +
                  "@experiment('x', 'demo')\n"
                  "def run_x(opts):\n"
                  "    cfg = FlowConfig(scale=opts.scale)\n"
                  "    return cfg\n", "FLW002")
-    assert_fires(_EXP_IMPORT +
-                 "@experiment('x', 'demo')\n"
-                 "def run_x(opts):\n"
-                 "    d = build_chip(None, None)\n"
-                 "    return d\n", "FLW002")
     assert_clean(_EXP_IMPORT +
                  "@experiment('x', 'demo')\n"
                  "def run_x(opts):\n"
-                 "    seed, cache = opts.seed, opts.cache\n"
-                 "    cfg = FlowConfig(scale=opts.scale, seed=seed)\n"
-                 "    return build_chip(cfg, None, cache=cache)\n",
+                 "    cfg = FlowConfig(scale=opts.scale, seed=opts.seed)\n"
+                 "    return build_chip(cfg, None)\n",
                  "FLW002")
     # outside a runner the helpers are free to do what they want
     assert_clean("def helper(scale):\n"

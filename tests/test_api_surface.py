@@ -131,6 +131,25 @@ def test_every_config_class_is_pinned():
     assert found == set(CONFIG_FIELDS)
 
 
+def test_experiment_options_are_pinned():
+    from repro.analysis.experiments import ExperimentOptions
+    assert tuple(f.name for f in dataclasses.fields(ExperimentOptions)) \
+        == ("process", "scale", "seed", "cache", "trace")
+
+
+@pytest.mark.parametrize("spec", [
+    "repro.core.fullchip:build_chip", "repro.core.bonding:compare_bonding",
+    "repro.core.bonding:bonding_power_sweep",
+    "repro.core.secondlevel:spc_folding_study",
+    "repro.core.explore:evaluate_point"])
+def test_design_helpers_take_no_cache(spec):
+    """Block designs reach these helpers through the run's scope
+    (``repro.core.cache.block_design``), never through a parameter."""
+    module, _, name = spec.partition(":")
+    fn = getattr(importlib.import_module(module), name)
+    assert "cache" not in inspect.signature(fn).parameters
+
+
 def test_explore_points_parameters_are_pinned():
     from repro.parallel.engine import explore_points
     assert tuple(inspect.signature(explore_points).parameters) == (

@@ -95,6 +95,29 @@ def test_unwritable_cache_dir_degrades_to_memory(process, tmp_path):
     assert not list(tmp_path.rglob("*.pkl"))
 
 
+@pytest.mark.parametrize("error", [OSError, RuntimeError])
+def test_write_that_raises_midway_leaves_no_file(process, tmp_path,
+                                                 monkeypatch, error):
+    """A store that fails after writing part of the entry leaves neither
+    the entry nor its temp file; an ``OSError`` degrades the cache to
+    memory-only, anything else propagates."""
+    def torn_dump(obj, f, protocol=None):
+        f.write(b"partial")
+        raise error("write failed")
+
+    monkeypatch.setattr(pickle, "dump", torn_dump)
+    cache = DesignCache(cache_dir=tmp_path)
+    cfg = FlowConfig(scale=0.4)
+    if error is OSError:
+        assert cache.get_or_run("ncu", cfg, process).power.total_uw > 0
+        assert len(cache) == 1
+    else:
+        with pytest.raises(RuntimeError, match="write failed"):
+            cache.get_or_run("ncu", cfg, process)
+    assert cache.stats.stores == 0
+    assert not list(tmp_path.iterdir())
+
+
 # ---- cache-key coverage ------------------------------------------------
 
 

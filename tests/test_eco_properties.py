@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.eco.driver as eco_driver
 from repro.core.flow import FlowConfig, run_block_flow
 from repro.eco import (BufferInsert, BufferRemove, Displace, EcoConfig,
                        EcoError, EcoSession, Resize, VthSwap,
@@ -222,21 +223,25 @@ def test_oscillation_detector_fires_on_repeated_plans(pick, base,
     inst = sorted(cands, key=lambda c: c.id)[pick % len(cands)]
     batch = [Resize(inst_id=inst.id,
                     drive=lib.upsize(inst.master).drive)]
-    report = close_timing(
-        session, EcoConfig(target_wns_ps=1e9, max_rounds=6),
-        planner=lambda s, sta, cfg: list(batch))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eco_driver, "plan_timing_moves",
+                   lambda s, sta, cfg: list(batch))
+        report = close_timing(
+            session, EcoConfig(target_wns_ps=1e9, max_rounds=6))
     assert report.status == "oscillating"
     # applied once, detected on the second plan -- not six rounds deep
     assert len(report.rounds) == 1
 
 
-def test_planner_with_nothing_left_reports_exhausted(base, process):
+def test_planner_with_nothing_left_reports_exhausted(base, process,
+                                                     monkeypatch):
     session = EcoSession.from_design(base, process)
     inst = next(iter(session.netlist.cells))
     noop = [Resize(inst_id=inst.id, drive=inst.master.drive)]
+    monkeypatch.setattr(eco_driver, "plan_timing_moves",
+                        lambda s, sta, cfg: list(noop))
     report = close_timing(
-        session, EcoConfig(target_wns_ps=1e9, max_rounds=4),
-        planner=lambda s, sta, cfg: list(noop))
+        session, EcoConfig(target_wns_ps=1e9, max_rounds=4))
     assert report.status == "exhausted"
 
 

@@ -1,6 +1,7 @@
 """The cyclic collector around a run: the flow makes no reference
 cycles, ``run_experiment`` pauses the collector and gives back its
-prior state, and a run leaves no young-generation backlog behind."""
+prior state, and a run leaves no young-generation backlog behind.  The
+same runs show that no run repeats a block flow."""
 
 import gc
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.analysis.experiments import (REGISTRY, Experiment,
                                         ExperimentOptions, run_experiment)
+from repro.core import flow
 from repro.memory import collector_paused
 
 
@@ -22,15 +24,57 @@ def collector_off():
         gc.enable()
 
 
+@pytest.fixture(scope="module")
+def run_once(process):
+    """``run_once(eid)`` runs one registered experiment at scale 0.2
+    with no cache given, once per module, with the collector off around
+    the run and every ``run_flow_on`` call recorded; it returns what a
+    collection found right after the run and the ``(block,
+    FlowConfig)`` of every flow the run ran."""
+    done = {}
+
+    def run(eid):
+        if eid not in done:
+            flows = []
+            real = flow.run_flow_on
+
+            def spy(gb, config, proc):
+                flows.append((gb.block_type.name, config))
+                return real(gb, config, proc)
+
+            gc.collect()
+            gc.disable()
+            try:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(flow, "run_flow_on", spy)
+                    run_experiment(eid, ExperimentOptions(
+                        process=process, scale=0.2, seed=1))
+                done[eid] = (gc.collect(), flows)
+            finally:
+                gc.enable()
+        return done[eid]
+
+    return run
+
+
 @pytest.mark.parametrize("eid", list(REGISTRY))
-def test_every_experiment_run_is_cycle_free(eid, process, collector_off):
+def test_every_experiment_run_is_cycle_free(eid, run_once):
     """With the collector off around the run, nothing the run dropped
     may be left for a collection to find: a reference cycle (a nested
     function that calls itself, say) would hold its memory until the
     next full collection, since runs pause the collector."""
-    run_experiment(eid, ExperimentOptions(process=process, scale=0.2,
-                                          seed=1))
-    assert gc.collect() == 0
+    found, _ = run_once(eid)
+    assert found == 0
+
+
+@pytest.mark.parametrize("eid", list(REGISTRY))
+def test_no_experiment_run_repeats_a_flow(eid, run_once):
+    """Every run has one design cache, even when its options carry
+    none: a design the run already built is never built again."""
+    _, flows = run_once(eid)
+    repeated = [f for f in set(flows) if flows.count(f) > 1]
+    assert not repeated, \
+        f"{len(flows)} flows for {len(set(flows))} distinct designs"
 
 
 def test_run_leaves_no_generation0_backlog(process, collector_off):

@@ -174,6 +174,26 @@ class TestResultStore:
         assert fresh.get(res.key) is None
         assert not path.exists()
 
+    @pytest.mark.parametrize("error", [OSError, RuntimeError])
+    def test_write_that_raises_midway_leaves_no_file(self, tmp_path,
+                                                     monkeypatch, error):
+        """A failed disk write leaves neither the entry nor its temp
+        file; an ``OSError`` keeps the result in memory, anything else
+        propagates."""
+        def torn_encode(payload):
+            raise error("write failed")
+
+        monkeypatch.setattr(store_module, "encode_line", torn_encode)
+        store = ResultStore(cache_dir=tmp_path)
+        res = _result()
+        if error is OSError:
+            store.put(res)
+            assert store.get(res.key) == res
+        else:
+            with pytest.raises(RuntimeError, match="write failed"):
+                store.put(res)
+        assert not list(store.dir.iterdir())
+
     def test_wrong_key_entry_is_dropped(self, tmp_path):
         store = ResultStore(cache_dir=tmp_path)
         res = _result()
